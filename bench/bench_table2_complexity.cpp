@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
           cell.fitted = analysis::complexity_name(
               analysis::classify_scaling(n, m, c, y));
         } else {
-          cell.fitted = "-";
+          cell.fitted = std::string(1, '-');
         }
         cells.push_back(std::move(cell));
       }

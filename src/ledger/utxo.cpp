@@ -46,11 +46,10 @@ bool UtxoStore::spend(const OutPoint& op) {
   return true;
 }
 
-void UtxoStore::apply(const Transaction& tx) {
+void UtxoStore::apply(const Transaction& tx, const TxId& id) {
   if (owner_shard(tx.spender) == shard_) {
     for (const auto& in : tx.inputs) spend(in);
   }
-  const TxId id = tx.id();
   for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
     add(OutPoint{id, i}, tx.outputs[i]);
   }

@@ -59,7 +59,9 @@ class UtxoStore {
 
   /// Apply a verified transaction: spend its inputs that live here and
   /// add its outputs that belong to this shard.
-  void apply(const Transaction& tx);
+  void apply(const Transaction& tx) { apply(tx, tx.id()); }
+  /// Same, with the transaction id already computed (`id == tx.id()`).
+  void apply(const Transaction& tx, const TxId& id);
 
   /// Total value stored.
   Amount total_value() const;

@@ -18,13 +18,16 @@ WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, std::uint64_t seed)
   }
   shard_users_.resize(config_.shards);
   users_.reserve(config_.users);
+  users_by_key_.reserve(config_.users);
   for (std::uint32_t u = 0; u < config_.users; ++u) {
     rng::Stream key_rng = rng_.fork(u);
     users_.push_back(crypto::KeyPair::generate(key_rng));
+    users_by_key_.emplace_back(users_.back().pk.y, u);
     const ShardId shard = shard_of(users_.back().pk, config_.shards);
     user_shard_.push_back(shard);
     shard_users_[shard].push_back(u);
   }
+  std::sort(users_by_key_.begin(), users_by_key_.end());
   // Some shard could be empty with few users; re-home one user if so to
   // keep the generator able to target every shard.
   for (ShardId s = 0; s < config_.shards; ++s) {
@@ -232,18 +235,17 @@ Transaction WorkloadGenerator::next_tx_from(std::size_t user,
 }
 
 void WorkloadGenerator::mark_committed(const Transaction& tx) {
-  const std::string key = key_of(tx.id());
-  in_flight_.erase(key);
-  // New outputs become spendable by their owners.
   const TxId id = tx.id();
+  in_flight_.erase(key_of(id));
+  // New outputs become spendable by their owners.
   for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
     const auto& out = tx.outputs[i];
-    for (std::size_t u = 0; u < users_.size(); ++u) {
-      if (users_[u].pk == out.owner) {
-        pool_[u].push_back(Spendable{OutPoint{id, i}, out.amount, u});
-        break;
-      }
-    }
+    const auto owner = std::lower_bound(
+        users_by_key_.begin(), users_by_key_.end(),
+        std::pair<std::uint64_t, std::size_t>(out.owner.y, 0));
+    if (owner == users_by_key_.end() || owner->first != out.owner.y) continue;
+    const std::size_t u = owner->second;
+    pool_[u].push_back(Spendable{OutPoint{id, i}, out.amount, u});
   }
 }
 

@@ -140,6 +140,10 @@ class WorkloadGenerator {
   rng::Stream rng_;
   std::shared_ptr<const ShardMap> map_;  ///< epoch map; null until installed
   std::vector<crypto::KeyPair> users_;
+  // (pk.y, user) sorted by key, users in index order within a key: routes
+  // a committed output to the first user holding its owner key without
+  // scanning every user.
+  std::vector<std::pair<std::uint64_t, std::size_t>> users_by_key_;
   std::vector<ShardId> user_shard_;
   std::vector<std::vector<std::size_t>> shard_users_;
   std::vector<UtxoStore> genesis_;

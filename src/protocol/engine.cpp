@@ -750,9 +750,9 @@ void Engine::reconfigure(const Reconfiguration& reconfig) {
 
 void Engine::start_round_state() {
   // Crash-recovery lifecycle: a restarted node that adopted a majority
-  // state digest last round rejoins now (its UTXO view is rebuilt by the
-  // per-round copy below, so the adopted digest is what it replays from);
-  // one that exhausted its retry budget re-crashes.
+  // state digest last round rejoins now (its UTXO view is the per-round
+  // shard snapshot taken below, so the adopted digest is what it replays
+  // from); one that exhausted its retry budget re-crashes.
   catchup_log_.clear();
   for (auto& n : nodes_) {
     if (!n.catching_up) continue;
@@ -829,22 +829,24 @@ void Engine::start_round_state() {
       nodes_[id].committee = committee.id;
     }
   }
-  // Members copy their shard's UTXO view (the state their committee is
-  // responsible for). For n in the thousands these deep copies dominate
-  // round setup; each job reads shared shard state and writes only its
-  // own node, so the copies parallelize without a merge step.
+  // Members share their shard's UTXO view (the state their committee is
+  // responsible for): one immutable snapshot per shard. Each job copies
+  // one shard, so the copies parallelize without a merge step; nodes
+  // outside every committee share one empty store.
+  std::vector<std::shared_ptr<const ledger::UtxoStore>> views(params_.m);
   support::parallel_for(
-      nodes_.size(),
-      [&](std::size_t i) {
-        auto& n = nodes_[i];
-        if (n.committee >= 0) {
-          n.utxo = shard_state_[static_cast<std::size_t>(n.committee)];
-        } else {
-          n.utxo = ledger::UtxoStore(0, params_.m);
-          n.utxo.attach_map(shard_map_);
-        }
+      params_.m,
+      [&](std::size_t k) {
+        views[k] = std::make_shared<const ledger::UtxoStore>(shard_state_[k]);
       },
       options_.engine_threads);
+  auto outside = std::make_shared<ledger::UtxoStore>(0, params_.m);
+  outside->attach_map(shard_map_);
+  for (auto& n : nodes_) {
+    n.utxo = n.committee >= 0 ? views[static_cast<std::size_t>(n.committee)]
+                              : outside;
+  }
+  released_.clear();
 
   committees_.assign(params_.m, CommitteeRound{});
   for (std::uint32_t k = 0; k < params_.m; ++k) {
@@ -1069,7 +1071,7 @@ double Engine::storage_proxy(const NodeState& n) const {
   for (const auto& [k, list] : n.lists) {
     bytes += 8.0 * static_cast<double>(list.size());
   }
-  bytes += 48.0 * static_cast<double>(n.utxo.size());
+  bytes += 48.0 * static_cast<double>(n.utxo->size());
   for (const auto& [sn, cert] : n.certs) {
     bytes += static_cast<double>(cert.serialize().size());
   }
@@ -1215,32 +1217,34 @@ void Engine::finalize_round(RoundReport& report) {
   }
 
   // --- Apply the block to the authoritative per-shard state. ---
-  // Parallel over *stores*: each job walks the committed list in block
-  // order and applies every tx to its one shard, computing the fee just
-  // before the apply when that shard is the tx's input shard. This
-  // reproduces the sequential semantics exactly — fee(tx_i) is taken
-  // against the store after txs 0..i-1 applied — with index-disjoint
-  // writes (fees[i] has a unique owning shard). The fee sum then runs
-  // sequentially in block order so floating-point association is
-  // bit-identical to the single-threaded path.
-  std::vector<double> fees(committed.size(), 0.0);
+  // Parallel over *stores*: each job walks its shard's slice of the
+  // committed list in block order (a tx outside the slice is a no-op for
+  // the store), computing the fee just before the apply when that shard
+  // is the tx's input shard. This reproduces the sequential semantics
+  // exactly — fee(tx_i) is taken against the store after txs 0..i-1
+  // applied — with index-disjoint writes (fees[i] has a unique owning
+  // shard). The fee sum then runs sequentially in block order so
+  // floating-point association is bit-identical to the single-threaded
+  // path.
+  const ledger::RoutedBlock routed(std::move(committed), *shard_map_);
+  const std::vector<ledger::Transaction>& block_txs = routed.txs();
+  std::vector<double> fees(block_txs.size(), 0.0);
   support::parallel_for(
       shard_state_.size(),
       [&](std::size_t s) {
         auto& store = shard_state_[s];
-        for (std::size_t i = 0; i < committed.size(); ++i) {
-          const auto& tx = committed[i];
-          if (ledger::input_shard(tx, *shard_map_) == s) {
-            fees[i] = static_cast<double>(ledger::tx_fee(tx, store));
+        for (std::uint32_t i : routed.slice(static_cast<ledger::ShardId>(s))) {
+          if (routed.input_shard(i) == s) {
+            fees[i] = static_cast<double>(ledger::tx_fee(block_txs[i], store));
           }
-          store.apply(tx);
+          store.apply(block_txs[i], routed.ids()[i]);
         }
       },
       options_.engine_threads);
   double total_fees = 0.0;
-  for (std::size_t i = 0; i < committed.size(); ++i) {
+  for (std::size_t i = 0; i < block_txs.size(); ++i) {
     total_fees += fees[i];
-    workload_->mark_committed(committed[i]);
+    workload_->mark_committed(block_txs[i]);
   }
   report.total_fees = total_fees;
   // Offered but unpacked valid txs form the Remaining TX List (§IV-G)
@@ -1286,13 +1290,12 @@ void Engine::finalize_round(RoundReport& report) {
   // extra rounds they wait.
   if (open_loop()) {
     openloop_round_.source_shortfall = workload_->shortfall();
-    for (const auto& tx : committed) {
-      const auto id = tx.id();
+    for (std::size_t i = 0; i < block_txs.size(); ++i) {
+      const auto& id = routed.ids()[i];
       const auto it = arrival_times_.find(std::string(id.begin(), id.end()));
       if (it == arrival_times_.end()) continue;  // e.g. genesis carryover
       openloop_round_.latencies.push_back(openloop_clock_ - it->second);
-      openloop_round_.latency_shards.push_back(
-          ledger::input_shard(tx, *shard_map_));
+      openloop_round_.latency_shards.push_back(routed.input_shard(i));
       arrival_times_.erase(it);
     }
     report.open_loop = openloop_round_;

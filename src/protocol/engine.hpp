@@ -24,6 +24,7 @@
 #include "ledger/arrivals.hpp"
 #include "ledger/block.hpp"
 #include "ledger/mempool.hpp"
+#include "ledger/routed_block.hpp"
 #include "ledger/validator.hpp"
 #include "ledger/workload.hpp"
 #include "net/simnet.hpp"
@@ -186,6 +187,14 @@ class Engine {
   /// Evicting an unreachable-but-honest leader is correct protocol
   /// behaviour, so the recovery invariants consult this.
   bool impaired(net::NodeId id, std::uint64_t round) const;
+  /// Node `id`'s own-shard UTXO view in the last round it took part in:
+  /// its committee's round-start snapshot, or the successor it adopted
+  /// from a released block. Members that received the same blocks on the
+  /// same base share one view object; referees and standby identities
+  /// hold an empty store. Valid once the first round has started.
+  const ledger::UtxoStore& member_view(net::NodeId id) const {
+    return *nodes_[id].utxo;
+  }
   /// Fault-injection hook for the scenario harness: mutable access to the
   /// authoritative per-shard UTXO views, so tests can corrupt a shard
   /// state and assert the invariant checker notices. Not used by the
@@ -304,7 +313,10 @@ class Engine {
     SortitionTicket ticket;
     std::vector<crypto::PublicKey> member_list;  // S of Alg. 2
     std::set<std::uint64_t> known_pks;           // dedup for S
-    ledger::UtxoStore utxo;                      // own shard view
+    /// Own-shard view, immutable and shared: every member of committee k
+    /// starts the round on the same snapshot, and adopting a released
+    /// block swaps the pointer to a (memoized) successor view.
+    std::shared_ptr<const ledger::UtxoStore> utxo;
 
     // Algorithm 3 instances, keyed by sn.
     std::map<std::uint64_t, consensus::LeaderInstance> lead;
@@ -435,6 +447,10 @@ class Engine {
   void on_score_report(NodeState& self, const net::Message& msg);
   void on_catchup_request(NodeState& self, const net::Message& msg);
   void on_catchup_reply(NodeState& self, const net::Message& msg);
+  /// kBlock / §VIII-B kSubBlock: a member adopts its view's successor
+  /// under the released (sub-)block, decoding and routing each payload
+  /// once and deriving each distinct successor once.
+  void on_block(NodeState& self, const net::Message& msg);
 
   // ---- helpers ----
   NodeState& node(net::NodeId id) { return nodes_[id]; }
@@ -622,6 +638,21 @@ class Engine {
   std::set<net::NodeId> registered_;
   // Serialized block awaiting / holding certification this round.
   Bytes block_payload_;
+  // Decode-once cache for the (sub-)block payloads released this round,
+  // keyed by buffer address. Each entry holds its payload, so the address
+  // cannot be freed and reused by another buffer while the key lives; the
+  // successor memo likewise holds each base view it is keyed by. Cleared
+  // at round start.
+  struct ReleasedBlock {
+    net::PayloadPtr payload;
+    ledger::RoutedBlock routed;
+    struct Step {
+      std::shared_ptr<const ledger::UtxoStore> base;
+      std::shared_ptr<const ledger::UtxoStore> next;
+    };
+    std::unordered_map<const ledger::UtxoStore*, Step> successors;
+  };
+  std::unordered_map<const Bytes*, ReleasedBlock> released_;
   // Catch-up attempts resolved in the current round (cleared per round).
   std::vector<CatchUpRecord> catchup_log_;
   // Per-committee: severed from quorum by an active partition/blackout

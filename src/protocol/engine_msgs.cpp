@@ -4,6 +4,7 @@
 
 #include "protocol/engine.hpp"
 #include "protocol/payloads.hpp"
+#include "protocol/sn_layout.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/pow.hpp"
 #include "obs/observer.hpp"
@@ -11,33 +12,6 @@
 #include "support/serde.hpp"
 
 namespace cyc::protocol {
-
-namespace {
-
-// Sequence-number layout per scope (unique and monotone per instance as
-// the paper requires; attempts after recovery get fresh numbers).
-constexpr std::uint64_t sn_intra(std::uint32_t attempt) { return 100 + attempt; }
-constexpr std::uint64_t sn_score(std::uint32_t attempt) { return 150 + attempt; }
-constexpr std::uint64_t sn_utxo(std::uint32_t attempt) { return 180 + attempt; }
-std::uint64_t sn_cross_out(std::uint32_t dest, std::uint32_t attempt) {
-  return 1000 + static_cast<std::uint64_t>(dest) * 16 + attempt;
-}
-std::uint64_t sn_cross_in(std::uint32_t origin, std::uint32_t attempt) {
-  return 100000 + static_cast<std::uint64_t>(origin) * 16 + attempt;
-}
-// Referee scope:
-std::uint64_t sn_semi_check(std::uint32_t k) { return 1000 + k; }
-constexpr std::uint64_t kSnBlock = 1;
-std::uint64_t sn_reselect(std::uint32_t k, std::uint32_t attempt) {
-  return 5000 + static_cast<std::uint64_t>(k) * 16 + attempt;
-}
-
-bool is_cross_in_sn(std::uint64_t sn) { return sn >= 100000; }
-std::uint32_t cross_in_origin(std::uint64_t sn) {
-  return static_cast<std::uint32_t>((sn - 100000) / 16);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Phase drivers
@@ -279,7 +253,7 @@ void Engine::phase_block(net::Time at) {
   obs_phase(net::Phase::kBlock, at);
   // The designated referee proposes the block content; C_R agrees via
   // Algorithm 3; on certification the block is released to everyone.
-  const net::NodeId proposer = designated_referee(kSnBlock);
+  const net::NodeId proposer = designated_referee(seq::kBlock);
   NodeState& referee = nodes_[proposer];
   wire::BlockMsg block;
   block.round = round_;
@@ -308,7 +282,7 @@ void Engine::phase_block(net::Time at) {
   for (const auto& tx : block.txs) leaves.push_back(tx.serialize());
   block.body_root = crypto::MerkleTree(leaves).root();
   block_payload_ = block.serialize();
-  leader_start_instance(referee, params_.m, kSnBlock, block_payload_);
+  leader_start_instance(referee, params_.m, seq::kBlock, block_payload_);
   // Committee leaders also certify their final UTXO list for hand-off to
   // the next round's partial sets (§IV-G).
   for (std::uint32_t k = 0; k < params_.m; ++k) {
@@ -320,8 +294,8 @@ void Engine::phase_block(net::Time at) {
     Writer w;
     w.str("UTXO_FINAL");
     w.u32(k);
-    w.bytes(crypto::digest_to_bytes(leader.utxo.digest()));
-    leader_start_instance(leader, k, sn_utxo(committees_[k].attempt),
+    w.bytes(crypto::digest_to_bytes(leader.utxo->digest()));
+    leader_start_instance(leader, k, seq::utxo(committees_[k].attempt),
                           w.take());
   }
   (void)at;
@@ -384,14 +358,10 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
         }
         break;
       }
-      case net::Tag::kBlock: {
-        // Members refresh their shard view from the released block.
-        if (self.committee >= 0) {
-          const auto block = wire::BlockMsg::deserialize(msg.payload());
-          for (const auto& tx : block.txs) self.utxo.apply(tx);
-        }
+      case net::Tag::kBlock:
+      case net::Tag::kSubBlock:
+        on_block(self, msg);
         break;
-      }
       case net::Tag::kBlockPermit: {
         // §VIII-B: permitted leader broadcasts its committee's sub-block.
         if (self.committee < 0) break;
@@ -411,13 +381,6 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
         }
         break;
       }
-      case net::Tag::kSubBlock: {
-        if (self.committee >= 0) {
-          const auto sub = wire::BlockMsg::deserialize(msg.payload());
-          for (const auto& tx : sub.txs) self.utxo.apply(tx);
-        }
-        break;
-      }
       case net::Tag::kScoreList:
       case net::Tag::kAbort:
       case net::Tag::kUtxoHandoff:
@@ -432,6 +395,35 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
     // Malformed payloads from adversarial senders are dropped silently;
     // honest code never produces them.
   }
+}
+
+void Engine::on_block(NodeState& self, const net::Message& msg) {
+  // Members refresh their shard view from the released (sub-)block.
+  if (self.committee < 0) return;
+  auto it = released_.find(msg.body.get());
+  if (it == released_.end()) {
+    auto block = wire::BlockMsg::deserialize(msg.payload());
+    it = released_
+             .emplace(msg.body.get(),
+                      ReleasedBlock{msg.body,
+                                    ledger::RoutedBlock(std::move(block.txs),
+                                                        *shard_map_),
+                                    {}})
+             .first;
+  }
+  ReleasedBlock& released = it->second;
+  auto [step, fresh] = released.successors.try_emplace(self.utxo.get());
+  if (fresh) {
+    step->second.base = self.utxo;
+    if (released.routed.slice(self.utxo->shard()).empty()) {
+      step->second.next = self.utxo;  // nothing here for this shard
+    } else {
+      auto next = std::make_shared<ledger::UtxoStore>(*self.utxo);
+      released.routed.apply_to(*next);
+      step->second.next = std::move(next);
+    }
+  }
+  self.utxo = step->second.next;
 }
 
 // ---------------------------------------------------------------------------
@@ -625,8 +617,8 @@ void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
   consensus::MemberOutput out;
   if (msg.tag == net::Tag::kPropose) {
     // Track leader engagement for the 2*Gamma concealment rule.
-    if (env.scope < params_.m && is_cross_in_sn(env.sn)) {
-      self.cross_seen_propose.insert(cross_in_origin(env.sn));
+    if (env.scope < params_.m && seq::is_cross_in(env.sn)) {
+      self.cross_seen_propose.insert(seq::cross_in_origin(env.sn));
     }
     out = it->second.on_propose(consensus::ProposeWire::deserialize(env.wire));
   } else {
@@ -656,7 +648,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
   }
   if (scope == params_.m) {
     // Referee-scope instances.
-    if (sn == kSnBlock) {
+    if (sn == seq::kBlock) {
       // Block certified.
       auto it = self.lead.find(sn);
       if (it == self.lead.end()) return;
@@ -679,15 +671,14 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       }
       return;
     }
-    if (sn >= 5000 && sn < 100000) {
+    if (seq::is_reselect(sn)) {
       // Leader re-selection agreed: announce the new leader.
-      const std::uint32_t k = static_cast<std::uint32_t>((sn - 5000) / 16);
-      announce_new_leader(self, k);
+      announce_new_leader(self, seq::reselect_committee(sn));
       return;
     }
-    if (sn >= 1000 && sn < 5000) {
+    if (seq::is_semi_check(sn)) {
       // Semi-commitment accepted by C_R: relay to all key members.
-      const std::uint32_t k = static_cast<std::uint32_t>(sn - 1000);
+      const std::uint32_t k = seq::semi_check_committee(sn);
       wire::SemiCommitAck ack;
       ack.committee = k;
       auto cit = self.commitments.find(k);
@@ -711,7 +702,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
   if (self.id != committees_[scope].current_leader) return;
   const std::uint32_t k = scope;
 
-  if (sn >= 100 && sn < 150) {
+  if (seq::is_intra(sn)) {
     // Intra-committee decision certified -> report to C_R (Alg. 5 l.19).
     auto it = self.lead.find(sn);
     if (it == self.lead.end()) return;
@@ -725,7 +716,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     self.sent_intra_result = true;
     return;
   }
-  if (sn >= 150 && sn < 180) {
+  if (seq::is_score(sn)) {
     // ScoreList certified -> report to C_R (§IV-E).
     wire::CertifiedResult result;
     result.payload = committees_[k].pending_score_payload;
@@ -736,12 +727,12 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     }
     return;
   }
-  if (sn >= 180 && sn < 200) {
+  if (seq::is_utxo(sn)) {
     // Final UTXO list certified -> hand off to C_R, which forwards to the
     // next round's partial sets (§IV-G).
     Writer w;
     w.u32(k);
-    w.bytes(crypto::digest_to_bytes(self.utxo.digest()));
+    w.bytes(crypto::digest_to_bytes(self.utxo->digest()));
     w.bytes(cert.serialize());
     const auto payload = net::make_payload(w.take());
     for (net::NodeId rm : assign_.referees) {
@@ -749,10 +740,10 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     }
     return;
   }
-  if (sn >= 1000 && sn < 100000) {
+  if (seq::is_cross_out(sn)) {
     // Cross-out list certified -> send to destination leader and its
     // partial set (§IV-D; the hint enables the 2*Gamma rule of Lemma 7).
-    const std::uint32_t dest = static_cast<std::uint32_t>((sn - 1000) / 16);
+    const std::uint32_t dest = seq::cross_out_dest(sn);
     auto pit = committees_[k].pending_cross_out.find(dest);
     if (pit == committees_[k].pending_cross_out.end()) return;
     wire::CrossTxListMsg request =
@@ -767,9 +758,9 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     }
     return;
   }
-  if (is_cross_in_sn(sn)) {
+  if (seq::is_cross_in(sn)) {
     // Acceptance certified -> reply to the origin leader and inform C_R.
-    const std::uint32_t origin = cross_in_origin(sn);
+    const std::uint32_t origin = seq::cross_in_origin(sn);
     auto rit = self.cross_in.find(origin);
     if (rit == self.cross_in.end()) return;
     wire::CrossResultMsg result;

@@ -5,25 +5,13 @@
 
 #include "protocol/engine.hpp"
 #include "protocol/payloads.hpp"
+#include "protocol/sn_layout.hpp"
 #include "obs/observer.hpp"
 #include "support/serde.hpp"
 
 namespace cyc::protocol {
 
 namespace {
-constexpr std::uint64_t sn_intra(std::uint32_t attempt) { return 100 + attempt; }
-constexpr std::uint64_t sn_score(std::uint32_t attempt) { return 150 + attempt; }
-std::uint64_t sn_cross_out(std::uint32_t dest, std::uint32_t attempt) {
-  return 1000 + static_cast<std::uint64_t>(dest) * 16 + attempt;
-}
-std::uint64_t sn_cross_in(std::uint32_t origin, std::uint32_t attempt) {
-  return 100000 + static_cast<std::uint64_t>(origin) * 16 + attempt;
-}
-std::uint64_t sn_semi_check(std::uint32_t k) { return 1000 + k; }
-std::uint64_t sn_reselect(std::uint32_t k, std::uint32_t attempt) {
-  return 5000 + static_cast<std::uint64_t>(k) * 16 + attempt;
-}
-
 crypto::Digest vlist_digest(const std::map<net::NodeId, VoteVector>& votes) {
   Writer w;
   for (const auto& [id, vote] : votes) {
@@ -101,7 +89,7 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
       // contradiction, so this is a transferable witness (§V-D).
       // Only the referee designated to drive the re-selection instance
       // convicts (every honest referee sees the same contradiction).
-      const std::uint64_t sn = sn_reselect(k, committees_[k].attempt);
+      const std::uint64_t sn = seq::reselect(k, committees_[k].attempt);
       if (options_.recovery_enabled && !committees_[k].leader_convicted &&
           designated_referee(sn) == self.id) {
         CommitmentMismatchWitness witness{sc.list_msg, sc.commitment_msg};
@@ -134,7 +122,7 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
     }
     // The designated referee additionally drives the C_R agreement on
     // this commitment (each referee "is regarded as the leader", §IV-B).
-    const std::uint64_t sn = sn_semi_check(k);
+    const std::uint64_t sn = seq::semi_check(k);
     if (designated_referee(sn) == self.id) {
       Writer w;
       w.str("SEMI_CHECK");
@@ -202,7 +190,7 @@ VoteVector Engine::compute_vote(NodeState& self,
       case Behavior::kInverseVoter:
       case Behavior::kFramer: {
         for (std::size_t i = 0; i < txs.size(); ++i) {
-          vote[i] = ledger::V(txs[i], self.utxo) ? Vote::kNo : Vote::kYes;
+          vote[i] = ledger::V(txs[i], *self.utxo) ? Vote::kNo : Vote::kYes;
         }
         return vote;
       }
@@ -239,7 +227,7 @@ VoteVector Engine::compute_vote(NodeState& self,
   for (std::size_t j = 0; j < judged; ++j) {
     const std::size_t i = order[j];
     if (conflicted[i]) continue;  // already voted No above
-    vote[i] = ledger::V(txs[i], self.utxo) ? Vote::kYes : Vote::kNo;
+    vote[i] = ledger::V(txs[i], *self.utxo) ? Vote::kYes : Vote::kNo;
   }
   return vote;
 }
@@ -306,7 +294,7 @@ void Engine::emit_intra_txlist(std::uint32_t k, const Bytes& wire_bytes,
     }
     decision.vlist_digest = vlist_digest(leader.votes);
     committees_[k].pending_intra_payload = decision.serialize();
-    leader_start_instance(leader, k, sn_intra(attempt),
+    leader_start_instance(leader, k, seq::intra(attempt),
                           committees_[k].pending_intra_payload);
   });
 }
@@ -438,7 +426,7 @@ void Engine::emit_cross_txlist(std::uint32_t k, const Bytes& wire_bytes,
       // The origin cert is attached in on_cert once Alg. 3 completes;
       // store the request now.
       committees_[k].pending_cross_out[dest] = request.serialize();
-      leader_start_instance(leader, k, sn_cross_out(dest, attempt),
+      leader_start_instance(leader, k, seq::cross_out(dest, attempt),
                             request.agreed_payload());
     }
   });
@@ -470,7 +458,7 @@ void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
     }
     std::vector<ledger::Transaction> filtered;
     for (const auto& tx : committees_[k].cross_list) {
-      if (ledger::V(tx, leader.utxo)) filtered.push_back(tx);
+      if (ledger::V(tx, *leader.utxo)) filtered.push_back(tx);
     }
     committees_[k].cross_list = std::move(filtered);
   }
@@ -509,7 +497,7 @@ void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
   // Reach committee agreement on the acceptance (the C_j side of §IV-D).
   wire::CrossResultMsg result;
   result.request = req;
-  leader_start_instance(leader, k, sn_cross_in(req.origin, req.attempt),
+  leader_start_instance(leader, k, seq::cross_in(req.origin, req.attempt),
                         result.acceptance_payload());
 }
 
@@ -797,7 +785,7 @@ void Engine::leader_send_scores(std::uint32_t k, net::Time now) {
                                              : cosine_score(vote, decision));
   }
   committees_[k].pending_score_payload = scores.serialize();
-  leader_start_instance(leader, k, sn_score(committees_[k].attempt),
+  leader_start_instance(leader, k, seq::score(committees_[k].attempt),
                         committees_[k].pending_score_payload);
   (void)now;
 }
@@ -979,7 +967,7 @@ void Engine::on_prosecute(NodeState& self, const net::Message& msg,
   if (!witness_ok) return;
 
   // Only the designated referee drives the re-selection instance.
-  const std::uint64_t sn = sn_reselect(accusation.committee,
+  const std::uint64_t sn = seq::reselect(accusation.committee,
                                        committees_[accusation.committee].attempt);
   if (designated_referee(sn) != self.id) return;
   referee_convict(self, accusation, now, msg.payload());
@@ -1031,7 +1019,7 @@ void Engine::referee_convict(NodeState& referee, const Accusation& accusation,
   w.bytes(announcement.serialize());
   w.bytes(impeachment);
   leader_start_instance(referee, params_.m,
-                        sn_reselect(k, committees_[k].attempt), w.take());
+                        seq::reselect(k, committees_[k].attempt), w.take());
   (void)now;
 }
 

@@ -8,6 +8,8 @@ namespace cyc::protocol::wire {
 
 namespace {
 
+thread_local std::uint64_t t_block_decodes = 0;
+
 void write_pk_vec(Writer& w, const std::vector<crypto::PublicKey>& pks) {
   w.u32(static_cast<std::uint32_t>(pks.size()));
   for (const auto& pk : pks) w.u64(pk.y);
@@ -385,6 +387,7 @@ Bytes BlockMsg::serialize() const {
 }
 
 BlockMsg BlockMsg::deserialize(BytesView b) {
+  ++t_block_decodes;
   Reader rd(b);
   BlockMsg m;
   m.round = rd.u64();
@@ -393,5 +396,7 @@ BlockMsg BlockMsg::deserialize(BytesView b) {
   m.body_root = crypto::digest_from_bytes(rd.bytes());
   return m;
 }
+
+std::uint64_t block_decodes() { return t_block_decodes; }
 
 }  // namespace cyc::protocol::wire

@@ -186,4 +186,9 @@ struct BlockMsg {
   static BlockMsg deserialize(BytesView b);
 };
 
+/// BlockMsg payloads decoded on this thread since start. Thread-local in
+/// the style of net::payload_allocations(): it makes the engine's
+/// decode-once-per-released-block contract testable.
+std::uint64_t block_decodes();
+
 }  // namespace cyc::protocol::wire

@@ -9,13 +9,21 @@ namespace cyc::math {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// std::lgamma stores the sign of Gamma in the global `signgam`, a data
+// race when sweep workers evaluate bounds concurrently; the reentrant
+// variant returns the same value and keeps the sign local.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
 }
+}  // namespace
 
 double log_binomial(std::uint64_t n, std::uint64_t k) {
   if (k > n) return kNegInf;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) -
+         log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double log_hypergeometric_pmf(std::uint64_t n, std::uint64_t t,

@@ -192,7 +192,8 @@ TEST(SpecRoundTrip, OpenLoopFieldsSurvive) {
   EXPECT_EQ(text.find("arrival_rate"), std::string::npos);
   EXPECT_EQ(text.find("zipf_s"), std::string::npos);
   EXPECT_EQ(text.find("mempool_cap"), std::string::npos);
-  EXPECT_EQ(text, ScenarioSpec{}.to_json_text());
+  const ScenarioSpec defaults;
+  EXPECT_EQ(text, defaults.to_json_text());
 }
 
 TEST(SpecRoundTrip, OpenLoopFuzzAxesRoundTrip) {
@@ -212,7 +213,8 @@ TEST(SpecRoundTrip, OpenLoopFuzzAxesRoundTrip) {
 }
 
 TEST(SpecRoundTrip, DefaultAndDefaultMatrixSpecs) {
-  expect_byte_identical_roundtrip(ScenarioSpec{});
+  const ScenarioSpec defaults;
+  expect_byte_identical_roundtrip(defaults);
   for (const ScenarioSpec& spec : default_matrix()) {
     expect_byte_identical_roundtrip(spec);
   }

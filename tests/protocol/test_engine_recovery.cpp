@@ -26,19 +26,6 @@ AdversaryConfig one_bad_leader(Behavior behavior) {
   return adv;
 }
 
-RoundReport run_with_bad_leader(Behavior behavior, std::uint64_t seed,
-                                Engine** out = nullptr) {
-  static Engine* engine = nullptr;
-  delete engine;
-  engine = new Engine(params_with(seed), one_bad_leader(behavior));
-  // forced_corrupt_leader_fraction assigns cyclic behaviours; override
-  // committee 0's leader with the behaviour under test.
-  const auto leader0 = engine->assignment().committees[0].leader;
-  (void)leader0;
-  if (out) *out = engine;
-  return engine->run_round();
-}
-
 TEST(Recovery, CrashLeaderEvicted) {
   AdversaryConfig adv = one_bad_leader(Behavior::kCrash);
   Engine engine(params_with(1), adv);
