@@ -1,12 +1,14 @@
 // E8a — microbenchmarks of the cryptographic substrate (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include "crypto/field.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/pow.hpp"
 #include "crypto/pvss.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/vrf.hpp"
+#include "support/rng.hpp"
 
 using namespace cyc;
 
@@ -37,6 +39,54 @@ static void BM_SchnorrVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerify);
+
+// Field kernel: the group and scalar arithmetic under sign / verify.
+static void BM_MulmodP(benchmark::State& state) {
+  rng::Stream rng(8);
+  std::uint64_t acc = 1 + rng.below(crypto::kP - 1);
+  const std::uint64_t b = 1 + rng.below(crypto::kP - 1);
+  for (auto _ : state) {
+    acc = crypto::mulmod(acc, b, crypto::kP);  // dependent chain: latency
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_MulmodP);
+
+static void BM_GPowFixedBase(benchmark::State& state) {
+  rng::Stream rng(9);
+  std::uint64_t e = rng.below(crypto::kQ);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::g_pow(e));
+    e = e * 6364136223846793005ull + 1442695040888963407ull;
+  }
+}
+BENCHMARK(BM_GPowFixedBase);
+
+static void BM_GPowVarBase(benchmark::State& state) {
+  rng::Stream rng(10);
+  const std::uint64_t base = crypto::g_pow(rng.below(crypto::kQ));
+  std::uint64_t e = rng.below(crypto::kQ);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::gpow(base, e));
+    e = e * 6364136223846793005ull + 1442695040888963407ull;
+  }
+}
+BENCHMARK(BM_GPowVarBase);
+
+static void BM_InGroup(benchmark::State& state) {
+  // Members and non-members (p - g^k) alternate, as in verification input.
+  rng::Stream rng(11);
+  std::vector<std::uint64_t> xs;
+  for (int i = 0; i < 256; ++i) {
+    const std::uint64_t member = crypto::g_pow(rng.below(crypto::kQ));
+    xs.push_back(i % 2 == 0 ? member : crypto::kP - member);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::in_group(xs[i++ & 255]));
+  }
+}
+BENCHMARK(BM_InGroup);
 
 static void BM_VrfProve(benchmark::State& state) {
   const auto keys = crypto::KeyPair::from_seed(3);

@@ -110,6 +110,49 @@ std::optional<QuorumCert> LeaderInstance::on_confirm(const ConfirmWire& wire) {
   return std::nullopt;
 }
 
+// --- received messages -------------------------------------------------------
+
+bool ReceivedPropose::signature_valid() const {
+  if (!signature_valid_) signature_valid_ = wire_.sig.valid();
+  return *signature_valid_;
+}
+
+const std::optional<ProposeHeader>& ReceivedPropose::header() const {
+  if (!header_) header_ = ProposeHeader::parse(wire_.sig.payload);
+  return *header_;
+}
+
+bool ReceivedPropose::digest_matches() const {
+  if (!digest_matches_) {
+    digest_matches_ = header()->digest == crypto::sha256(wire_.message);
+  }
+  return *digest_matches_;
+}
+
+bool ReceivedEcho::signature_valid() const {
+  if (!signature_valid_) signature_valid_ = wire_.sig.valid();
+  return *signature_valid_;
+}
+
+bool ReceivedEcho::signature_binds_body() const {
+  if (!signature_binds_body_) {
+    signature_binds_body_ = equal(wire_.sig.payload, wire_.body.signed_part());
+  }
+  return *signature_binds_body_;
+}
+
+bool ReceivedEcho::relay_valid() const {
+  if (!relay_valid_) relay_valid_ = wire_.body.propose_sig.valid();
+  return *relay_valid_;
+}
+
+const std::optional<ProposeHeader>& ReceivedEcho::relay_header() const {
+  if (!relay_header_) {
+    relay_header_ = ProposeHeader::parse(wire_.body.propose_sig.payload);
+  }
+  return *relay_header_;
+}
+
 // --- MemberInstance -----------------------------------------------------------
 
 MemberInstance::MemberInstance(crypto::KeyPair keys,
@@ -133,46 +176,40 @@ std::optional<EquivocationWitness> MemberInstance::check_equivocation(
   return w;
 }
 
-MemberOutput MemberInstance::on_propose(const ProposeWire& wire) {
+void MemberInstance::echo_once(MemberOutput& out) {
+  if (echoed_) return;
+  echoed_ = true;
+  Echo e;
+  e.id = id_;
+  e.digest = *digest_;
+  e.member = index_;
+  e.propose_sig = *seen_propose_;
+  EchoWire ew;
+  ew.sig = crypto::make_signed(keys_, e.signed_part());
+  ew.body = std::move(e);
+  // Count our own echo toward the quorum.
+  echoes_[keys_.pk.y] = ew.sig;
+  out.echo_broadcast = std::move(ew);
+}
+
+MemberOutput MemberInstance::on_propose(const ReceivedPropose& propose) {
   MemberOutput out;
-  if (!(wire.sig.signer == leader_) || !wire.sig.valid()) return out;
+  const ProposeWire& wire = propose.wire();
+  if (!(wire.sig.signer == leader_) || !propose.signature_valid()) return out;
 
-  // Decode the signed header and cross-check H(M).
-  Reader rd(wire.sig.payload);
-  try {
-    if (rd.str() != "PROPOSE") return out;
-    InstanceId got;
-    got.round = rd.u64();
-    got.sn = rd.u64();
-    if (!(got == id_)) return out;
-    const crypto::Digest claimed = crypto::digest_from_bytes(rd.bytes());
-    if (claimed != crypto::sha256(wire.message)) return out;  // bad digest
+  // The signed header must name this instance, and H(M) must match M.
+  const std::optional<ProposeHeader>& header = propose.header();
+  if (!header || !header->tagged || !(header->id == id_)) return out;
+  if (!propose.digest_matches()) return out;  // bad digest
 
-    out.witness = check_equivocation(wire.sig);
-    if (out.witness) return out;
-    if (seen_propose_) return out;  // duplicate of the same propose
+  out.witness = check_equivocation(wire.sig);
+  if (out.witness) return out;
+  if (seen_propose_) return out;  // duplicate of the same propose
 
-    seen_propose_ = wire.sig;
-    digest_ = claimed;
-    message_ = wire.message;
-  } catch (const std::exception&) {
-    return out;
-  }
-
-  if (!echoed_) {
-    echoed_ = true;
-    Echo e;
-    e.id = id_;
-    e.digest = *digest_;
-    e.member = index_;
-    e.propose_sig = *seen_propose_;
-    EchoWire ew;
-    ew.sig = crypto::make_signed(keys_, e.signed_part());
-    ew.body = e;
-    out.echo_broadcast = ew;
-    // Count our own echo toward the quorum.
-    echoes_[keys_.pk.y] = ew.sig;
-  }
+  seen_propose_ = wire.sig;
+  digest_ = header->digest;
+  message_ = wire.message;
+  echo_once(out);
   // A committee of size 1 (degenerate, used in tests) can confirm at once.
   MemberOutput confirm = maybe_confirm();
   if (confirm.confirm_to_leader) {
@@ -181,50 +218,32 @@ MemberOutput MemberInstance::on_propose(const ProposeWire& wire) {
   return out;
 }
 
-MemberOutput MemberInstance::on_echo(const EchoWire& wire) {
+MemberOutput MemberInstance::on_echo(const ReceivedEcho& echo) {
   MemberOutput out;
-  if (!wire.sig.valid()) return out;
+  const EchoWire& wire = echo.wire();
+  if (!echo.signature_valid()) return out;
   if (!(wire.body.id == id_)) return out;
-  if (!equal(wire.sig.payload, wire.body.signed_part())) return out;
+  if (!echo.signature_binds_body()) return out;
 
   // The relayed PROPOSE lets us catch a leader who proposed different
   // messages to different members (the paper's "notices that the leader
   // is malicious" condition).
-  if (wire.body.propose_sig.valid() &&
-      wire.body.propose_sig.signer == leader_) {
+  if (echo.relay_valid() && wire.body.propose_sig.signer == leader_) {
     out.witness = check_equivocation(wire.body.propose_sig);
     if (out.witness) return out;
     if (!seen_propose_) {
       // Learn the proposal header from the relay (we may still lack M,
       // but can echo/confirm on the digest as the paper intends).
+      const std::optional<ProposeHeader>& relay = echo.relay_header();
+      if (!relay) return out;
       seen_propose_ = wire.body.propose_sig;
-      Reader rd(seen_propose_->payload);
-      try {
-        (void)rd.str();
-        (void)rd.u64();
-        (void)rd.u64();
-        digest_ = crypto::digest_from_bytes(rd.bytes());
-      } catch (const std::exception&) {
-        seen_propose_.reset();
-        return out;
-      }
-      if (!echoed_) {
-        echoed_ = true;
-        Echo e;
-        e.id = id_;
-        e.digest = *digest_;
-        e.member = index_;
-        e.propose_sig = *seen_propose_;
-        EchoWire ew;
-        ew.sig = crypto::make_signed(keys_, e.signed_part());
-        ew.body = e;
-        out.echo_broadcast = ew;
-        echoes_[keys_.pk.y] = ew.sig;
-      }
+      digest_ = relay->digest;
+      echo_once(out);
     }
   }
 
-  if (digest_ && wire.body.digest == *digest_) {
+  // Echoes only feed our own CONFIRM, so stop collecting once it is sent.
+  if (!confirmed_ && digest_ && wire.body.digest == *digest_) {
     echoes_[wire.sig.signer.y] = wire.sig;
   }
 
@@ -246,11 +265,12 @@ MemberOutput MemberInstance::maybe_confirm() {
   c.digest = *digest_;
   c.member = index_;
   c.echo_list.reserve(echoes_.size());
-  for (const auto& [key, sm] : echoes_) c.echo_list.push_back(sm);
+  for (auto& [key, sm] : echoes_) c.echo_list.push_back(std::move(sm));
+  echoes_.clear();
   ConfirmWire cw;
   cw.sig = crypto::make_signed(keys_, c.signed_part());
-  cw.body = c;
-  out.confirm_to_leader = cw;
+  cw.body = std::move(c);
+  out.confirm_to_leader = std::move(cw);
   return out;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "consensus/types.hpp"
@@ -41,6 +42,53 @@ struct ConfirmWire {
 
   Bytes serialize() const;
   static ConfirmWire deserialize(BytesView b);
+};
+
+/// A PROPOSE as received: the decoded wire plus its receiver-independent
+/// verdicts. Each verdict is a pure function of the bytes, computed on
+/// first use and then shared by every member that consumes the same
+/// object, so a multicast PROPOSE is checked once however many members
+/// receive it.
+class ReceivedPropose {
+ public:
+  ReceivedPropose(ProposeWire wire) : wire_(std::move(wire)) {}
+
+  const ProposeWire& wire() const { return wire_; }
+  /// The signature verifies (through the thread-local verdict cache).
+  bool signature_valid() const;
+  /// The signed header, if the signature payload parses.
+  const std::optional<ProposeHeader>& header() const;
+  /// The header's H(M) equals the hash of the carried M. Requires header().
+  bool digest_matches() const;
+
+ private:
+  ProposeWire wire_;
+  mutable std::optional<bool> signature_valid_;
+  mutable std::optional<std::optional<ProposeHeader>> header_;
+  mutable std::optional<bool> digest_matches_;
+};
+
+/// An ECHO as received; see ReceivedPropose.
+class ReceivedEcho {
+ public:
+  ReceivedEcho(EchoWire wire) : wire_(std::move(wire)) {}
+
+  const EchoWire& wire() const { return wire_; }
+  /// The echoing member's signature verifies.
+  bool signature_valid() const;
+  /// The signature covers exactly this body's ECHO header.
+  bool signature_binds_body() const;
+  /// The relayed PROPOSE signature verifies.
+  bool relay_valid() const;
+  /// The relayed PROPOSE header, if its payload parses.
+  const std::optional<ProposeHeader>& relay_header() const;
+
+ private:
+  EchoWire wire_;
+  mutable std::optional<bool> signature_valid_;
+  mutable std::optional<bool> signature_binds_body_;
+  mutable std::optional<bool> relay_valid_;
+  mutable std::optional<std::optional<ProposeHeader>> relay_header_;
 };
 
 /// Leader side of Algorithm 3.
@@ -90,16 +138,18 @@ class MemberInstance {
                  std::size_t committee_size);
 
   /// Consume the leader's PROPOSE.
-  MemberOutput on_propose(const ProposeWire& wire);
+  MemberOutput on_propose(const ReceivedPropose& propose);
 
   /// Consume a peer's ECHO (which relays the signed PROPOSE header).
-  MemberOutput on_echo(const EchoWire& wire);
+  MemberOutput on_echo(const ReceivedEcho& echo);
 
   bool has_confirmed() const { return confirmed_; }
   const std::optional<Bytes>& accepted_message() const { return message_; }
 
  private:
   MemberOutput maybe_confirm();
+  /// Adopt the proposal header (digest) and broadcast our own ECHO once.
+  void echo_once(MemberOutput& out);
   std::optional<EquivocationWitness> check_equivocation(
       const crypto::SignedMessage& propose_sig);
 
@@ -112,7 +162,8 @@ class MemberInstance {
   std::optional<crypto::SignedMessage> seen_propose_;
   std::optional<crypto::Digest> digest_;
   std::optional<Bytes> message_;
-  std::map<std::uint64_t, crypto::SignedMessage> echoes_;  // by signer, our digest
+  // By signer, for our digest; moved into our CONFIRM once it is sent.
+  std::map<std::uint64_t, crypto::SignedMessage> echoes_;
   bool echoed_ = false;
   bool confirmed_ = false;
 };

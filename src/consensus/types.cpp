@@ -8,6 +8,10 @@ namespace cyc::consensus {
 
 namespace {
 
+// A length-prefixed SignedMessage: 4-byte prefix, signer, empty payload
+// (its own 4-byte prefix) and the two signature words.
+constexpr std::size_t kMinSignedMessageBytes = 4 + 8 + 4 + 16;
+
 void write_id(Writer& w, const InstanceId& id) {
   w.u64(id.round);
   w.u64(id.sn);
@@ -47,6 +51,19 @@ Propose Propose::deserialize(BytesView b) {
   p.digest = crypto::digest_from_bytes(rd.bytes());
   p.message = rd.bytes();
   return p;
+}
+
+std::optional<ProposeHeader> ProposeHeader::parse(BytesView payload) {
+  Reader rd(payload);
+  try {
+    ProposeHeader h;
+    h.tagged = rd.str() == "PROPOSE";
+    h.id = read_id(rd);
+    h.digest = crypto::digest_from_bytes(rd.bytes());
+    return h;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
 }
 
 // --- Echo ------------------------------------------------------------------
@@ -107,7 +124,7 @@ Confirm Confirm::deserialize(BytesView b) {
   c.digest = crypto::digest_from_bytes(rd.bytes());
   c.member = rd.u64();
   const std::uint32_t count = rd.u32();
-  c.echo_list.reserve(count);
+  c.echo_list.reserve(rd.reservable(count, kMinSignedMessageBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     c.echo_list.push_back(crypto::SignedMessage::deserialize(rd.bytes()));
   }
@@ -131,7 +148,7 @@ QuorumCert QuorumCert::deserialize(BytesView b) {
   qc.id = read_id(rd);
   qc.digest = crypto::digest_from_bytes(rd.bytes());
   const std::uint32_t count = rd.u32();
-  qc.confirms.reserve(count);
+  qc.confirms.reserve(rd.reservable(count, kMinSignedMessageBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     qc.confirms.push_back(crypto::SignedMessage::deserialize(rd.bytes()));
   }
@@ -187,23 +204,10 @@ EquivocationWitness EquivocationWitness::deserialize(BytesView b) {
 bool EquivocationWitness::valid(const crypto::PublicKey& leader) const {
   if (!(first.signer == leader) || !(second.signer == leader)) return false;
   if (!first.valid() || !second.valid()) return false;
-  auto parse = [](const Bytes& payload)
-      -> std::optional<std::pair<InstanceId, crypto::Digest>> {
-    Reader rd(payload);
-    try {
-      if (rd.str() != "PROPOSE") return std::nullopt;
-      InstanceId id;
-      id.round = rd.u64();
-      id.sn = rd.u64();
-      return std::make_pair(id, crypto::digest_from_bytes(rd.bytes()));
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  };
-  const auto a = parse(first.payload);
-  const auto b = parse(second.payload);
-  if (!a || !b) return false;
-  return a->first == b->first && a->second != b->second;
+  const auto a = ProposeHeader::parse(first.payload);
+  const auto b = ProposeHeader::parse(second.payload);
+  if (!a || !b || !a->tagged || !b->tagged) return false;
+  return a->id == b->id && a->digest != b->digest;
 }
 
 }  // namespace cyc::consensus

@@ -38,6 +38,18 @@ struct Propose {
   static Propose deserialize(BytesView b);
 };
 
+/// The leader-signed PROPOSE header <PROPOSE, r, sn, H(M)> as read back
+/// from a signature payload.
+struct ProposeHeader {
+  bool tagged = false;  ///< the leading tag is "PROPOSE"
+  InstanceId id;
+  crypto::Digest digest{};
+
+  /// Reads the four header fields whatever the tag says; nullopt if the
+  /// payload is truncated or the digest field is not 32 bytes.
+  static std::optional<ProposeHeader> parse(BytesView payload);
+};
+
 /// A member's ECHO body: <r, sn, H(M), i>, carrying the relayed PROPOSE.
 struct Echo {
   InstanceId id;

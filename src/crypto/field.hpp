@@ -3,9 +3,24 @@
 //
 // We work in the order-q subgroup of Z_p^* where p = 2q+1 is a safe prime
 // just below 2^61 and g = 4 generates the subgroup. The 61-bit modulus
-// keeps every product inside unsigned __int128, so arithmetic is exact and
-// branch-free. This substitutes for a production elliptic-curve group; the
-// protocol only relies on the group structure (see DESIGN.md §3).
+// keeps every product inside unsigned __int128, so arithmetic is exact.
+// This substitutes for a production elliptic-curve group; the protocol
+// only relies on the group structure (see DESIGN.md §3).
+//
+// Kernel. Both moduli are pseudo-Mersenne: p = 2^61 - 2373 and
+// q = 2^60 - 1187. A single product mod p (or q) folds its high half back
+// in with 2^61 = 2373 (mod p) (or 2^60 = 1187 (mod q)) twice and ends
+// with one conditional subtraction, instead of a generic 128-bit
+// division. Exponentiation chains (powmod, gpow, inv_mod_q) run in
+// Montgomery form with R = 2^64 and lazy reduction: values stay below 2m
+// between steps, and only the result is fully reduced. g^e multiplies at
+// most 15 entries of a compile-time 16x16 fixed-base window table
+// g^(j * 16^i). Subgroup membership is the Legendre symbol (x / p) by
+// the binary Jacobi algorithm: for the safe prime p = 2q + 1 the order-q
+// subgroup is exactly the quadratic residues, so (x / p) = 1 iff
+// x^q = 1. Every result is bit-identical to plain square-and-multiply
+// over `unsigned __int128 %`; other moduli, and mulmod operands not
+// already reduced, take that generic path.
 #pragma once
 
 #include <cstdint>

@@ -33,7 +33,8 @@ MerkleProof MerkleProof::deserialize(BytesView b) {
   MerkleProof p;
   p.index = rd.u64();
   const std::uint32_t count = rd.u32();
-  p.siblings.reserve(count);
+  // Each sibling is a length-prefixed 32-byte digest.
+  p.siblings.reserve(rd.reservable(count, 4 + 32));
   for (std::uint32_t i = 0; i < count; ++i) {
     p.siblings.push_back(digest_from_bytes(rd.bytes()));
   }

@@ -104,14 +104,22 @@ Signature Signature::deserialize(BytesView b) {
   return sig;
 }
 
-Signature sign(const SecretKey& sk, BytesView msg) {
+namespace {
+
+/// Schnorr signature under sk whose public key y = g^x the caller supplies.
+Signature sign_with(const SecretKey& sk, const PublicKey& pk, BytesView msg) {
   std::uint64_t k = nonce_scalar(sk, msg);
   if (k == 0) k = 1;  // k must be a unit; probability 1/q, handled anyway
   const std::uint64_t r = g_pow(k);
-  const std::uint64_t y = g_pow(sk.x);
-  const std::uint64_t e = challenge_scalar(r, y, msg);
+  const std::uint64_t e = challenge_scalar(r, pk.y, msg);
   const std::uint64_t s = add_q(k, mul_q(e, sk.x));
   return Signature{r, s};
+}
+
+}  // namespace
+
+Signature sign(const SecretKey& sk, BytesView msg) {
+  return sign_with(sk, PublicKey{g_pow(sk.x)}, msg);
 }
 
 bool verify(const PublicKey& pk, BytesView msg, const Signature& sig) {
@@ -188,7 +196,7 @@ bool verify_batch(const std::vector<const SignedMessage*>& msgs) {
     return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
   }();
   std::uint64_t s_acc = 0;
-  unsigned __int128 rhs = 1;
+  std::uint64_t rhs = 1;
   for (std::size_t i = 0; i < unknown.size(); ++i) {
     const SignedMessage& sm = *unknown[i];
     if (!shape_ok(sm.signer, sm.sig)) return fallback();
@@ -201,9 +209,9 @@ bool verify_batch(const std::vector<const SignedMessage*>& msgs) {
     s_acc = add_q(s_acc, mul_q(z, sm.sig.s));
     const std::uint64_t term =
         gmul(gpow(sm.sig.r, z), gpow(sm.signer.y, mul_q(e, z)));
-    rhs = (rhs * term) % kP;
+    rhs = gmul(rhs, term);
   }
-  if (g_pow(s_acc) != static_cast<std::uint64_t>(rhs)) {
+  if (g_pow(s_acc) != rhs) {
     // Some signature is bad (or an astronomically unlikely coefficient
     // cancellation): identify per-message and cache the verdicts.
     return fallback();
@@ -241,7 +249,7 @@ SignedMessage make_signed(const KeyPair& keys, BytesView payload) {
   SignedMessage m;
   m.signer = keys.pk;
   m.payload = Bytes(payload.begin(), payload.end());
-  m.sig = sign(keys.sk, payload);
+  m.sig = sign_with(keys.sk, keys.pk, payload);
   return m;
 }
 

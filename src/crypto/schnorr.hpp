@@ -101,7 +101,9 @@ struct SignedMessage {
   bool operator==(const SignedMessage&) const = default;
 };
 
-/// Convenience: build a SignedMessage over `payload`.
+/// Convenience: build a SignedMessage over `payload`. Signs with the key
+/// pair's stored public key rather than recomputing g^x; the signature is
+/// identical to sign(keys.sk, payload).
 SignedMessage make_signed(const KeyPair& keys, BytesView payload);
 
 /// Batch verification: true iff every message verifies. Uses the

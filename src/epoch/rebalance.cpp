@@ -36,7 +36,7 @@ RebalancePlan RebalancePlan::deserialize(BytesView b) {
   plan.epoch = r.u64();
   plan.m_before = r.u32();
   plan.m_after = r.u32();
-  plan.moves = r.vec<ledger::AccountMove>([](Reader& r2) {
+  plan.moves = r.vec<ledger::AccountMove>(16, [](Reader& r2) {
     ledger::AccountMove mv;
     mv.account = r2.u64();
     mv.from = r2.u32();

@@ -78,7 +78,7 @@ Block Block::deserialize(BytesView b) {
   Block block;
   block.header = BlockHeader::deserialize(rd.bytes());
   const std::uint32_t count = rd.u32();
-  block.txs.reserve(count);
+  block.txs.reserve(rd.reservable(count, Transaction::kMinWireBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     block.txs.push_back(Transaction::deserialize(rd.bytes()));
   }

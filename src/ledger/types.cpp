@@ -40,7 +40,8 @@ Transaction Transaction::deserialize(BytesView b) {
   Transaction tx;
   Reader rd(body);
   const std::uint32_t n_in = rd.u32();
-  tx.inputs.reserve(n_in);
+  // An input is a length-prefixed 32-byte tx id plus a u32 index.
+  tx.inputs.reserve(rd.reservable(n_in, 4 + 32 + 4));
   for (std::uint32_t i = 0; i < n_in; ++i) {
     OutPoint op;
     op.tx = crypto::digest_from_bytes(rd.bytes());
@@ -48,7 +49,7 @@ Transaction Transaction::deserialize(BytesView b) {
     tx.inputs.push_back(op);
   }
   const std::uint32_t n_out = rd.u32();
-  tx.outputs.reserve(n_out);
+  tx.outputs.reserve(rd.reservable(n_out, 8 + 8));
   for (std::uint32_t i = 0; i < n_out; ++i) {
     TxOut out;
     out.owner.y = rd.u64();

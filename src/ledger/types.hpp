@@ -60,6 +60,10 @@ struct Transaction {
   Bytes body_bytes() const;
   Bytes serialize() const;
   static Transaction deserialize(BytesView b);
+  /// Smallest length-prefixed encoding in a list: the list's 4-byte
+  /// prefix, the body's prefix, its two counts and spender, and the
+  /// signature.
+  static constexpr std::size_t kMinWireBytes = 4 + 4 + 4 + 4 + 8 + 16;
 
   /// Transaction id = H(body).
   TxId id() const;

@@ -79,23 +79,12 @@ void SimNet::send_shared(NodeId from, NodeId to, Tag tag, PayloadPtr payload) {
                  verdict.duplicate, verdict.reordered, true});
   }
   const Time delay = class_delay(cls) * verdict.delay_scale;
-  Event ev;
-  ev.when = now_ + delay;
-  ev.seq = seq_++;
-  ev.is_timer = false;
-  ev.msg = msg;
-  ev.send_phase = phase_;
-  queue_.push(std::move(ev));
+  enqueue(now_ + delay, Event{false, msg, phase_, {}});
   if (verdict.duplicate) {
     // The duplicate aliases the same payload buffer and takes its own
     // delay draw, so the two copies can arrive in either order.
-    Event dup;
-    dup.when = now_ + class_delay(cls) * verdict.delay_scale;
-    dup.seq = seq_++;
-    dup.is_timer = false;
-    dup.msg = std::move(msg);
-    dup.send_phase = phase_;
-    queue_.push(std::move(dup));
+    enqueue(now_ + class_delay(cls) * verdict.delay_scale,
+            Event{false, std::move(msg), phase_, {}});
   }
 }
 
@@ -113,23 +102,32 @@ void SimNet::multicast_shared(NodeId from, const std::vector<NodeId>& to,
 }
 
 void SimNet::schedule(Time when, std::function<void(Time)> fn) {
-  Event ev;
-  ev.when = when < now_ ? now_ : when;
-  ev.seq = seq_++;
-  ev.is_timer = true;
-  ev.timer = std::move(fn);
-  ev.send_phase = phase_;
-  queue_.push(std::move(ev));
+  enqueue(when < now_ ? now_ : when, Event{true, {}, phase_, std::move(fn)});
+}
+
+void SimNet::enqueue(Time when, Event ev) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(events_.size());
+    events_.push_back(std::move(ev));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    events_[slot] = std::move(ev);
+  }
+  queue_.push(Key{when, seq_++, slot});
 }
 
 Time SimNet::run(Time deadline) {
   while (!queue_.empty()) {
-    if (queue_.top().when > deadline) break;
-    // Move the top event out before popping; popping invalidates the
-    // reference but never reads the moved-from element's contents.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    const Key next = queue_.top();
+    if (next.when > deadline) break;
     queue_.pop();
-    now_ = ev.when;
+    // Take the event out of its slot before running it: handlers enqueue
+    // new events, which may reuse the slot or grow events_.
+    Event ev = std::move(events_[next.slot]);
+    free_slots_.push_back(next.slot);
+    now_ = next.when;
     if (ev.is_timer) {
       ev.timer(now_);
       continue;

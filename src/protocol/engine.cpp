@@ -846,7 +846,7 @@ void Engine::start_round_state() {
     n.utxo = n.committee >= 0 ? views[static_cast<std::size_t>(n.committee)]
                               : outside;
   }
-  released_.clear();
+  fanout_.clear();
 
   committees_.assign(params_.m, CommitteeRound{});
   for (std::uint32_t k = 0; k < params_.m; ++k) {
@@ -1068,9 +1068,9 @@ double Engine::storage_proxy(const NodeState& n) const {
   double bytes = 0.0;
   bytes += 16.0 * static_cast<double>(n.member_list.size());
   bytes += 32.0 * static_cast<double>(n.commitments.size());
-  for (const auto& [k, list] : n.lists) {
+  n.lists.for_each([&](const std::vector<crypto::PublicKey>& list) {
     bytes += 8.0 * static_cast<double>(list.size());
-  }
+  });
   bytes += 48.0 * static_cast<double>(n.utxo->size());
   for (const auto& [sn, cert] : n.certs) {
     bytes += static_cast<double>(cert.serialize().size());

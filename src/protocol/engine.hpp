@@ -18,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "consensus/engine.hpp"
@@ -30,6 +31,7 @@
 #include "net/simnet.hpp"
 #include "protocol/adversary.hpp"
 #include "protocol/params.hpp"
+#include "protocol/payloads.hpp"
 #include "protocol/report.hpp"
 #include "protocol/reputation.hpp"
 #include "protocol/roles.hpp"
@@ -195,11 +197,17 @@ class Engine {
   const ledger::UtxoStore& member_view(net::NodeId id) const {
     return *nodes_[id].utxo;
   }
+  /// Entries in the decode-once fan-out cache: buffers with deliveries
+  /// still pending in the network.
+  std::size_t fanout_cache_size() const { return fanout_.size(); }
   /// Fault-injection hook for the scenario harness: mutable access to the
   /// authoritative per-shard UTXO views, so tests can corrupt a shard
   /// state and assert the invariant checker notices. Not used by the
   /// protocol itself.
   std::vector<ledger::UtxoStore>& shard_state_mut() { return shard_state_; }
+  /// Test hook: mutable access to the simulated network, so tests can
+  /// probe sends or inject forged traffic. Not used by the protocol.
+  net::SimNet& net_mut() { return *net_; }
 
   /// Whether `id` is currently enrolled (an active member, as opposed to
   /// a standby / retired identity that sits out every round).
@@ -294,6 +302,39 @@ class Engine {
   obs::Observer* observer() const { return obs_; }
 
  private:
+  /// Per-committee slots indexed by committee id, for state that every
+  /// relayed semi-commitment ack writes: one index instead of a tree walk.
+  template <typename T>
+  class PerCommittee {
+   public:
+    /// The value stored for committee k, or nullptr.
+    const T* find(std::uint32_t k) const {
+      return k < slots_.size() && slots_[k] ? &*slots_[k] : nullptr;
+    }
+    bool contains(std::uint32_t k) const { return find(k) != nullptr; }
+    void set(std::uint32_t k, const T& value) {
+      if (k >= slots_.size()) slots_.resize(k + 1);
+      slots_[k] = value;
+    }
+    void clear() { slots_.clear(); }
+    /// Number of committees with a stored value.
+    std::size_t size() const {
+      std::size_t n = 0;
+      for (const auto& slot : slots_) n += slot.has_value();
+      return n;
+    }
+    /// Stored values in ascending committee order.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (const auto& slot : slots_) {
+        if (slot) fn(*slot);
+      }
+    }
+
+   private:
+    std::vector<std::optional<T>> slots_;
+  };
+
   // ---- per-node state ----
   struct NodeState {
     net::NodeId id = net::kNoNode;
@@ -326,8 +367,10 @@ class Engine {
     // semi-commitment bookkeeping
     std::optional<crypto::SignedMessage> leader_list_msg;    // from leader
     std::optional<crypto::SignedMessage> leader_commit_msg;  // from leader
-    std::map<std::uint32_t, crypto::Digest> commitments;     // per committee
-    std::map<std::uint32_t, std::vector<crypto::PublicKey>> lists;  // referee
+    // Accepted semi-commitments and member lists, from SEMI_COM (referees)
+    // and the referees' relayed acks (key members).
+    PerCommittee<crypto::Digest> commitments;
+    PerCommittee<std::vector<crypto::PublicKey>> lists;
 
     // voting
     std::map<net::NodeId, VoteVector> votes;        // leader: intra votes
@@ -424,11 +467,14 @@ class Engine {
 
   // ---- message handling ----
   void handle(net::NodeId id, const net::Message& msg, net::Time now);
+  void dispatch(NodeState& self, const net::Message& msg, net::Time now);
   void on_config(NodeState& self, const net::Message& msg);
   void on_member_list(NodeState& self, const net::Message& msg);
   void on_member(NodeState& self, const net::Message& msg);
+  /// Multicast PROPOSE / ECHO, through the decode-once cache.
   void on_consensus_msg(NodeState& self, const net::Message& msg,
                         net::Time now);
+  void on_confirm(NodeState& self, const net::Message& msg);
   void on_semicommit(NodeState& self, const net::Message& msg, net::Time now);
   void on_semicommit_ack(NodeState& self, const net::Message& msg,
                          net::Time now);
@@ -461,6 +507,14 @@ class Engine {
   std::vector<crypto::PublicKey> committee_pks(std::uint32_t k) const;
   net::NodeId node_of_pk(const crypto::PublicKey& pk) const;
   net::NodeId designated_referee(std::uint64_t sn) const;
+  /// Whether `self` takes part in consensus instances of `scope`:
+  /// committee members in their own committee's, referees in the referee
+  /// scope's.
+  bool in_scope(const NodeState& self, std::uint32_t scope) const {
+    return scope == params_.m
+               ? self.role == Role::kReferee
+               : self.committee == static_cast<std::int64_t>(scope);
+  }
   /// Whether a referee seat can talk to the majority of its committee
   /// this round (not blacked out, on the referee-majority island).
   bool referee_reachable(net::NodeId id) const;
@@ -638,13 +692,23 @@ class Engine {
   std::set<net::NodeId> registered_;
   // Serialized block awaiting / holding certification this round.
   Bytes block_payload_;
-  // Decode-once cache for the (sub-)block payloads released this round,
-  // keyed by buffer address. Each entry holds its payload, so the address
-  // cannot be freed and reused by another buffer while the key lives; the
-  // successor memo likewise holds each base view it is keyed by. Cleared
-  // at round start.
+  // Decode-once cache for payload buffers fanned out to many receivers:
+  // consensus PROPOSE / ECHO, semi-commitment acks and released
+  // (sub-)blocks. Keyed by buffer address; each entry holds its payload,
+  // so the address cannot be freed and reused by another buffer while the
+  // key lives. handle() evicts an entry once the last pending delivery of
+  // its buffer has been handled; the cache is also cleared at round start,
+  // since routed blocks depend on the epoch's shard map.
+  struct ConsensusFanout {
+    wire::ConsensusEnvelope env;
+    // Decoded after scope routing, by the first receiver taking part.
+    std::optional<consensus::ReceivedPropose> propose;
+    std::optional<consensus::ReceivedEcho> echo;
+  };
+  // A released block, routed once, memoizing base view -> successor.
+  // The memo holds each base view it is keyed by, so that address also
+  // stays unique.
   struct ReleasedBlock {
-    net::PayloadPtr payload;
     ledger::RoutedBlock routed;
     struct Step {
       std::shared_ptr<const ledger::UtxoStore> base;
@@ -652,7 +716,16 @@ class Engine {
     };
     std::unordered_map<const ledger::UtxoStore*, Step> successors;
   };
-  std::unordered_map<const Bytes*, ReleasedBlock> released_;
+  struct Fanout {
+    net::PayloadPtr payload;
+    std::variant<ConsensusFanout, wire::SemiCommitAck, ReleasedBlock> decoded;
+  };
+  std::unordered_map<const Bytes*, Fanout> fanout_;
+  /// The cached decoding of `msg`'s buffer, or `decode(payload)` cached
+  /// now. A decode that throws caches nothing, so every receiver of a
+  /// malformed buffer drops it.
+  template <typename T, typename Decode>
+  T& decode_once(const net::Message& msg, Decode&& decode);
   // Catch-up attempts resolved in the current round (cleared per round).
   std::vector<CatchUpRecord> catchup_log_;
   // Per-committee: severed from quorum by an active partition/blackout
@@ -663,5 +736,15 @@ class Engine {
   obs::Observer* obs_ = nullptr;
   std::unique_ptr<ObsState> obs_state_;
 };
+
+template <typename T, typename Decode>
+T& Engine::decode_once(const net::Message& msg, Decode&& decode) {
+  auto it = fanout_.find(msg.body.get());
+  if (it == fanout_.end()) {
+    it = fanout_.emplace(msg.body.get(), Fanout{msg.body, decode(msg.payload())})
+             .first;
+  }
+  return std::get<T>(it->second.decoded);
+}
 
 }  // namespace cyc::protocol

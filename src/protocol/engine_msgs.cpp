@@ -306,7 +306,24 @@ void Engine::phase_block(net::Time at) {
 // ---------------------------------------------------------------------------
 
 void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
-  NodeState& self = nodes_[id];
+  dispatch(nodes_[id], msg, now);
+  // Once no other delivery of a cached buffer is pending, its fan-out
+  // entry and this delivery hold the buffer's last two references.
+  switch (msg.tag) {
+    case net::Tag::kPropose:
+    case net::Tag::kEcho:
+    case net::Tag::kSemiCommitAck:
+    case net::Tag::kBlock:
+    case net::Tag::kSubBlock:
+      if (msg.body.use_count() <= 2) fanout_.erase(msg.body.get());
+      break;
+    default:
+      break;
+  }
+}
+
+void Engine::dispatch(NodeState& self, const net::Message& msg,
+                      net::Time now) {
   // Catch-up traffic bypasses the activity gate: a catching-up node is
   // inactive for the protocol proper but must still receive the referee
   // replies that let it rejoin. The handlers re-check roles themselves.
@@ -326,9 +343,9 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
       case net::Tag::kMember: on_member(self, msg); break;
       case net::Tag::kPropose:
       case net::Tag::kEcho:
-      case net::Tag::kConfirm:
         on_consensus_msg(self, msg, now);
         break;
+      case net::Tag::kConfirm: on_confirm(self, msg); break;
       case net::Tag::kSemiCommit: on_semicommit(self, msg, now); break;
       case net::Tag::kSemiCommitAck: on_semicommit_ack(self, msg, now); break;
       case net::Tag::kTxList: on_txlist(self, msg); break;
@@ -400,18 +417,12 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
 void Engine::on_block(NodeState& self, const net::Message& msg) {
   // Members refresh their shard view from the released (sub-)block.
   if (self.committee < 0) return;
-  auto it = released_.find(msg.body.get());
-  if (it == released_.end()) {
-    auto block = wire::BlockMsg::deserialize(msg.payload());
-    it = released_
-             .emplace(msg.body.get(),
-                      ReleasedBlock{msg.body,
-                                    ledger::RoutedBlock(std::move(block.txs),
-                                                        *shard_map_),
-                                    {}})
-             .first;
-  }
-  ReleasedBlock& released = it->second;
+  ReleasedBlock& released =
+      decode_once<ReleasedBlock>(msg, [this](BytesView payload) {
+        auto block = wire::BlockMsg::deserialize(payload);
+        return ReleasedBlock{
+            ledger::RoutedBlock(std::move(block.txs), *shard_map_), {}};
+      });
   auto [step, fresh] = released.successors.try_emplace(self.utxo.get());
   if (fresh) {
     step->second.base = self.utxo;
@@ -531,8 +542,7 @@ void Engine::leader_start_instance(NodeState& self, std::uint32_t scope,
   // The leader processes its own proposal as a member too (it counts
   // toward the >C/2 quorum).
   auto [mit, minserted] = self.member.try_emplace(
-      sn, consensus::MemberInstance(self.keys, self.id, iid, self.keys.pk,
-                                    instance_size(scope)));
+      sn, self.keys, self.id, iid, self.keys.pk, instance_size(scope));
   if (minserted) {
     auto out = mit->second.on_propose(
         consensus::ProposeWire::deserialize(wire));
@@ -560,7 +570,7 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
     // Deliver our echo to our own member instance as well.
     auto it = self.member.find(sn);
     if (it != self.member.end()) {
-      auto echo_out = it->second.on_echo(*out.echo_broadcast);
+      auto echo_out = it->second.on_echo(std::move(*out.echo_broadcast));
       if (echo_out.confirm_to_leader && !out.confirm_to_leader) {
         out.confirm_to_leader = std::move(echo_out.confirm_to_leader);
       }
@@ -587,44 +597,53 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
 
 void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
                               net::Time now) {
-  const auto env = wire::ConsensusEnvelope::deserialize(msg.payload());
-  // Route by scope: committee members only participate in instances of
-  // their own committee; referees in referee-scope instances.
-  if (env.scope == params_.m) {
-    if (self.role != Role::kReferee) return;
-  } else {
-    if (self.committee != static_cast<std::int64_t>(env.scope)) return;
+  ConsensusFanout& fan =
+      decode_once<ConsensusFanout>(msg, [](BytesView payload) {
+        return ConsensusFanout{wire::ConsensusEnvelope::deserialize(payload),
+                               {}, {}};
+      });
+  const std::uint32_t scope = fan.env.scope;
+  const std::uint64_t sn = fan.env.sn;
+  if (!in_scope(self, scope)) return;
+
+  auto it = self.member.find(sn);
+  if (it == self.member.end()) {
+    it = self.member
+             .try_emplace(sn, self.keys, self.id,
+                          consensus::InstanceId{round_, sn},
+                          expected_instance_leader(scope, sn),
+                          instance_size(scope))
+             .first;
   }
-
-  const consensus::InstanceId iid{round_, env.sn};
-  const crypto::PublicKey leader_pk =
-      expected_instance_leader(env.scope, env.sn);
-
-  if (msg.tag == net::Tag::kConfirm) {
-    auto it = self.lead.find(env.sn);
-    if (it == self.lead.end()) return;
-    if (auto cert =
-            it->second.on_confirm(consensus::ConfirmWire::deserialize(env.wire))) {
-      self.certs[env.sn] = *cert;
-      on_cert(self, env.scope, env.sn, *cert);
-    }
-    return;
-  }
-
-  auto [it, inserted] = self.member.try_emplace(
-      env.sn, consensus::MemberInstance(self.keys, self.id, iid, leader_pk,
-                                        instance_size(env.scope)));
   consensus::MemberOutput out;
   if (msg.tag == net::Tag::kPropose) {
     // Track leader engagement for the 2*Gamma concealment rule.
-    if (env.scope < params_.m && seq::is_cross_in(env.sn)) {
-      self.cross_seen_propose.insert(seq::cross_in_origin(env.sn));
+    if (scope < params_.m && seq::is_cross_in(sn)) {
+      self.cross_seen_propose.insert(seq::cross_in_origin(sn));
     }
-    out = it->second.on_propose(consensus::ProposeWire::deserialize(env.wire));
+    if (!fan.propose) {
+      fan.propose.emplace(consensus::ProposeWire::deserialize(fan.env.wire));
+    }
+    out = it->second.on_propose(*fan.propose);
   } else {
-    out = it->second.on_echo(consensus::EchoWire::deserialize(env.wire));
+    if (!fan.echo) {
+      fan.echo.emplace(consensus::EchoWire::deserialize(fan.env.wire));
+    }
+    out = it->second.on_echo(*fan.echo);
   }
-  process_member_output(self, env.scope, env.sn, std::move(out), now);
+  process_member_output(self, scope, sn, std::move(out), now);
+}
+
+void Engine::on_confirm(NodeState& self, const net::Message& msg) {
+  const auto env = wire::ConsensusEnvelope::deserialize(msg.payload());
+  if (!in_scope(self, env.scope)) return;
+  auto it = self.lead.find(env.sn);
+  if (it == self.lead.end()) return;
+  if (auto cert =
+          it->second.on_confirm(consensus::ConfirmWire::deserialize(env.wire))) {
+    self.certs[env.sn] = *cert;
+    on_cert(self, env.scope, env.sn, *cert);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -681,11 +700,11 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       const std::uint32_t k = seq::semi_check_committee(sn);
       wire::SemiCommitAck ack;
       ack.committee = k;
-      auto cit = self.commitments.find(k);
-      auto lit = self.lists.find(k);
-      if (cit == self.commitments.end() || lit == self.lists.end()) return;
-      ack.commitment = cit->second;
-      ack.members = lit->second;
+      const crypto::Digest* commitment = self.commitments.find(k);
+      const auto* members = self.lists.find(k);
+      if (commitment == nullptr || members == nullptr) return;
+      ack.commitment = *commitment;
+      ack.members = *members;
       ack.cert = cert.serialize();
       const auto payload = net::make_payload(ack.serialize());
       for (std::uint32_t j = 0; j < params_.m; ++j) {

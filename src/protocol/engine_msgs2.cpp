@@ -104,8 +104,8 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
       }
       return;
     }
-    self.commitments[k] = commitment;
-    self.lists[k] = members;
+    self.commitments.set(k, commitment);
+    self.lists.set(k, members);
     // "They transmit the set of valid semi-commitments to all key
     // members" (Alg. 4): every referee relays, so one crashed referee
     // cannot starve the other committees of this commitment. This is
@@ -161,10 +161,11 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
 
 void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg,
                                net::Time now) {
-  const auto ack = wire::SemiCommitAck::deserialize(msg.payload());
+  const auto& ack = decode_once<wire::SemiCommitAck>(
+      msg, &wire::SemiCommitAck::deserialize);
   if (ack.committee >= params_.m) return;
-  self.commitments[ack.committee] = ack.commitment;
-  self.lists[ack.committee] = ack.members;
+  self.commitments.set(ack.committee, ack.commitment);
+  self.lists.set(ack.committee, ack.members);
   (void)now;
 }
 
@@ -479,9 +480,9 @@ void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
   // Verify the origin committee's certificate against its
   // semi-commitment: a faulty origin leader cannot fabricate a consensus
   // result (§IV-D).
-  auto cit = leader.commitments.find(req.origin);
-  if (cit == leader.commitments.end()) return;
-  if (!verify_semi_commitment(cit->second, req.origin_members)) return;
+  const crypto::Digest* commitment = leader.commitments.find(req.origin);
+  if (commitment == nullptr) return;
+  if (!verify_semi_commitment(*commitment, req.origin_members)) return;
   try {
     const auto cert = consensus::QuorumCert::deserialize(req.origin_cert);
     wire::CrossTxListMsg canonical = req;
@@ -582,11 +583,11 @@ void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
   if (committees_[dest].cross_acks[origin].contains(self.id)) return;
 
   // Check both certificates against both semi-commitments.
-  auto oc = self.commitments.find(origin);
-  auto dc = self.commitments.find(dest);
-  if (oc == self.commitments.end() || dc == self.commitments.end()) return;
-  if (!verify_semi_commitment(oc->second, result.request.origin_members)) return;
-  if (!verify_semi_commitment(dc->second, result.dest_members)) return;
+  const crypto::Digest* oc = self.commitments.find(origin);
+  const crypto::Digest* dc = self.commitments.find(dest);
+  if (oc == nullptr || dc == nullptr) return;
+  if (!verify_semi_commitment(*oc, result.request.origin_members)) return;
+  if (!verify_semi_commitment(*dc, result.dest_members)) return;
   try {
     wire::CrossTxListMsg canonical = result.request;
     const auto origin_cert =
@@ -634,12 +635,12 @@ void Engine::on_intra_result(NodeState& self, const net::Message& msg) {
   if (decision.committee >= params_.m) return;
   auto& committee = committees_[decision.committee];
   if (committee.intra_acks.contains(self.id)) return;
-  auto lit = self.lists.find(decision.committee);
-  if (lit == self.lists.end()) return;
+  const auto* members = self.lists.find(decision.committee);
+  if (members == nullptr) return;
   try {
     const auto cert = consensus::QuorumCert::deserialize(result.cert);
     if (cert.digest != crypto::sha256(result.payload)) return;
-    if (!cert.verify(lit->second, lit->second.size())) return;
+    if (!cert.verify(*members, members->size())) return;
   } catch (const std::exception&) {
     return;
   }
@@ -658,12 +659,12 @@ void Engine::on_score_report(NodeState& self, const net::Message& msg) {
   if (scores.committee >= params_.m) return;
   auto& committee = committees_[scores.committee];
   if (committee.score_acks.contains(self.id)) return;
-  auto lit = self.lists.find(scores.committee);
-  if (lit == self.lists.end()) return;
+  const auto* members = self.lists.find(scores.committee);
+  if (members == nullptr) return;
   try {
     const auto cert = consensus::QuorumCert::deserialize(result.cert);
     if (cert.digest != crypto::sha256(result.payload)) return;
-    if (!cert.verify(lit->second, lit->second.size())) return;
+    if (!cert.verify(*members, members->size())) return;
   } catch (const std::exception&) {
     return;
   }
@@ -860,9 +861,9 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg,
       // binding at prosecution time.
       try {
         const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
-        auto cit = self.commitments.find(req.origin);
-        if (cit != self.commitments.end() &&
-            !verify_semi_commitment(cit->second, req.origin_members)) {
+        const crypto::Digest* commitment = self.commitments.find(req.origin);
+        if (commitment != nullptr &&
+            !verify_semi_commitment(*commitment, req.origin_members)) {
           return;  // provably fabricated list
         }
         wire::CrossTxListMsg canonical = req;
@@ -927,9 +928,9 @@ bool Engine::referee_corroborates_timeout(const NodeState& referee,
   try {
     const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
     if (req.dest != k) return false;
-    auto cit = referee.commitments.find(req.origin);
-    if (cit == referee.commitments.end()) return false;
-    if (!verify_semi_commitment(cit->second, req.origin_members)) return false;
+    const crypto::Digest* commitment = referee.commitments.find(req.origin);
+    if (commitment == nullptr) return false;
+    if (!verify_semi_commitment(*commitment, req.origin_members)) return false;
     wire::CrossTxListMsg canonical = req;
     const auto cert = consensus::QuorumCert::deserialize(req.origin_cert);
     if (cert.digest != crypto::sha256(canonical.agreed_payload())) return false;

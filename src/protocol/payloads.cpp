@@ -9,6 +9,7 @@ namespace cyc::protocol::wire {
 namespace {
 
 thread_local std::uint64_t t_block_decodes = 0;
+thread_local std::uint64_t t_consensus_decodes = 0;
 
 void write_pk_vec(Writer& w, const std::vector<crypto::PublicKey>& pks) {
   w.u32(static_cast<std::uint32_t>(pks.size()));
@@ -18,7 +19,7 @@ void write_pk_vec(Writer& w, const std::vector<crypto::PublicKey>& pks) {
 std::vector<crypto::PublicKey> read_pk_vec(Reader& rd) {
   const std::uint32_t count = rd.u32();
   std::vector<crypto::PublicKey> pks;
-  pks.reserve(count);
+  pks.reserve(rd.reservable(count, 8));
   for (std::uint32_t i = 0; i < count; ++i) pks.push_back({rd.u64()});
   return pks;
 }
@@ -60,7 +61,7 @@ MemberListMsg MemberListMsg::deserialize(BytesView b) {
   Reader rd(b);
   MemberListMsg m;
   const std::uint32_t count = rd.u32();
-  m.nodes.reserve(count);
+  m.nodes.reserve(rd.reservable(count, 4));
   for (std::uint32_t i = 0; i < count; ++i) m.nodes.push_back(rd.u32());
   m.pks = read_pk_vec(rd);
   return m;
@@ -77,6 +78,7 @@ Bytes ConsensusEnvelope::serialize() const {
 }
 
 ConsensusEnvelope ConsensusEnvelope::deserialize(BytesView b) {
+  ++t_consensus_decodes;
   Reader rd(b);
   ConsensusEnvelope e;
   e.scope = rd.u32();
@@ -138,7 +140,7 @@ std::vector<ledger::Transaction> decode_tx_vec(BytesView b) {
   Reader rd(b);
   const std::uint32_t count = rd.u32();
   std::vector<ledger::Transaction> txs;
-  txs.reserve(count);
+  txs.reserve(rd.reservable(count, ledger::Transaction::kMinWireBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     txs.push_back(ledger::Transaction::deserialize(rd.bytes()));
   }
@@ -177,7 +179,7 @@ VoteVector decode_vote_vec(BytesView b) {
   Reader rd(b);
   const std::uint32_t count = rd.u32();
   VoteVector votes;
-  votes.reserve(count);
+  votes.reserve(rd.reservable(count, 1));
   for (std::uint32_t i = 0; i < count; ++i) {
     votes.push_back(static_cast<Vote>(static_cast<std::int8_t>(rd.u8()) - 1));
   }
@@ -326,8 +328,8 @@ ScoreListMsg ScoreListMsg::deserialize(BytesView b) {
   ScoreListMsg m;
   m.committee = rd.u32();
   const std::uint32_t count = rd.u32();
-  m.nodes.reserve(count);
-  m.scores.reserve(count);
+  m.nodes.reserve(rd.reservable(count, 4 + 8));
+  m.scores.reserve(rd.reservable(count, 4 + 8));
   for (std::uint32_t i = 0; i < count; ++i) {
     m.nodes.push_back(rd.u32());
     m.scores.push_back(rd.f64());
@@ -398,5 +400,7 @@ BlockMsg BlockMsg::deserialize(BytesView b) {
 }
 
 std::uint64_t block_decodes() { return t_block_decodes; }
+
+std::uint64_t consensus_decodes() { return t_consensus_decodes; }
 
 }  // namespace cyc::protocol::wire

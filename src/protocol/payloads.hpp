@@ -191,4 +191,9 @@ struct BlockMsg {
 /// decode-once-per-released-block contract testable.
 std::uint64_t block_decodes();
 
+/// ConsensusEnvelope payloads decoded on this thread since start: the
+/// same contract for multicast PROPOSE / ECHO buffers (decoded once per
+/// buffer) plus one decode per delivered CONFIRM.
+std::uint64_t consensus_decodes();
+
 }  // namespace cyc::protocol::wire

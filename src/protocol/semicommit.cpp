@@ -59,7 +59,7 @@ std::vector<crypto::PublicKey> parse_member_list_payload(BytesView payload) {
   }
   const std::uint32_t count = inner.u32();
   std::vector<crypto::PublicKey> members;
-  members.reserve(count);
+  members.reserve(inner.reservable(count, 8));
   for (std::uint32_t i = 0; i < count; ++i) {
     members.push_back(crypto::PublicKey{inner.u64()});
   }

@@ -78,7 +78,8 @@ ImpeachmentCert ImpeachmentCert::deserialize(BytesView b) {
   ImpeachmentCert cert;
   cert.accusation = Accusation::deserialize(rd.bytes());
   const std::uint32_t count = rd.u32();
-  cert.approvals.reserve(count);
+  // Each approval is a length-prefixed SignedMessage (>= 32 bytes).
+  cert.approvals.reserve(rd.reservable(count, 32));
   for (std::uint32_t i = 0; i < count; ++i) {
     cert.approvals.push_back(crypto::SignedMessage::deserialize(rd.bytes()));
   }

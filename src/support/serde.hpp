@@ -4,6 +4,7 @@
 // equal values always produce byte-identical encodings.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -56,17 +57,28 @@ class Reader {
   Bytes bytes();
   std::string str();
 
+  /// Read a u32-count-prefixed vector; `fn(reader)` decodes each element,
+  /// which encodes to at least `min_element_bytes` bytes.
   template <typename T, typename Fn>
-  std::vector<T> vec(Fn&& fn) {
+  std::vector<T> vec(std::size_t min_element_bytes, Fn&& fn) {
     std::uint32_t count = u32();
     std::vector<T> out;
-    out.reserve(count);
+    out.reserve(reservable(count, min_element_bytes));
     for (std::uint32_t i = 0; i < count; ++i) out.push_back(fn(*this));
     return out;
   }
 
   bool done() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
+
+  /// How many of `count` untrusted elements, each encoded in at least
+  /// `min_element_bytes` bytes, the unread input can hold: the size to
+  /// reserve before decoding them. A forged count then cannot force a
+  /// huge allocation; reading past the end still throws out_of_range.
+  std::size_t reservable(std::uint32_t count,
+                         std::size_t min_element_bytes) const {
+    return std::min<std::size_t>(count, remaining() / min_element_bytes);
+  }
 
  private:
   void need(std::size_t n) const;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "support/serde.hpp"
+
+#include <stdexcept>
+
 namespace cyc::consensus {
 namespace {
 
@@ -225,6 +229,27 @@ TEST(EquivocationWitness, RoundTrip) {
   w.second = crypto::make_signed(leader, b.signed_part());
   const auto back = EquivocationWitness::deserialize(w.serialize());
   EXPECT_TRUE(back.valid(leader.pk));
+}
+
+// A forged element count with no elements behind it must fail as a
+// truncated read, not as a reserve of ~2^32 signed messages.
+TEST(ConsensusTypes, ConfirmForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.u64(1);
+  w.u64(2);
+  w.bytes(crypto::digest_to_bytes(crypto::sha256(bytes_of("m"))));
+  w.u64(3);
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(Confirm::deserialize(w.out()), std::out_of_range);
+}
+
+TEST(ConsensusTypes, QuorumCertForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.u64(1);
+  w.u64(2);
+  w.bytes(crypto::digest_to_bytes(crypto::sha256(bytes_of("m"))));
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(QuorumCert::deserialize(w.out()), std::out_of_range);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "support/serde.hpp"
+
+#include <stdexcept>
+
 namespace cyc::crypto {
 namespace {
 
@@ -108,6 +112,15 @@ TEST(Merkle, LeafNodeDomainSeparation) {
   MerkleTree tree(leaves);
   MerkleTree tree2({digest_to_bytes(tree.root())});
   EXPECT_NE(tree.root(), tree2.root());
+}
+
+// A forged sibling count must fail as a truncated read, not a huge
+// reserve.
+TEST(Merkle, ProofForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.u64(0);
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(MerkleProof::deserialize(w.out()), std::out_of_range);
 }
 
 }  // namespace

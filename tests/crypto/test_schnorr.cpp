@@ -58,6 +58,16 @@ TEST(Schnorr, Deterministic) {
   EXPECT_EQ(sign(kp.sk, msg), sign(kp.sk, msg));
 }
 
+TEST(Schnorr, MakeSignedMatchesSign) {
+  for (std::uint64_t seed = 20; seed < 60; ++seed) {
+    const KeyPair kp = keys(seed);
+    const Bytes msg = be64(seed * 7919);
+    const SignedMessage sm = make_signed(kp, msg);
+    EXPECT_EQ(sm.sig, sign(kp.sk, msg));
+    EXPECT_TRUE(verify(kp.pk, msg, sm.sig));
+  }
+}
+
 TEST(Schnorr, DistinctMessagesDistinctNonces) {
   const KeyPair kp = keys(8);
   const Signature s1 = sign(kp.sk, bytes_of("m1"));

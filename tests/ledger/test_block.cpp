@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "support/serde.hpp"
+
+#include <stdexcept>
+
 namespace cyc::ledger {
 namespace {
 
@@ -140,6 +144,14 @@ TEST(Chain, HeaderAtIndexing) {
   EXPECT_EQ(chain.header_at(0).round, 0u);
   EXPECT_EQ(chain.header_at(1).round, 1u);
   EXPECT_THROW(chain.header_at(2), std::out_of_range);
+}
+
+// A forged tx count must fail as a truncated read, not a huge reserve.
+TEST(Block, ForgedTxCountThrowsOutOfRange) {
+  Writer w;
+  w.bytes(BlockHeader{}.serialize());
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(Block::deserialize(w.out()), std::out_of_range);
 }
 
 }  // namespace

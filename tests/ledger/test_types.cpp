@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "support/serde.hpp"
+
+#include <stdexcept>
+
 namespace cyc::ledger {
 namespace {
 
@@ -115,6 +119,25 @@ TEST(TxTypes, OutPointOrdering) {
   EXPECT_EQ(a, a);
   OutPointHash h;
   EXPECT_NE(h(a), h(b));
+}
+
+// Forged input / output counts must fail as truncated reads, not as
+// huge reserves.
+TEST(TxTypes, TransactionForgedInputCountThrowsOutOfRange) {
+  Writer body;
+  body.u32(0xFFFFFFFFu);
+  Writer w;
+  w.bytes(body.out());
+  EXPECT_THROW(Transaction::deserialize(w.out()), std::out_of_range);
+}
+
+TEST(TxTypes, TransactionForgedOutputCountThrowsOutOfRange) {
+  Writer body;
+  body.u32(0);
+  body.u32(0xFFFFFFFFu);
+  Writer w;
+  w.bytes(body.out());
+  EXPECT_THROW(Transaction::deserialize(w.out()), std::out_of_range);
 }
 
 }  // namespace

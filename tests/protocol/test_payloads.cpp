@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "support/serde.hpp"
+
+#include <stdexcept>
+
 namespace cyc::protocol::wire {
 namespace {
 
@@ -192,6 +196,42 @@ TEST(Payloads, SemiCommitAckRoundTrip) {
   EXPECT_EQ(back.commitment, a.commitment);
   EXPECT_EQ(back.members, a.members);
   EXPECT_EQ(back.cert, a.cert);
+}
+
+// Forged element counts with no elements behind them must fail as
+// truncated reads, not as huge reserves.
+TEST(Payloads, MemberListForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(MemberListMsg::deserialize(w.out()), std::out_of_range);
+}
+
+TEST(Payloads, PublicKeyListForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.u32(0);
+  w.bytes(crypto::digest_to_bytes(crypto::sha256(bytes_of("c"))));
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(SemiCommitAck::deserialize(w.out()), std::out_of_range);
+}
+
+TEST(Payloads, TxVecForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(decode_tx_vec(w.out()), std::out_of_range);
+}
+
+TEST(Payloads, VoteVecForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(decode_vote_vec(w.out()), std::out_of_range);
+}
+
+TEST(Payloads, ScoreListForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.str("SCORE_LIST");
+  w.u32(0);
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(ScoreListMsg::deserialize(w.out()), std::out_of_range);
 }
 
 }  // namespace

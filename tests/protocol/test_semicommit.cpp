@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "support/serde.hpp"
+
+#include <stdexcept>
+
 namespace cyc::protocol {
 namespace {
 
@@ -142,6 +146,20 @@ TEST(MismatchWitness, SerializationRoundTrip) {
       leader, commitment_payload(1, 0, semi_commitment(forged)));
   const auto back = CommitmentMismatchWitness::deserialize(w.serialize());
   EXPECT_TRUE(back.valid(leader.pk));
+}
+
+// A forged member count must fail as a truncated read, not a huge
+// reserve.
+TEST(SemiCommit, MemberListForgedCountThrowsOutOfRange) {
+  Writer inner;
+  inner.str("cyc.memberlist");
+  inner.u32(0xFFFFFFFFu);
+  Writer w;
+  w.str("MEMBER_LIST");
+  w.u64(1);
+  w.u32(0);
+  w.bytes(inner.out());
+  EXPECT_THROW(parse_member_list_payload(w.out()), std::out_of_range);
 }
 
 }  // namespace

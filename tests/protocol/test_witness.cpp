@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "support/serde.hpp"
+
+#include <stdexcept>
+
 namespace cyc::protocol {
 namespace {
 
@@ -175,6 +179,15 @@ TEST(WitnessKinds, Names) {
   EXPECT_EQ(witness_kind_name(WitnessKind::kCommitMismatch),
             "commit-mismatch");
   EXPECT_EQ(witness_kind_name(WitnessKind::kTimeout), "timeout");
+}
+
+// A forged approval count must fail as a truncated read, not a huge
+// reserve.
+TEST(Witness, ImpeachmentCertForgedCountThrowsOutOfRange) {
+  Writer w;
+  w.bytes(Accusation{}.serialize());
+  w.u32(0xFFFFFFFFu);
+  EXPECT_THROW(ImpeachmentCert::deserialize(w.out()), std::out_of_range);
 }
 
 }  // namespace

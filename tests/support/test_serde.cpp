@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace cyc {
 namespace {
 
@@ -48,8 +50,28 @@ TEST(Serde, VecHelper) {
 
   Reader rd(w.out());
   const auto out =
-      rd.vec<std::uint64_t>([](Reader& r) { return r.u64(); });
+      rd.vec<std::uint64_t>(8, [](Reader& r) { return r.u64(); });
   EXPECT_EQ(out, values);
+}
+
+TEST(Serde, VecForgedCountThrowsWithoutHugeReserve) {
+  Writer w;
+  w.u32(0xFFFFFFFFu);  // forged count, no elements follow
+  Reader rd(w.out());
+  EXPECT_THROW(rd.vec<std::uint64_t>(8, [](Reader& r) { return r.u64(); }),
+               std::out_of_range);
+}
+
+TEST(Serde, ReservableIsCappedByUnreadInput) {
+  Writer w;
+  w.u32(0xFFFFFFFFu);
+  w.u64(1);
+  w.u64(2);
+  Reader rd(w.out());
+  const std::uint32_t count = rd.u32();
+  EXPECT_EQ(rd.reservable(count, 8), 2u);
+  EXPECT_EQ(rd.reservable(count, 1), 16u);
+  EXPECT_EQ(rd.reservable(1, 8), 1u);
 }
 
 TEST(Serde, TruncatedInputThrows) {
@@ -100,6 +122,7 @@ TEST(Serde, NegativeAndSpecialDoubles) {
   EXPECT_DOUBLE_EQ(rd.f64(), 1e308);
   EXPECT_DOUBLE_EQ(rd.f64(), -1e-308);
 }
+
 
 }  // namespace
 }  // namespace cyc
