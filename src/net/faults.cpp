@@ -70,13 +70,11 @@ FaultInjector::Verdict FaultInjector::on_send(NodeId from, NodeId to,
   if (blacked_out(from) || blacked_out(to)) {
     stats.blackout_dropped += 1;
     verdict.deliver = false;
-    verdict.fault = Fault::kBlackout;
     return verdict;
   }
   if (island_mask(from) != island_mask(to)) {
     stats.partition_dropped += 1;
     verdict.deliver = false;
-    verdict.fault = Fault::kPartition;
     return verdict;
   }
   const LinkFaults& faults = plan_.link[static_cast<std::size_t>(cls)];
@@ -85,7 +83,6 @@ FaultInjector::Verdict FaultInjector::on_send(NodeId from, NodeId to,
   if (faults.drop > 0.0 && rng_.chance(faults.drop)) {
     stats.lost += 1;
     verdict.deliver = false;
-    verdict.fault = Fault::kLoss;
     return verdict;
   }
   if (faults.duplicate > 0.0 && rng_.chance(faults.duplicate)) {
@@ -94,7 +91,6 @@ FaultInjector::Verdict FaultInjector::on_send(NodeId from, NodeId to,
   }
   if (faults.reorder > 0.0 && rng_.chance(faults.reorder)) {
     stats.reordered += 1;
-    verdict.reordered = true;
     verdict.delay_scale = 1.0 + faults.reorder_scale * rng_.uniform();
   }
   return verdict;

@@ -105,23 +105,12 @@ class FaultInjector {
   /// partition's heal_round to `round`. Returns how many were healed.
   std::uint64_t heal_all(std::uint64_t round);
 
-  /// Which fault (if any) dropped a send — attribution for the verdict
-  /// and for observability probes (src/obs/).
-  enum class Fault : std::uint8_t {
-    kNone = 0,
-    kPartition,  ///< endpoints on different islands
-    kBlackout,   ///< an endpoint inside a blackout window
-    kLoss,       ///< probabilistic link loss
-  };
-
   /// What the adversary does to one send this round. `stats` receives
   /// the fault accounting (TrafficStats::faults()).
   struct Verdict {
     bool deliver = true;
     bool duplicate = false;
-    bool reordered = false;
     double delay_scale = 1.0;
-    Fault fault = Fault::kNone;
   };
   Verdict on_send(NodeId from, NodeId to, LinkClass cls, FaultStats& stats);
 

@@ -46,20 +46,22 @@ void SimNet::send(NodeId from, NodeId to, Tag tag, Bytes payload) {
 }
 
 void SimNet::send_shared(NodeId from, NodeId to, Tag tag, PayloadPtr payload) {
+  // Both endpoints are checked before anything reads them: the
+  // classifier indexes per-node state, and a rejected send must leave
+  // the stats untouched.
+  if (from >= handlers_.size()) {
+    throw std::out_of_range("SimNet::send: unknown sender");
+  }
   if (to >= handlers_.size()) {
     throw std::out_of_range("SimNet::send: unknown receiver");
   }
   Message msg{from, to, tag, std::move(payload)};
   const LinkClass cls = classifier_(from, to);
-  stats_.note_send(from, phase_, msg.wire_size());
+  stats_.note_send(from, phase_, tag, msg.wire_size());
   if (cls == LinkClass::kUnconnected) {
     // No channel at all: the injector is never consulted (nothing to
     // fault), so its stream stays untouched.
     ++dropped_;
-    if (send_probe_) {
-      send_probe_({from, to, tag, phase_, msg.wire_size(), cls,
-                   FaultInjector::Fault::kNone, false, false, false});
-    }
     return;
   }
   FaultInjector::Verdict verdict;
@@ -67,16 +69,8 @@ void SimNet::send_shared(NodeId from, NodeId to, Tag tag, PayloadPtr payload) {
     verdict = injector_->on_send(from, to, cls, stats_.faults());
     if (!verdict.deliver) {
       ++dropped_;
-      if (send_probe_) {
-        send_probe_({from, to, tag, phase_, msg.wire_size(), cls,
-                     verdict.fault, false, false, false});
-      }
       return;
     }
-  }
-  if (send_probe_) {
-    send_probe_({from, to, tag, phase_, msg.wire_size(), cls, verdict.fault,
-                 verdict.duplicate, verdict.reordered, true});
   }
   const Time delay = class_delay(cls) * verdict.delay_scale;
   enqueue(now_ + delay, Event{false, msg, phase_, {}});
@@ -132,11 +126,8 @@ Time SimNet::run(Time deadline) {
       ev.timer(now_);
       continue;
     }
-    stats_.note_recv(ev.msg.to, ev.send_phase, ev.msg.wire_size());
-    if (deliver_probe_) {
-      deliver_probe_({ev.msg.from, ev.msg.to, ev.msg.tag, ev.send_phase,
-                      ev.msg.wire_size()});
-    }
+    stats_.note_recv(ev.msg.to, ev.send_phase, ev.msg.tag,
+                     ev.msg.wire_size());
     if (handlers_[ev.msg.to]) {
       handlers_[ev.msg.to](ev.msg, now_);
     }

@@ -21,6 +21,12 @@
 // performs the sends in committee-index order — see "Execution model"
 // in src/protocol/README.md. SimNet itself is never called from pool
 // workers.
+//
+// Accounting: stats() is the only traffic count. A send is counted (by
+// sender, current phase and tag) before the channel / fault drop
+// decision, a delivery when it is handed to the receiver (under the
+// phase of its send). The round report and every net metric and trace
+// value are derived from these tables; SimNet has no observer hooks.
 #pragma once
 
 #include <cstdint>
@@ -57,31 +63,6 @@ using LinkClassifier = std::function<LinkClass(NodeId from, NodeId to)>;
 /// Receiver callback; invoked at delivery time.
 using Handler = std::function<void(const Message&, Time now)>;
 
-/// Observability probes (src/obs/). Pure pass-through: installing a
-/// probe consumes no randomness and changes no delivery decision, so a
-/// probed run is byte-identical to an unprobed one.
-struct SendInfo {
-  NodeId from = kNoNode;
-  NodeId to = kNoNode;
-  Tag tag = Tag::kConfig;
-  Phase phase = Phase::kIdle;
-  std::size_t bytes = 0;  ///< wire size (payload + header)
-  LinkClass link;
-  FaultInjector::Fault fault = FaultInjector::Fault::kNone;
-  bool duplicated = false;
-  bool reordered = false;
-  bool delivered = true;  ///< false: no channel, or dropped by a fault
-};
-struct DeliverInfo {
-  NodeId from = kNoNode;
-  NodeId to = kNoNode;
-  Tag tag = Tag::kConfig;
-  Phase phase = Phase::kIdle;  ///< phase active when the message was *sent*
-  std::size_t bytes = 0;
-};
-using SendProbe = std::function<void(const SendInfo&)>;
-using DeliverProbe = std::function<void(const DeliverInfo&)>;
-
 class SimNet {
  public:
   SimNet(std::size_t node_count, DelayModel delays, rng::Stream rng);
@@ -117,15 +98,11 @@ class SimNet {
   void set_phase(Phase phase) { phase_ = phase; }
   Phase phase() const { return phase_; }
 
-  /// Install / clear observability probes (empty function clears).
-  void set_send_probe(SendProbe probe) { send_probe_ = std::move(probe); }
-  void set_deliver_probe(DeliverProbe probe) {
-    deliver_probe_ = std::move(probe);
-  }
-
   /// Queue a message for delivery. Drops (and counts) sends over
   /// kUnconnected links — the hierarchical topology simply has no channel
   /// there, which is the point of the "Burden on Connection" row.
+  /// Throws std::out_of_range, counting nothing, for an unknown sender or
+  /// receiver.
   void send(NodeId from, NodeId to, Tag tag, Bytes payload);
 
   /// Zero-copy send: the queued event and the delivered Message alias
@@ -188,8 +165,6 @@ class SimNet {
   DelayModel delays_;
   rng::Stream rng_;
   LinkClassifier classifier_;
-  SendProbe send_probe_;
-  DeliverProbe deliver_probe_;
   std::optional<FaultInjector> injector_;
   std::vector<Handler> handlers_;
   std::priority_queue<Key, std::vector<Key>, KeyOrder> queue_;

@@ -1,12 +1,14 @@
-// Per-node / per-phase traffic and storage accounting.
+// Per-node / per-phase / per-tag traffic and storage accounting.
 //
 // Table II of the paper states asymptotic communication, computation and
 // storage complexity per protocol phase and per role; this accounting is
-// the measured counterpart. The protocol layer labels phases; the
-// simulator attributes every delivered message to the label active when
-// it was *sent*.
+// the measured counterpart, and the only place traffic is counted: the
+// round report and every net metric and trace value derive from it. The
+// protocol layer labels phases; the simulator attributes every delivered
+// message to the label active when it was *sent*.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,7 +28,6 @@ enum class Phase : std::uint8_t {
   kReputation,
   kSelection,
   kBlock,
-  kRecovery,
   kCount,
 };
 
@@ -77,25 +78,34 @@ struct FaultStats {
 class TrafficStats {
  public:
   void resize(std::size_t nodes);
-  void note_send(NodeId node, Phase phase, std::size_t bytes);
-  void note_recv(NodeId node, Phase phase, std::size_t bytes);
+  /// Count one message in both tables: the (node, phase) cell and the
+  /// (phase, tag) cell.
+  void note_send(NodeId node, Phase phase, Tag tag, std::size_t bytes);
+  void note_recv(NodeId node, Phase phase, Tag tag, std::size_t bytes);
 
   const Counter& at(NodeId node, Phase phase) const;
+  /// Traffic of one message class sent during `phase`, over all nodes.
+  const Counter& at(Phase phase, Tag tag) const;
   Counter node_total(NodeId node) const;
   Counter phase_total(Phase phase) const;
   Counter grand_total() const;
   std::size_t node_count() const { return per_node_.size(); }
 
   /// Injected-fault counters for the current accounting window (reset
-  /// alongside the traffic counters).
+  /// alongside both traffic tables).
   FaultStats& faults() { return faults_; }
   const FaultStats& faults() const { return faults_; }
 
   void reset();
 
  private:
+  static constexpr std::size_t kPhases =
+      static_cast<std::size_t>(Phase::kCount);
+
   // per_node_[node][phase]
   std::vector<std::vector<Counter>> per_node_;
+  // per_tag_[phase][tag]
+  std::array<std::array<Counter, kTagCount>, kPhases> per_tag_{};
   FaultStats faults_;
 };
 

@@ -1,8 +1,7 @@
 // Observer: the tracer + metrics bundle an Engine records into.
 //
-// One Observer per engine (attach via Engine::attach_observer); the
-// engine and the net-layer probes write into it single-threaded, per
-// the simulator contract. export_json() renders one Perfetto-loadable
+// One Observer per engine (attach via Engine::attach_observer); only the
+// engine writes into it, single-threaded, per the simulator contract. export_json() renders one Perfetto-loadable
 // document: the Chrome trace with the metrics registry attached as a
 // top-level "metrics" field (unknown top-level keys are ignored by
 // trace viewers, so one file serves both consumers).

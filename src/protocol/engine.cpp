@@ -3,7 +3,6 @@
 #include "protocol/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_set>
@@ -19,26 +18,15 @@
 
 namespace cyc::protocol {
 
-/// Per-round observability accumulators (live only while an Observer is
-/// attached). The SimNet probes fill the per-(send phase, tag) cells;
-/// obs_phase() diffs the running totals at phase boundaries so each
-/// phase span carries exactly the traffic sent inside it.
+/// Per-round observability state (live only while an Observer is
+/// attached). It holds no traffic: every net metric, span arg and counter
+/// track is derived from the SimNet's TrafficStats, which start_round_state
+/// resets. Phase spans carry the traffic sent inside them as the
+/// difference of the running totals at their two ends.
 struct Engine::ObsState {
-  struct Cell {
-    std::uint64_t msgs = 0;
-    std::uint64_t bytes = 0;
-  };
-  static constexpr std::size_t kPhases =
-      static_cast<std::size_t>(net::Phase::kCount);
-
-  std::array<std::array<Cell, net::kTagCount>, kPhases> sent{};
-  std::array<std::array<Cell, net::kTagCount>, kPhases> recv{};
-  Cell sent_total;
-  Cell recv_total;
-  Cell phase_sent_mark;  // totals at the open phase's begin
-  Cell phase_recv_mark;
   net::Phase open_phase = net::Phase::kIdle;
   double open_phase_at = 0.0;
+  net::Counter open_phase_mark;  // running totals at the open phase's begin
   /// Closed phase windows of the current round, in schedule order; the
   /// committee tracks replay them with per-committee traffic attached.
   struct PhaseWindow {
@@ -141,8 +129,6 @@ void Engine::attach_observer(obs::Observer* observer) {
   obs_ = observer;
   if (observer == nullptr) {
     obs_state_.reset();
-    net_->set_send_probe({});
-    net_->set_deliver_probe({});
     return;
   }
   obs_state_ = std::make_unique<ObsState>();
@@ -157,58 +143,11 @@ void Engine::attach_observer(obs::Observer* observer) {
     trace.set_track_name(obs::kTrackCommitteeBase + k,
                          "committee " + std::to_string(k));
   }
-
-  // The probes only accumulate into engine-local cells / the registry —
-  // no randomness, no protocol state — so a probed run stays
-  // byte-identical to an unprobed one.
-  net_->set_send_probe([this](const net::SendInfo& info) {
-    ObsState& st = *obs_state_;
-    ObsState::Cell& cell = st.sent[static_cast<std::size_t>(info.phase)]
-                                  [static_cast<std::size_t>(info.tag)];
-    cell.msgs += 1;
-    cell.bytes += info.bytes;
-    st.sent_total.msgs += 1;
-    st.sent_total.bytes += info.bytes;
-    obs::Registry& m = obs_->metrics;
-    switch (info.fault) {
-      case net::FaultInjector::Fault::kPartition:
-        m.counter("net.fault.partition_dropped").add();
-        break;
-      case net::FaultInjector::Fault::kBlackout:
-        m.counter("net.fault.blackout_dropped").add();
-        break;
-      case net::FaultInjector::Fault::kLoss:
-        m.counter("net.fault.lost").add();
-        break;
-      case net::FaultInjector::Fault::kNone:
-        break;
-    }
-    if (info.duplicated) m.counter("net.fault.duplicated").add();
-    if (info.reordered) m.counter("net.fault.reordered").add();
-    if (!info.delivered && info.link == net::LinkClass::kUnconnected) {
-      m.counter("net.unconnected_drops").add();
-    }
-  });
-  net_->set_deliver_probe([this](const net::DeliverInfo& info) {
-    ObsState& st = *obs_state_;
-    ObsState::Cell& cell = st.recv[static_cast<std::size_t>(info.phase)]
-                                  [static_cast<std::size_t>(info.tag)];
-    cell.msgs += 1;
-    cell.bytes += info.bytes;
-    st.recv_total.msgs += 1;
-    st.recv_total.bytes += info.bytes;
-  });
 }
 
 void Engine::obs_round_begin() {
   if (obs_ == nullptr) return;
   ObsState& st = *obs_state_;
-  for (auto& per_tag : st.sent) per_tag.fill({});
-  for (auto& per_tag : st.recv) per_tag.fill({});
-  st.sent_total = {};
-  st.recv_total = {};
-  st.phase_sent_mark = {};
-  st.phase_recv_mark = {};
   st.open_phase = net::Phase::kIdle;
   st.open_phase_at = round_start_;
   st.windows.clear();
@@ -237,21 +176,28 @@ void Engine::obs_round_begin() {
   }
 }
 
+void Engine::enter_phase(net::Phase phase, net::Time at) {
+  net_->set_phase(phase);
+  obs_phase(phase, at);
+}
+
 void Engine::obs_phase(net::Phase phase, net::Time at) {
   if (obs_ == nullptr) return;
   ObsState& st = *obs_state_;
   obs::Tracer& trace = obs_->trace;
+  const net::Counter total = net_->stats().grand_total();
   if (st.open_phase != net::Phase::kIdle) {
-    const std::uint64_t msgs = st.sent_total.msgs - st.phase_sent_mark.msgs;
-    const std::uint64_t bytes = st.sent_total.bytes - st.phase_sent_mark.bytes;
-    const std::uint64_t recv = st.recv_total.msgs - st.phase_recv_mark.msgs;
+    const net::Counter& mark = st.open_phase_mark;
+    const std::uint64_t msgs = total.msgs_sent - mark.msgs_sent;
+    const std::uint64_t bytes = total.bytes_sent - mark.bytes_sent;
+    const std::uint64_t recv = total.msgs_recv - mark.msgs_recv;
     trace.end(obs::kTrackProtocol, at,
               {{"msgs_sent", static_cast<double>(msgs)},
                {"bytes_sent", static_cast<double>(bytes)},
                {"msgs_recv", static_cast<double>(recv)}});
     trace.counter(obs::kTrackNet, "net traffic", at,
-                  {{"msgs_sent", static_cast<double>(st.sent_total.msgs)},
-                   {"msgs_recv", static_cast<double>(st.recv_total.msgs)}});
+                  {{"msgs_sent", static_cast<double>(total.msgs_sent)},
+                   {"msgs_recv", static_cast<double>(total.msgs_recv)}});
     obs_->metrics
         .histogram("phase." + std::string(net::phase_name(st.open_phase)) +
                    ".msgs_sent")
@@ -260,8 +206,7 @@ void Engine::obs_phase(net::Phase phase, net::Time at) {
   }
   st.open_phase = phase;
   st.open_phase_at = at;
-  st.phase_sent_mark = st.sent_total;
-  st.phase_recv_mark = st.recv_total;
+  st.open_phase_mark = total;
   if (phase != net::Phase::kIdle) {
     trace.begin(obs::kTrackProtocol, std::string(net::phase_name(phase)),
                 "phase", at);
@@ -277,6 +222,7 @@ void Engine::obs_round_end(const RoundReport& report, net::Time round_end) {
   obs_phase(net::Phase::kIdle, round_end);  // close the last phase span
   ObsState& st = *obs_state_;
   obs::Tracer& trace = obs_->trace;
+  const net::TrafficStats& stats = net_->stats();
 
   // Committee tracks mirror the phase schedule with per-committee traffic
   // (summed over the round's membership) attached to each phase span.
@@ -289,7 +235,7 @@ void Engine::obs_round_end(const RoundReport& report, net::Time round_end) {
       std::uint64_t msgs = 0;
       std::uint64_t bytes = 0;
       for (net::NodeId id : committee_members(k)) {
-        const net::Counter& c = net_->stats().at(id, w.phase);
+        const net::Counter& c = stats.at(id, w.phase);
         msgs += c.msgs_sent;
         bytes += c.bytes_sent;
       }
@@ -313,9 +259,10 @@ void Engine::obs_round_end(const RoundReport& report, net::Time round_end) {
                    {"dropped",
                     static_cast<double>(report.open_loop.mempool_dropped)}});
   }
+  const net::Counter total = stats.grand_total();
   trace.end(obs::kTrackProtocol, round_end,
-            {{"msgs_sent", static_cast<double>(st.sent_total.msgs)},
-             {"bytes_sent", static_cast<double>(st.sent_total.bytes)},
+            {{"msgs_sent", static_cast<double>(total.msgs_sent)},
+             {"bytes_sent", static_cast<double>(total.bytes_sent)},
              {"committed", static_cast<double>(report.txs_committed)},
              {"recoveries", static_cast<double>(report.recoveries)}});
 
@@ -336,27 +283,34 @@ void Engine::obs_round_end(const RoundReport& report, net::Time round_end) {
   st.vc_hits_mark = hits;
   st.vc_misses_mark = misses;
 
-  for (std::size_t p = 0; p < ObsState::kPhases; ++p) {
+  for (std::size_t p = 0; p < static_cast<std::size_t>(net::Phase::kCount);
+       ++p) {
     const auto phase = static_cast<net::Phase>(p);
     for (std::size_t t = 0; t < net::kTagCount; ++t) {
       const auto tag = static_cast<net::Tag>(t);
-      const ObsState::Cell& sent = st.sent[p][t];
-      if (sent.msgs != 0) {
-        const std::string base = "net.sent." +
-                                 std::string(net::phase_name(phase)) + "." +
-                                 std::string(net::tag_name(tag));
-        m.counter(base + ".msgs").add(sent.msgs);
-        m.counter(base + ".bytes").add(sent.bytes);
+      const net::Counter& c = stats.at(phase, tag);
+      if (c.msgs_sent == 0 && c.msgs_recv == 0) continue;
+      const std::string cell = std::string(net::phase_name(phase)) + "." +
+                               std::string(net::tag_name(tag));
+      if (c.msgs_sent != 0) {
+        m.counter("net.sent." + cell + ".msgs").add(c.msgs_sent);
+        m.counter("net.sent." + cell + ".bytes").add(c.bytes_sent);
       }
-      const ObsState::Cell& recv = st.recv[p][t];
-      if (recv.msgs != 0) {
-        const std::string base = "net.recv." +
-                                 std::string(net::phase_name(phase)) + "." +
-                                 std::string(net::tag_name(tag));
-        m.counter(base + ".msgs").add(recv.msgs);
-        m.counter(base + ".bytes").add(recv.bytes);
+      if (c.msgs_recv != 0) {
+        m.counter("net.recv." + cell + ".msgs").add(c.msgs_recv);
+        m.counter("net.recv." + cell + ".bytes").add(c.bytes_recv);
       }
     }
+  }
+  // Only non-zero fault counts create a key, so a fault-free run's
+  // registry has no net.fault.* entries.
+  const net::FaultStats& f = stats.faults();
+  for (const auto& [name, value] :
+       {std::pair{"partition_dropped", f.partition_dropped},
+        std::pair{"blackout_dropped", f.blackout_dropped},
+        std::pair{"lost", f.lost}, std::pair{"duplicated", f.duplicated},
+        std::pair{"reordered", f.reordered}}) {
+    if (value != 0) m.counter(std::string("net.fault.") + name).add(value);
   }
 
   if (open_loop()) {
@@ -1348,7 +1302,6 @@ void Engine::finalize_round(RoundReport& report) {
   report.traffic_total = net_->stats().grand_total();
   for (const auto& n : nodes_) {
     report.role_counts[n.role] += 1;
-    report.traffic_by_role[n.role] += net_->stats().node_total(n.id);
     auto& phases = report.traffic_by_role_phase[n.role];
     phases.resize(static_cast<std::size_t>(net::Phase::kCount));
     for (std::size_t p = 0; p < phases.size(); ++p) {

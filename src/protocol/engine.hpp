@@ -206,7 +206,7 @@ class Engine {
   /// protocol itself.
   std::vector<ledger::UtxoStore>& shard_state_mut() { return shard_state_; }
   /// Test hook: mutable access to the simulated network, so tests can
-  /// probe sends or inject forged traffic. Not used by the protocol.
+  /// inject forged traffic. Not used by the protocol.
   net::SimNet& net_mut() { return *net_; }
 
   /// Whether `id` is currently enrolled (an active member, as opposed to
@@ -626,16 +626,21 @@ class Engine {
                                   rng::Stream* uniform_leaders);
   double storage_proxy(const NodeState& n) const;
 
+  /// The one phase marker, called first by every phase driver: label
+  /// subsequent traffic with `phase` (net_->phase() is the engine's
+  /// current phase) and move the trace's phase span.
+  void enter_phase(net::Phase phase, net::Time at);
+
   // ---- observability hooks (src/obs/; all no-ops when obs_ == nullptr).
-  /// Reset per-round accumulators, open the round span, note severed
+  /// Reset per-round state, open the round span, note severed
   /// committees and failed catch-ups.
   void obs_round_begin();
   /// Close the open phase span (attaching its traffic as args) and open
-  /// `phase`'s; kIdle just closes. Called from every phase driver.
+  /// `phase`'s; kIdle just closes.
   void obs_phase(net::Phase phase, net::Time at);
   /// Close round + committee spans, emit counter samples, flush the
-  /// round's per-(phase, tag) traffic and protocol counters into the
-  /// metrics registry.
+  /// round's per-(phase, tag) traffic, fault counts and protocol counters
+  /// into the metrics registry.
   void obs_round_end(const RoundReport& report, net::Time round_end);
   /// First sighting of cert (scope, sn) this round? (dedup for the
   /// qc-formed instant event — every holder runs on_cert).
@@ -683,7 +688,6 @@ class Engine {
   std::vector<CommitteeRound> committees_;
   std::uint64_t round_ = 1;
   net::Time round_start_ = 0.0;
-  net::Phase current_phase_ = net::Phase::kIdle;
   std::vector<RecoveryEvent> recovery_log_;
   // Reputation deltas accumulated during the round, applied at block time.
   std::map<net::NodeId, double> pending_scores_;

@@ -18,9 +18,7 @@ namespace cyc::protocol {
 // ---------------------------------------------------------------------------
 
 void Engine::phase_config(net::Time at) {
-  net_->set_phase(net::Phase::kCommitteeConfig);
-  current_phase_ = net::Phase::kCommitteeConfig;
-  obs_phase(net::Phase::kCommitteeConfig, at);
+  enter_phase(net::Phase::kCommitteeConfig, at);
   // Key members seed their list S with the committee's key members
   // (addresses known from block B^{r-1}). Every key member belongs to
   // exactly one committee, so the per-committee jobs write disjoint node
@@ -89,9 +87,7 @@ void Engine::phase_config(net::Time at) {
 }
 
 void Engine::phase_semicommit(net::Time at) {
-  net_->set_phase(net::Phase::kSemiCommit);
-  current_phase_ = net::Phase::kSemiCommit;
-  obs_phase(net::Phase::kSemiCommit, at);
+  enter_phase(net::Phase::kSemiCommit, at);
   // Two-stage fan-out: commitment hashing + double signing + wire
   // serialization per committee on the pool, emission in committee-index
   // order on the engine thread (see "Execution model" in
@@ -116,9 +112,7 @@ void Engine::phase_semicommit(net::Time at) {
 }
 
 void Engine::phase_intra(net::Time at) {
-  net_->set_phase(net::Phase::kIntraConsensus);
-  current_phase_ = net::Phase::kIntraConsensus;
-  obs_phase(net::Phase::kIntraConsensus, at);
+  enter_phase(net::Phase::kIntraConsensus, at);
   // Two-stage fan-out: the leader's tx-list signing + serialization per
   // committee runs on the pool; the multicast, the leader's own vote
   // (ledger::V — verdict cache) and the tally timer run on the engine
@@ -166,9 +160,7 @@ void Engine::phase_intra(net::Time at) {
 }
 
 void Engine::phase_inter(net::Time at) {
-  net_->set_phase(net::Phase::kInterConsensus);
-  current_phase_ = net::Phase::kInterConsensus;
-  obs_phase(net::Phase::kInterConsensus, at);
+  enter_phase(net::Phase::kInterConsensus, at);
   if (options_.extension_precommunication) {
     // The §VIII-A pre-check interleaves sends with ledger::V filtering,
     // so it cannot be split into a pure compute stage — run the whole
@@ -192,18 +184,14 @@ void Engine::phase_inter(net::Time at) {
 }
 
 void Engine::phase_reputation(net::Time at) {
-  net_->set_phase(net::Phase::kReputation);
-  current_phase_ = net::Phase::kReputation;
-  obs_phase(net::Phase::kReputation, at);
+  enter_phase(net::Phase::kReputation, at);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     leader_send_scores(k, at);
   }
 }
 
 void Engine::phase_selection(net::Time at) {
-  net_->set_phase(net::Phase::kSelection);
-  current_phase_ = net::Phase::kSelection;
-  obs_phase(net::Phase::kSelection, at);
+  enter_phase(net::Phase::kSelection, at);
   // Adopt the quorum-acked score reports before compute_selection reads
   // the effective reputations (finalize_round re-runs this for reports
   // whose quorum completed later in the round).
@@ -248,9 +236,7 @@ void Engine::phase_selection(net::Time at) {
 }
 
 void Engine::phase_block(net::Time at) {
-  net_->set_phase(net::Phase::kBlock);
-  current_phase_ = net::Phase::kBlock;
-  obs_phase(net::Phase::kBlock, at);
+  enter_phase(net::Phase::kBlock, at);
   // The designated referee proposes the block content; C_R agrees via
   // Algorithm 3; on certification the block is released to everyone.
   const net::NodeId proposer = designated_referee(seq::kBlock);

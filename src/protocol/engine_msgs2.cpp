@@ -849,7 +849,7 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg,
       // Leader silence: approve only if we observed it ourselves — the
       // TXList broadcast is the first leader action every member sees,
       // so corroboration is only possible once the intra phase started.
-      approve = current_phase_ >= net::Phase::kIntraConsensus &&
+      approve = net_->phase() >= net::Phase::kIntraConsensus &&
                 !self.leader_sent_txlist;
     } else {
       // Cross-shard concealment: the witness is the certified hint; we
@@ -918,7 +918,7 @@ bool Engine::referee_corroborates_timeout(const NodeState& referee,
   if (accusation.witness.empty()) {
     // Leader silence: the referee corroborates when it too received no
     // certified output from that committee for the current phase.
-    if (current_phase_ == net::Phase::kSemiCommit) {
+    if (net_->phase() == net::Phase::kSemiCommit) {
       return !referee.commitments.contains(k);
     }
     return !committees_[k].intra_result.has_value();
@@ -1088,10 +1088,10 @@ void Engine::redo_leader_duties(std::uint32_t k, net::Time now) {
   if (!leader.is_active(round_)) return;
 
   // The new leader always publishes a fresh semi-commitment (§V-D).
-  if (current_phase_ >= net::Phase::kSemiCommit) {
+  if (net_->phase() >= net::Phase::kSemiCommit) {
     leader_send_semicommit(leader, k);
   }
-  switch (current_phase_) {
+  switch (net_->phase()) {
     case net::Phase::kIntraConsensus:
       leader_start_intra(k, now);
       break;

@@ -9,6 +9,7 @@ namespace cyc::protocol::wire {
 namespace {
 
 thread_local std::uint64_t t_block_decodes = 0;
+thread_local std::uint64_t t_consensus_encodes = 0;
 thread_local std::uint64_t t_consensus_decodes = 0;
 
 void write_pk_vec(Writer& w, const std::vector<crypto::PublicKey>& pks) {
@@ -70,6 +71,7 @@ MemberListMsg MemberListMsg::deserialize(BytesView b) {
 // --- ConsensusEnvelope ---------------------------------------------------------
 
 Bytes ConsensusEnvelope::serialize() const {
+  ++t_consensus_encodes;
   Writer w;
   w.u32(scope);
   w.u64(sn);
@@ -400,6 +402,8 @@ BlockMsg BlockMsg::deserialize(BytesView b) {
 }
 
 std::uint64_t block_decodes() { return t_block_decodes; }
+
+std::uint64_t consensus_encodes() { return t_consensus_encodes; }
 
 std::uint64_t consensus_decodes() { return t_consensus_decodes; }
 

@@ -191,6 +191,10 @@ struct BlockMsg {
 /// decode-once-per-released-block contract testable.
 std::uint64_t block_decodes();
 
+/// ConsensusEnvelope payloads encoded on this thread since start: one
+/// per PROPOSE / ECHO multicast buffer and one per CONFIRM send.
+std::uint64_t consensus_encodes();
+
 /// ConsensusEnvelope payloads decoded on this thread since start: the
 /// same contract for multicast PROPOSE / ECHO buffers (decoded once per
 /// buffer) plus one decode per delivered CONFIRM.

@@ -91,9 +91,8 @@ struct RoundReport {
   double total_fees = 0.0;
   net::Counter traffic_total;
 
-  /// Per-role traffic for this round (Table II measurement).
-  std::map<Role, net::Counter> traffic_by_role;
-  /// Per (role, phase) traffic.
+  /// Per (role, phase) traffic for this round (Table II measurement),
+  /// indexed by net::Phase; a role's total is the sum over phases.
   std::map<Role, std::vector<net::Counter>> traffic_by_role_phase;
   /// Number of nodes that held each role this round.
   std::map<Role, std::size_t> role_counts;

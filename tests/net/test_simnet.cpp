@@ -165,7 +165,16 @@ TEST(SimNet, PhaseAttributionIsSendTime) {
 
 TEST(SimNet, SendToUnknownNodeThrows) {
   SimNet net = make_net(2);
+  // The classifier must never see an unknown endpoint.
+  net.set_link_classifier([](NodeId from, NodeId to) {
+    EXPECT_LT(from, 2u);
+    EXPECT_LT(to, 2u);
+    return LinkClass::kKeyMesh;
+  });
   EXPECT_THROW(net.send(0, 5, Tag::kConfig, {}), std::out_of_range);
+  EXPECT_THROW(net.send(5, 0, Tag::kConfig, {}), std::out_of_range);
+  EXPECT_EQ(net.stats().grand_total().msgs_sent, 0u);
+  EXPECT_TRUE(net.idle());
 }
 
 TEST(SimNet, DroppedSendsDeterministicAcrossRuns) {

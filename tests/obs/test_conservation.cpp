@@ -1,7 +1,9 @@
-// Metrics conservation: the observer's registry is an independent tally
-// (fed by SimNet probes) of the same traffic the engine's own accounting
-// reports — the two must agree exactly, per phase and in aggregate, and
-// the mempool counters must match OpenLoopRoundStats.
+// Metrics conservation: the registry's net.* counters are derived at
+// round end from the SimNet's TrafficStats, the store the RoundReport is
+// built from. These tests pin that derivation: the per-(phase, tag)
+// traffic counters sum to the report's traffic, the net.fault.* counters
+// equal the report's FaultStats and exist only when non-zero, and the
+// mempool counters match OpenLoopRoundStats.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -75,6 +77,42 @@ TEST(MetricsConservation, PerPhaseSendCountersSumToEngineTraffic) {
   EXPECT_EQ(reg.find_counter("engine.rounds")->value(), 3u);
   // Every round histogram saw exactly one sample.
   EXPECT_EQ(reg.find_histogram("round.sim_duration")->count(), 3u);
+}
+
+TEST(MetricsConservation, FaultCountersMatchFaultStats) {
+  Params params = small_params();
+  params.faults.drop = 0.1;
+  params.faults.duplicate = 0.1;
+  params.faults.reorder = 0.2;
+  protocol::Engine engine(params, AdversaryConfig{});
+  obs::Observer observer;
+  engine.attach_observer(&observer);
+  engine.blackout(/*node=*/0, /*from_round=*/2, /*until_round=*/3);
+
+  net::FaultStats sums;
+  for (int r = 0; r < 3; ++r) sums += engine.run_round().faults;
+  ASSERT_GT(sums.lost, 0u);
+  ASSERT_GT(sums.duplicated, 0u);
+  ASSERT_GT(sums.reordered, 0u);
+  ASSERT_GT(sums.blackout_dropped, 0u);
+  ASSERT_EQ(sums.partition_dropped, 0u);  // no partition in this run
+
+  const obs::Registry& reg = observer.metrics;
+  for (const auto& [field, sum] :
+       {std::pair{"partition_dropped", sums.partition_dropped},
+        std::pair{"blackout_dropped", sums.blackout_dropped},
+        std::pair{"lost", sums.lost}, std::pair{"duplicated", sums.duplicated},
+        std::pair{"reordered", sums.reordered}}) {
+    const std::string name = std::string("net.fault.") + field;
+    const obs::MetricCounter* counter = reg.find_counter(name);
+    if (sum == 0) {
+      EXPECT_EQ(counter, nullptr) << name;
+    } else {
+      ASSERT_NE(counter, nullptr) << name;
+      EXPECT_EQ(counter->value(), sum) << name;
+    }
+  }
+  EXPECT_EQ(sum_prefixed(reg, "net.fault."), sums.injected());
 }
 
 TEST(MetricsConservation, MempoolCountersMatchOpenLoopStats) {

@@ -1,6 +1,8 @@
 // Integration tests: full rounds with honest participants.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "ledger/light_client.hpp"
 #include "protocol/engine.hpp"
 
@@ -160,11 +162,39 @@ TEST(EngineHonest, LedgerConservation) {
 TEST(EngineHonest, TrafficAccountedPerRole) {
   Engine engine(small_params(14), AdversaryConfig{});
   const RoundReport report = engine.run_round();
-  EXPECT_GT(report.traffic_by_role.at(Role::kLeader).msgs_sent, 0u);
-  EXPECT_GT(report.traffic_by_role.at(Role::kReferee).msgs_sent, 0u);
-  EXPECT_GT(report.traffic_by_role.at(Role::kCommon).msgs_sent, 0u);
+  // A role's traffic is the sum of its per-phase counters.
+  std::map<Role, net::Counter> by_role;
+  net::Counter all_roles;
+  for (const auto& [role, phases] : report.traffic_by_role_phase) {
+    for (const auto& c : phases) {
+      by_role[role] += c;
+      all_roles += c;
+    }
+  }
+  EXPECT_GT(by_role[Role::kLeader].msgs_sent, 0u);
+  EXPECT_GT(by_role[Role::kReferee].msgs_sent, 0u);
+  EXPECT_GT(by_role[Role::kCommon].msgs_sent, 0u);
+  EXPECT_EQ(all_roles.msgs_sent, report.traffic_total.msgs_sent);
+  EXPECT_EQ(all_roles.bytes_recv, report.traffic_total.bytes_recv);
   // Per-role storage proxies exist and referees hold the most state.
   EXPECT_GT(report.storage_by_role.at(Role::kReferee), 0.0);
+}
+
+TEST(EngineHonest, ForgedSendFromUnknownNodeThrows) {
+  Engine engine(small_params(16), AdversaryConfig{});
+  ASSERT_GT(engine.run_round().txs_committed, 0u);
+  const net::Counter before = engine.net().stats().grand_total();
+  const net::FaultStats faults_before = engine.net().stats().faults();
+  const bool idle_before = engine.net().idle();
+  const auto sender = static_cast<net::NodeId>(engine.node_count());
+  // Rejected before the engine's link classifier reads per-node state.
+  EXPECT_THROW(engine.net_mut().send(sender, 0, net::Tag::kEcho, Bytes{1}),
+               std::out_of_range);
+  const net::Counter after = engine.net().stats().grand_total();
+  EXPECT_EQ(after.msgs_sent, before.msgs_sent);
+  EXPECT_EQ(after.bytes_sent, before.bytes_sent);
+  EXPECT_EQ(engine.net().stats().faults(), faults_before);
+  EXPECT_EQ(engine.net().idle(), idle_before);
 }
 
 TEST(EngineHonest, ThroughputScalesWithCommittees) {

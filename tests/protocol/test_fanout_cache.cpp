@@ -3,7 +3,6 @@
 // the network, and a malformed buffer is dropped by every receiver.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 #include "protocol/engine.hpp"
@@ -26,37 +25,25 @@ Params params_for(std::uint64_t seed) {
   return p;
 }
 
-bool is_consensus(net::Tag tag) {
-  return tag == net::Tag::kPropose || tag == net::Tag::kEcho ||
-         tag == net::Tag::kConfirm;
+/// Consensus messages delivered this round, read from the SimNet's
+/// (phase, tag) traffic table (reset at round start).
+std::uint64_t consensus_deliveries(const Engine& engine) {
+  std::uint64_t delivered = 0;
+  for (std::size_t p = 0; p < static_cast<std::size_t>(net::Phase::kCount);
+       ++p) {
+    for (net::Tag tag :
+         {net::Tag::kPropose, net::Tag::kEcho, net::Tag::kConfirm}) {
+      delivered +=
+          engine.net().stats().at(static_cast<net::Phase>(p), tag).msgs_recv;
+    }
+  }
+  return delivered;
 }
 
-/// Counts consensus payload buffers in the send stream. SimNet's multicast
-/// sends one buffer to distinct receivers back to back, so a PROPOSE /
-/// ECHO buffer is a maximal run of sends with one sender and tag and no
-/// repeated receiver; every CONFIRM is sent on its own buffer.
-struct BufferCounter {
-  std::uint64_t buffers = 0;
-  net::NodeId from = net::kNoNode;
-  net::Tag tag = net::Tag::kConfig;
-  std::set<net::NodeId> receivers;
-
-  void on_send(const net::SendInfo& s) {
-    if (!is_consensus(s.tag)) {
-      from = net::kNoNode;
-      return;
-    }
-    const bool same_buffer = s.tag != net::Tag::kConfirm && s.from == from &&
-                             s.tag == tag && !receivers.contains(s.to);
-    if (!same_buffer) {
-      ++buffers;
-      from = s.from;
-      tag = s.tag;
-      receivers.clear();
-    }
-    receivers.insert(s.to);
-  }
-};
+/// Messages sent since the last stats reset, over every phase and tag.
+std::uint64_t sends(const Engine& engine) {
+  return engine.net().stats().grand_total().msgs_sent;
+}
 
 std::vector<net::NodeId> members_of(const CommitteeInfo& committee) {
   std::vector<net::NodeId> ids = committee.key_members();
@@ -66,23 +53,17 @@ std::vector<net::NodeId> members_of(const CommitteeInfo& committee) {
 
 TEST(FanoutCache, HonestRoundDecodesEachConsensusBufferOnce) {
   Engine engine(params_for(1), AdversaryConfig{});
-  BufferCounter counter;
-  std::uint64_t deliveries = 0;
-  engine.net_mut().set_send_probe(
-      [&](const net::SendInfo& s) { counter.on_send(s); });
-  engine.net_mut().set_deliver_probe([&](const net::DeliverInfo& d) {
-    if (is_consensus(d.tag)) ++deliveries;
-  });
   for (int r = 0; r < 2; ++r) {
     const std::uint64_t decodes0 = wire::consensus_decodes();
-    const std::uint64_t buffers0 = counter.buffers;
-    const std::uint64_t deliveries0 = deliveries;
+    // Every PROPOSE / ECHO multicast and every CONFIRM send encodes one
+    // envelope buffer.
+    const std::uint64_t buffers0 = wire::consensus_encodes();
     const RoundReport report = engine.run_round();
     ASSERT_GT(report.txs_committed, 0u);
 
     const std::uint64_t decodes = wire::consensus_decodes() - decodes0;
-    const std::uint64_t buffers = counter.buffers - buffers0;
-    const std::uint64_t delivered = deliveries - deliveries0;
+    const std::uint64_t buffers = wire::consensus_encodes() - buffers0;
+    const std::uint64_t delivered = consensus_deliveries(engine);
     EXPECT_GT(decodes, 0u) << "round " << report.round;
     EXPECT_LE(decodes, buffers) << "round " << report.round;
     EXPECT_LT(buffers, delivered) << "round " << report.round;
@@ -103,13 +84,16 @@ TEST(FanoutCache, MalformedEchoBufferIsDroppedByEveryReceiver) {
   const net::NodeId sender = committee.leader;
   const wire::ConsensusEnvelope garbage{0, seq::intra(0),
                                         bytes_of("not an echo")};
-  std::uint64_t sends = 0;
-  engine.net_mut().set_send_probe([&](const net::SendInfo&) { ++sends; });
+  const net::Phase phase = engine.net().phase();
+  const std::uint64_t echoes0 =
+      engine.net().stats().at(phase, net::Tag::kEcho).msgs_sent;
+  const std::uint64_t sends0 = sends(engine);
   const std::uint64_t decodes0 = wire::consensus_decodes();
   engine.net_mut().multicast(sender, members, net::Tag::kEcho, Bytes{0, 0, 1});
   engine.net_mut().multicast(sender, members, net::Tag::kEcho,
                              garbage.serialize());
-  const std::uint64_t forged_sends = sends;
+  const std::uint64_t forged_sends =
+      engine.net().stats().at(phase, net::Tag::kEcho).msgs_sent - echoes0;
   engine.net_mut().run(engine.net().now() + 10.0);
 
   // Each receiver failed on the truncated envelope itself (nothing is
@@ -118,11 +102,10 @@ TEST(FanoutCache, MalformedEchoBufferIsDroppedByEveryReceiver) {
   const std::uint64_t receivers = members.size() - 1;
   EXPECT_EQ(forged_sends, 2 * receivers);
   EXPECT_EQ(wire::consensus_decodes() - decodes0, receivers + 1);
-  EXPECT_EQ(sends, forged_sends);
+  EXPECT_EQ(sends(engine) - sends0, forged_sends);
   EXPECT_EQ(engine.fanout_cache_size(), 0u);
 
   // The protocol carries on.
-  engine.net_mut().set_send_probe(nullptr);
   EXPECT_GT(engine.run_round().txs_committed, 0u);
   EXPECT_EQ(engine.fanout_cache_size(), 0u);
 }

@@ -70,9 +70,11 @@ Bytes serialize_report(const RoundReport& r) {
   w.f64(r.round_latency);
   w.f64(r.total_fees);
   serialize_counter(w, r.traffic_total);
-  for (const auto& [role, counter] : r.traffic_by_role) {
+  for (const auto& [role, phases] : r.traffic_by_role_phase) {
+    net::Counter total;  // the role's whole-round traffic
+    for (const auto& counter : phases) total += counter;
     w.u8(static_cast<std::uint8_t>(role));
-    serialize_counter(w, counter);
+    serialize_counter(w, total);
   }
   for (const auto& [role, phases] : r.traffic_by_role_phase) {
     w.u8(static_cast<std::uint8_t>(role));
