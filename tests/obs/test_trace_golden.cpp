@@ -1,4 +1,4 @@
-// Golden trace digests: the SHA-256 of Observer::export_json() for two
+// Golden trace digests: the SHA-256 of Observer::export_json() for three
 // fixed runs, pinned across commits. test_determinism only compares a
 // trace with itself inside one build; this test catches a refactor that
 // moves any trace byte (span args, counter tracks, metrics keys or
@@ -25,6 +25,8 @@ constexpr const char* kHonestSmallDigest =
     "29f43359e2913046c444cd1057f3300d605f46e7d2ddef70b790d47b69c3855c";
 constexpr const char* kLossyWanDigest =
     "5f8d454dd7a2522efd8a854d89c2b3fbef23087a44b96980d1d785d3c199f85c";
+constexpr const char* kForcedCorruptLeadersDigest =
+    "18a2c1c212ab9e2cc1d779705f8c10247b0f2c0b0bf74d9fcc3536cf8d9da732";
 
 std::string trace_digest(const obs::Observer& observer) {
   const std::string doc = observer.export_json();
@@ -72,6 +74,34 @@ TEST(TraceGolden, LossyWanCorpus) {
   EXPECT_TRUE(outcome.violations.empty());
 
   EXPECT_EQ(trace_digest(observer), kLossyWanDigest);
+}
+
+// Every round-1 leader is corrupt (equivocator, commit-forger, crash and
+// concealer, in committee order), so the pinned trace runs through
+// accusation, conviction, re-selection and each replacement leader's
+// redo of its predecessor's duties (all four committees recover).
+TEST(TraceGolden, ForcedCorruptLeaders) {
+  protocol::Params params;
+  params.m = 4;
+  params.c = 9;
+  params.lambda = 3;
+  params.referee_size = 5;
+  params.txs_per_committee = 10;
+  params.cross_shard_fraction = 0.5;
+  params.users = 80;
+  params.seed = 11;
+  protocol::AdversaryConfig adversary;
+  adversary.forced_corrupt_leader_fraction = 1.0;
+
+  crypto::verify_cache::clear();
+  protocol::Engine engine(params, adversary);
+  obs::Observer observer;
+  engine.attach_observer(&observer);
+  const protocol::RoundReport first = engine.run_round();
+  EXPECT_GE(first.recoveries, 1u);
+  for (int r = 1; r < 3; ++r) (void)engine.run_round();
+
+  EXPECT_EQ(trace_digest(observer), kForcedCorruptLeadersDigest);
 }
 
 }  // namespace
