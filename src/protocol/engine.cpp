@@ -738,34 +738,7 @@ void Engine::start_round_state() {
         auto& n = nodes_[i];
         n.role = Role::kCommon;
         n.committee = -1;
-        n.member_list.clear();
-        n.lead.clear();
-        n.member.clear();
-        n.certs.clear();
-        n.leader_list_msg.reset();
-        n.leader_commit_msg.reset();
-        n.commitments.clear();
-        n.lists.clear();
-        n.known_pks.clear();
-        n.votes.clear();
-        n.cross_votes.clear();
-        n.pending_votes.clear();
-        n.pending_cross_votes.clear();
-        n.intra_decision.clear();
-        n.cross_decision.clear();
-        n.sent_intra_result = false;
-        n.cross_in.clear();
-        n.cross_in_at.clear();
-        n.cross_done.clear();
-        n.cross_hints.clear();
-        n.cross_hint_at.clear();
-        n.cross_seen_propose.clear();
-        n.leader_sent_txlist = false;
-        n.leader_sent_commitment = false;
-        n.pending_accusation.reset();
-        n.impeach_approvals.clear();
-        n.accused_this_round = false;
-        n.sent_prosecution = false;
+        n.round = {};
       },
       options_.engine_threads);
   for (net::NodeId id : assign_.referees) {
@@ -1020,13 +993,13 @@ RunReport Engine::run(std::size_t rounds) {
 
 double Engine::storage_proxy(const NodeState& n) const {
   double bytes = 0.0;
-  bytes += 16.0 * static_cast<double>(n.member_list.size());
-  bytes += 32.0 * static_cast<double>(n.commitments.size());
-  n.lists.for_each([&](const std::vector<crypto::PublicKey>& list) {
+  bytes += 16.0 * static_cast<double>(n.round.member_list.size());
+  bytes += 32.0 * static_cast<double>(n.round.commitments.size());
+  n.round.lists.for_each([&](const std::vector<crypto::PublicKey>& list) {
     bytes += 8.0 * static_cast<double>(list.size());
   });
   bytes += 48.0 * static_cast<double>(n.utxo->size());
-  for (const auto& [sn, cert] : n.certs) {
+  for (const auto& [sn, cert] : n.round.certs) {
     bytes += static_cast<double>(cert.serialize().size());
   }
   return bytes;

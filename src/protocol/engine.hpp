@@ -335,6 +335,10 @@ class Engine {
     std::vector<std::optional<T>> slots_;
   };
 
+  /// Which of a committee's two lists a leader duty concerns: the
+  /// intra-shard TXList (§IV-C) or the cross-shard one (§IV-D).
+  enum class ListKind : std::uint8_t { kIntra, kCross };
+
   // ---- per-node state ----
   struct NodeState {
     net::NodeId id = net::kNoNode;
@@ -348,62 +352,40 @@ class Engine {
     /// keep their keys and reputation but take part in nothing.
     bool enrolled = true;
 
-    // per-round
+    // this round's seat
     Role role = Role::kCommon;
     std::int64_t committee = -1;
     SortitionTicket ticket;
-    std::vector<crypto::PublicKey> member_list;  // S of Alg. 2
-    std::set<std::uint64_t> known_pks;           // dedup for S
     /// Own-shard view, immutable and shared: every member of committee k
     /// starts the round on the same snapshot, and adopting a released
     /// block swaps the pointer to a (memoized) successor view.
     std::shared_ptr<const ledger::UtxoStore> utxo;
 
-    // Algorithm 3 instances, keyed by sn.
-    std::map<std::uint64_t, consensus::LeaderInstance> lead;
-    std::map<std::uint64_t, consensus::MemberInstance> member;
-    std::map<std::uint64_t, consensus::QuorumCert> certs;
-
-    // semi-commitment bookkeeping
-    std::optional<crypto::SignedMessage> leader_list_msg;    // from leader
-    std::optional<crypto::SignedMessage> leader_commit_msg;  // from leader
-    // Accepted semi-commitments and member lists, from SEMI_COM (referees)
-    // and the referees' relayed acks (key members).
-    PerCommittee<crypto::Digest> commitments;
-    PerCommittee<std::vector<crypto::PublicKey>> lists;
-
-    // voting
-    std::map<net::NodeId, VoteVector> votes;        // leader: intra votes
-    std::map<net::NodeId, VoteVector> cross_votes;  // leader: cross votes
-    // Signed votes parked on arrival; their signatures are checked in one
-    // schnorr::verify_batch at the tally deadline instead of one at a
-    // time. All arrivals per voter are kept (not just the newest) so a
-    // forged message claiming a voter's key cannot displace that voter's
-    // genuine vote — at flush the last *valid* arrival wins, which is
-    // exactly what per-arrival verification used to produce.
-    std::map<net::NodeId, std::vector<crypto::SignedMessage>> pending_votes;
-    std::map<net::NodeId, std::vector<crypto::SignedMessage>> pending_cross_votes;
-    VoteVector intra_decision;                      // leader: tally result
-    VoteVector cross_decision;
-    bool sent_intra_result = false;
-
-    // inter-committee
-    std::map<std::uint32_t, Bytes> cross_in;   // from committee i -> payload
-    std::map<std::uint32_t, double> cross_in_at;  // arrival time (2-Gamma rule)
-    std::set<std::uint32_t> cross_done;        // processed origins
-    std::map<std::uint32_t, Bytes> cross_hints;   // partial members' copies
-    std::map<std::uint32_t, double> cross_hint_at;
-    std::set<std::uint32_t> cross_seen_propose;   // origins the leader engaged
-
-    // activity flags honest members track about their leader
-    bool leader_sent_txlist = false;
-    bool leader_sent_commitment = false;
-
-    // impeachment
-    std::optional<Accusation> pending_accusation;
-    std::vector<crypto::SignedMessage> impeach_approvals;
-    bool accused_this_round = false;
-    bool sent_prosecution = false;
+    /// What a member or referee learns and decides during one round;
+    /// start_round_state resets it as one value.
+    struct Round {
+      std::vector<crypto::PublicKey> member_list;  // S of Alg. 2
+      std::set<std::uint64_t> known_pks;           // dedup for S
+      // Algorithm 3 instances, keyed by sn.
+      std::map<std::uint64_t, consensus::LeaderInstance> lead;
+      std::map<std::uint64_t, consensus::MemberInstance> member;
+      std::map<std::uint64_t, consensus::QuorumCert> certs;
+      // Accepted semi-commitments and member lists, from SEMI_COM
+      // (referees) and the referees' relayed acks (key members).
+      PerCommittee<crypto::Digest> commitments;
+      PerCommittee<std::vector<crypto::PublicKey>> lists;
+      // Partial members: certified cross lists sent to their committee
+      // (the 2*Gamma rule of Lemma 7), and every member: origins whose
+      // cross-in consensus the leader engaged.
+      std::map<std::uint32_t, Bytes> cross_hints;
+      std::set<std::uint32_t> cross_seen_propose;
+      bool leader_sent_txlist = false;  // our leader's TXList arrived
+      // impeachment
+      std::optional<Accusation> pending_accusation;
+      std::vector<crypto::SignedMessage> impeach_approvals;
+      bool accused_this_round = false;
+      bool sent_prosecution = false;
+    } round;
 
     // crash-recovery catch-up (restart())
     bool catching_up = false;      ///< restarted; not yet rejoined
@@ -423,6 +405,22 @@ class Engine {
     }
   };
 
+  /// A leader's tally of the votes on one list.
+  struct VoteTally {
+    std::map<net::NodeId, VoteVector> votes;  // verified, by voter
+    // Signed votes parked on arrival; their signatures are checked in one
+    // schnorr::verify_batch at the tally deadline instead of one at a
+    // time. All arrivals per voter are kept (not just the newest) so a
+    // forged message claiming a voter's key cannot displace that voter's
+    // genuine vote — at flush the last *valid* arrival wins, which is
+    // exactly what per-arrival verification used to produce.
+    std::map<net::NodeId, std::vector<crypto::SignedMessage>> pending;
+    VoteVector decision;  // tally result
+    /// Set `decision` over `dimension` transactions: Yes where more than
+    /// half of the committee voted Yes.
+    void decide(std::size_t dimension, std::size_t committee_size);
+  };
+
   // ---- round-scoped engine state ----
   struct CommitteeRound {
     net::NodeId current_leader = net::kNoNode;
@@ -431,6 +429,14 @@ class Engine {
     bool leader_convicted = false;  // guard against double conviction
     std::vector<ledger::Transaction> intra_list;
     std::vector<ledger::Transaction> cross_list;
+    /// Duties of whoever leads the committee right now. Recovery hands
+    /// them to the replacement as a fresh value (install_new_leader).
+    struct LeaderDuties {
+      VoteTally intra;
+      VoteTally cross;
+      std::map<std::uint32_t, Bytes> cross_in;  // origin -> accepted request
+      std::set<std::uint32_t> cross_done;       // origins answered
+    } duties;
     // Leader-side payloads awaiting certification.
     Bytes pending_intra_payload;
     Bytes pending_score_payload;
@@ -448,6 +454,13 @@ class Engine {
     std::set<net::NodeId> intra_acks;
     std::map<std::uint32_t, std::set<net::NodeId>> cross_acks;
     std::set<net::NodeId> score_acks;
+
+    std::vector<ledger::Transaction>& list(ListKind kind) {
+      return kind == ListKind::kIntra ? intra_list : cross_list;
+    }
+    VoteTally& tally(ListKind kind) {
+      return kind == ListKind::kIntra ? duties.intra : duties.cross;
+    }
   };
 
   // ---- setup ----
@@ -476,21 +489,19 @@ class Engine {
                         net::Time now);
   void on_confirm(NodeState& self, const net::Message& msg);
   void on_semicommit(NodeState& self, const net::Message& msg, net::Time now);
-  void on_semicommit_ack(NodeState& self, const net::Message& msg,
-                         net::Time now);
+  void on_semicommit_ack(NodeState& self, const net::Message& msg);
   void on_txlist(NodeState& self, const net::Message& msg);
   void on_vote(NodeState& self, const net::Message& msg);
-  void on_cross_txlist(NodeState& self, const net::Message& msg,
-                       net::Time now);
+  void on_cross_txlist(NodeState& self, const net::Message& msg);
   void on_cross_hint(NodeState& self, const net::Message& msg, net::Time now);
   void on_cross_result(NodeState& self, const net::Message& msg);
-  void on_accuse(NodeState& self, const net::Message& msg, net::Time now);
-  void on_impeach_vote(NodeState& self, const net::Message& msg,
-                       net::Time now);
+  void on_accuse(NodeState& self, const net::Message& msg);
+  void on_impeach_vote(NodeState& self, const net::Message& msg);
   void on_prosecute(NodeState& self, const net::Message& msg, net::Time now);
-  void on_new_leader(NodeState& self, const net::Message& msg, net::Time now);
-  void on_intra_result(NodeState& self, const net::Message& msg);
-  void on_score_report(NodeState& self, const net::Message& msg);
+  void on_new_leader(NodeState& self, const net::Message& msg);
+  /// kIntraResult / kScoreReport: a referee verifies a committee's
+  /// certified decision or score list and acks the stored bytes.
+  void on_committee_result(NodeState& self, const net::Message& msg);
   void on_catchup_request(NodeState& self, const net::Message& msg);
   void on_catchup_reply(NodeState& self, const net::Message& msg);
   /// kBlock / §VIII-B kSubBlock: a member adopts its view's successor
@@ -556,13 +567,9 @@ class Engine {
   VoteVector compute_vote(NodeState& self,
                           const std::vector<ledger::Transaction>& txs);
 
-  /// Leader-side: tally votes into the decision vector / TXdecSET.
-  VoteVector tally(const std::map<net::NodeId, VoteVector>& votes,
-                   std::size_t dimension, std::size_t committee_size) const;
-
-  /// Batch-verify the parked votes and move the valid ones into the
-  /// decoded vote sink (votes / cross_votes).
-  void leader_flush_votes(NodeState& leader, bool cross);
+  /// Batch-verify the parked votes and move the valid ones into
+  /// `tally.votes`.
+  void leader_flush_votes(VoteTally& tally);
 
   /// Recovery.
   void begin_accusation(NodeState& accuser, std::uint32_t k,
@@ -579,11 +586,11 @@ class Engine {
   /// Leader duties per phase (also used on recovery redo; each stays
   /// callable inline for a single committee).
   void leader_send_semicommit(NodeState& leader, std::uint32_t k);
-  void leader_start_intra(std::uint32_t k, net::Time now);
-  void leader_start_cross(std::uint32_t k, net::Time now);
-  void leader_handle_cross_in(NodeState& leader, const Bytes& request,
-                              net::Time now);
-  void leader_send_scores(std::uint32_t k, net::Time now);
+  /// Multicast committee k's `kind` list, vote on it and schedule the
+  /// tally; the §VIII-A pre-filter runs first for a cross list.
+  void leader_start_list(std::uint32_t k, ListKind kind, net::Time now);
+  void leader_handle_cross_in(NodeState& leader, const Bytes& request);
+  void leader_send_scores(std::uint32_t k);
 
   /// Two-stage split of the leader duties above for intra-engine shard
   /// parallelism: build_* is the pure compute half (deterministic
@@ -597,12 +604,13 @@ class Engine {
   Bytes build_semicommit(NodeState& leader, std::uint32_t k);
   void emit_semicommit(NodeState& leader, std::uint32_t k,
                        const Bytes& wire_bytes);
-  Bytes build_intra_txlist(std::uint32_t k);
-  void emit_intra_txlist(std::uint32_t k, const Bytes& wire_bytes,
-                         net::Time now);
-  Bytes build_cross_txlist(std::uint32_t k);
-  void emit_cross_txlist(std::uint32_t k, const Bytes& wire_bytes,
-                         net::Time now);
+  Bytes build_txlist(std::uint32_t k, ListKind kind);
+  void emit_txlist(std::uint32_t k, ListKind kind, const Bytes& wire_bytes,
+                   net::Time now);
+  /// leader_start_list for every committee, minus the sequential §VIII-A
+  /// pre-filter: a build stage on the pool, then an emit stage in
+  /// committee order.
+  void start_lists(ListKind kind, net::Time at);
 
   /// Apply score reports that have gathered a referee-majority ack into
   /// pending_scores_ (idempotent; run before selection and finalize).

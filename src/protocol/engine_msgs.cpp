@@ -27,7 +27,7 @@ void Engine::phase_config(net::Time at) {
       params_.m,
       [&](std::size_t k) {
         for (net::NodeId id : assign_.committees[k].key_members()) {
-          NodeState& key_member = nodes_[id];
+          NodeState::Round& key_member = nodes_[id].round;
           for (net::NodeId peer : assign_.committees[k].key_members()) {
             if (key_member.known_pks.insert(nodes_[peer].keys.pk.y).second) {
               key_member.member_list.push_back(nodes_[peer].keys.pk);
@@ -58,8 +58,8 @@ void Engine::phase_config(net::Time at) {
       intros.size(),
       [&](std::size_t i) {
         NodeState& common = nodes_[intros[i].id];
-        common.known_pks.insert(common.keys.pk.y);
-        common.member_list.push_back(common.keys.pk);
+        common.round.known_pks.insert(common.keys.pk.y);
+        common.round.member_list.push_back(common.keys.pk);
         wire::Intro intro{common.id, common.keys.pk, common.ticket};
         intros[i].wire_bytes = intro.serialize();
       },
@@ -83,7 +83,6 @@ void Engine::phase_config(net::Time at) {
       net_->send_shared(n.id, rm, net::Tag::kCatchUpRequest, payload);
     }
   }
-  (void)at;
 }
 
 void Engine::phase_semicommit(net::Time at) {
@@ -108,28 +107,11 @@ void Engine::phase_semicommit(net::Time at) {
   // A silent leader is only impeachable once common members can
   // corroborate the silence (they never see SEMI_COM traffic), so the
   // timeout accusation for crashed leaders fires at the intra deadline.
-  (void)at;
 }
 
 void Engine::phase_intra(net::Time at) {
   enter_phase(net::Phase::kIntraConsensus, at);
-  // Two-stage fan-out: the leader's tx-list signing + serialization per
-  // committee runs on the pool; the multicast, the leader's own vote
-  // (ledger::V — verdict cache) and the tally timer run on the engine
-  // thread in committee-index order.
-  {
-    std::vector<Bytes> built(params_.m);
-    support::parallel_for(
-        params_.m,
-        [&](std::size_t k) {
-          built[k] = build_intra_txlist(static_cast<std::uint32_t>(k));
-        },
-        options_.engine_threads);
-    for (std::size_t k : support::stage_order(params_.m)) {
-      if (built[k].empty()) continue;
-      emit_intra_txlist(static_cast<std::uint32_t>(k), built[k], at);
-    }
-  }
+  start_lists(ListKind::kIntra, at);
   const net::Time deadline =
       at + 0.7 * params_.intra_duration * params_.delays.delta;
   net_->schedule(deadline, [this](net::Time now) {
@@ -138,7 +120,7 @@ void Engine::phase_intra(net::Time at) {
       for (net::NodeId id : assign_.committees[k].partial) {
         NodeState& pm = nodes_[id];
         if (!pm.is_active(round_) || pm.misbehaves(round_)) continue;
-        if (!pm.leader_sent_txlist && !committees_[k].leader_convicted) {
+        if (!pm.round.leader_sent_txlist && !committees_[k].leader_convicted) {
           begin_accusation(pm, k, WitnessKind::kTimeout, {}, now);
           break;
         }
@@ -149,7 +131,7 @@ void Engine::phase_intra(net::Time at) {
       for (net::NodeId id : assign_.committees[k].partial) {
         NodeState& pm = nodes_[id];
         if (pm.behavior == Behavior::kFramer && pm.misbehaves(round_) &&
-            !pm.accused_this_round) {
+            !pm.round.accused_this_round) {
           Writer w;
           w.str("bogus-witness");
           begin_accusation(pm, k, WitnessKind::kEquivocation, w.take(), now);
@@ -166,27 +148,35 @@ void Engine::phase_inter(net::Time at) {
     // so it cannot be split into a pure compute stage — run the whole
     // phase sequentially (the reference path).
     for (std::uint32_t k = 0; k < params_.m; ++k) {
-      leader_start_cross(k, at);
+      leader_start_list(k, ListKind::kCross, at);
     }
     return;
   }
+  start_lists(ListKind::kCross, at);
+}
+
+void Engine::start_lists(ListKind kind, net::Time at) {
+  // Two-stage fan-out: the leader's tx-list signing + serialization per
+  // committee runs on the pool; the multicast, the leader's own vote
+  // (ledger::V — verdict cache) and the tally timer run on the engine
+  // thread in committee-index order.
   std::vector<Bytes> built(params_.m);
   support::parallel_for(
       params_.m,
       [&](std::size_t k) {
-        built[k] = build_cross_txlist(static_cast<std::uint32_t>(k));
+        built[k] = build_txlist(static_cast<std::uint32_t>(k), kind);
       },
       options_.engine_threads);
   for (std::size_t k : support::stage_order(params_.m)) {
     if (built[k].empty()) continue;
-    emit_cross_txlist(static_cast<std::uint32_t>(k), built[k], at);
+    emit_txlist(static_cast<std::uint32_t>(k), kind, built[k], at);
   }
 }
 
 void Engine::phase_reputation(net::Time at) {
   enter_phase(net::Phase::kReputation, at);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
-    leader_send_scores(k, at);
+    leader_send_scores(k);
   }
 }
 
@@ -273,10 +263,7 @@ void Engine::phase_block(net::Time at) {
   // the next round's partial sets (§IV-G).
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     NodeState& leader = nodes_[committees_[k].current_leader];
-    if (!leader.is_active(round_) ||
-        (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash)) {
-      continue;
-    }
+    if (!leader.is_active(round_)) continue;
     Writer w;
     w.str("UTXO_FINAL");
     w.u32(k);
@@ -284,7 +271,6 @@ void Engine::phase_block(net::Time at) {
     leader_start_instance(leader, k, seq::utxo(committees_[k].attempt),
                           w.take());
   }
-  (void)at;
 }
 
 // ---------------------------------------------------------------------------
@@ -333,18 +319,20 @@ void Engine::dispatch(NodeState& self, const net::Message& msg,
         break;
       case net::Tag::kConfirm: on_confirm(self, msg); break;
       case net::Tag::kSemiCommit: on_semicommit(self, msg, now); break;
-      case net::Tag::kSemiCommitAck: on_semicommit_ack(self, msg, now); break;
+      case net::Tag::kSemiCommitAck: on_semicommit_ack(self, msg); break;
       case net::Tag::kTxList: on_txlist(self, msg); break;
       case net::Tag::kVote: on_vote(self, msg); break;
-      case net::Tag::kCrossTxList: on_cross_txlist(self, msg, now); break;
+      case net::Tag::kCrossTxList: on_cross_txlist(self, msg); break;
       case net::Tag::kCrossPartialHint: on_cross_hint(self, msg, now); break;
       case net::Tag::kCrossResult: on_cross_result(self, msg); break;
-      case net::Tag::kScoreReport: on_score_report(self, msg); break;
-      case net::Tag::kIntraResult: on_intra_result(self, msg); break;
-      case net::Tag::kAccuse: on_accuse(self, msg, now); break;
-      case net::Tag::kImpeachVote: on_impeach_vote(self, msg, now); break;
+      case net::Tag::kScoreReport:
+      case net::Tag::kIntraResult:
+        on_committee_result(self, msg);
+        break;
+      case net::Tag::kAccuse: on_accuse(self, msg); break;
+      case net::Tag::kImpeachVote: on_impeach_vote(self, msg); break;
       case net::Tag::kProsecute: on_prosecute(self, msg, now); break;
-      case net::Tag::kNewLeader: on_new_leader(self, msg, now); break;
+      case net::Tag::kNewLeader: on_new_leader(self, msg); break;
       case net::Tag::kPowSolution: {
         if (self.role != Role::kReferee) break;
         const auto pow = wire::PowMsg::deserialize(msg.payload());
@@ -429,7 +417,6 @@ void Engine::on_block(NodeState& self, const net::Message& msg) {
 
 void Engine::on_config(NodeState& self, const net::Message& msg) {
   if (self.role != Role::kLeader && self.role != Role::kPartial) return;
-  if (self.misbehaves(round_) && self.behavior == Behavior::kCrash) return;
   const auto intro = wire::Intro::deserialize(msg.payload());
   if (intro.ticket.committee != static_cast<std::uint32_t>(self.committee)) {
     return;
@@ -440,14 +427,14 @@ void Engine::on_config(NodeState& self, const net::Message& msg) {
   }
   // Respond with the current list, then register the newcomer.
   wire::MemberListMsg list;
-  for (const auto& pk : self.member_list) {
+  for (const auto& pk : self.round.member_list) {
     const net::NodeId nid = node_of_pk(pk);
     list.nodes.push_back(nid);
     list.pks.push_back(pk);
   }
   net_->send(self.id, intro.node, net::Tag::kMemberList, list.serialize());
-  if (self.known_pks.insert(intro.pk.y).second) {
-    self.member_list.push_back(intro.pk);
+  if (self.round.known_pks.insert(intro.pk.y).second) {
+    self.round.member_list.push_back(intro.pk);
   }
 }
 
@@ -455,8 +442,8 @@ void Engine::on_member_list(NodeState& self, const net::Message& msg) {
   const auto list = wire::MemberListMsg::deserialize(msg.payload());
   std::vector<net::NodeId> fresh;
   for (std::size_t i = 0; i < list.pks.size(); ++i) {
-    if (self.known_pks.insert(list.pks[i].y).second) {
-      self.member_list.push_back(list.pks[i]);
+    if (self.round.known_pks.insert(list.pks[i].y).second) {
+      self.round.member_list.push_back(list.pks[i]);
       fresh.push_back(list.nodes[i]);
     }
   }
@@ -478,8 +465,8 @@ void Engine::on_member(NodeState& self, const net::Message& msg) {
                         intro.ticket)) {
     return;
   }
-  if (self.known_pks.insert(intro.pk.y).second) {
-    self.member_list.push_back(intro.pk);
+  if (self.round.known_pks.insert(intro.pk.y).second) {
+    self.round.member_list.push_back(intro.pk);
   }
 }
 
@@ -498,7 +485,7 @@ void Engine::send_consensus(net::NodeId from,
 void Engine::leader_start_instance(NodeState& self, std::uint32_t scope,
                                    std::uint64_t sn, Bytes message) {
   consensus::InstanceId iid{round_, sn};
-  auto [it, inserted] = self.lead.try_emplace(
+  auto [it, inserted] = self.round.lead.try_emplace(
       sn, consensus::LeaderInstance(self.keys, iid, std::move(message),
                                     instance_size(scope)));
   if (!inserted) return;
@@ -527,7 +514,7 @@ void Engine::leader_start_instance(NodeState& self, std::uint32_t scope,
   send_consensus(self.id, peers, net::Tag::kPropose, scope, sn, wire);
   // The leader processes its own proposal as a member too (it counts
   // toward the >C/2 quorum).
-  auto [mit, minserted] = self.member.try_emplace(
+  auto [mit, minserted] = self.round.member.try_emplace(
       sn, self.keys, self.id, iid, self.keys.pk, instance_size(scope));
   if (minserted) {
     auto out = mit->second.on_propose(
@@ -544,7 +531,7 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
       !self.misbehaves(round_)) {
     // Only partial-set members arouse the recovery procedure (§IV-B);
     // common members who catch the leader simply stop participating.
-    if (self.role == Role::kPartial && !self.accused_this_round) {
+    if (self.role == Role::kPartial && !self.round.accused_this_round) {
       begin_accusation(self, scope, WitnessKind::kEquivocation,
                        out.witness->serialize(), now);
     }
@@ -554,8 +541,8 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
     send_consensus(self.id, instance_peers(scope), net::Tag::kEcho, scope, sn,
                    out.echo_broadcast->serialize());
     // Deliver our echo to our own member instance as well.
-    auto it = self.member.find(sn);
-    if (it != self.member.end()) {
+    auto it = self.round.member.find(sn);
+    if (it != self.round.member.end()) {
       auto echo_out = it->second.on_echo(std::move(*out.echo_broadcast));
       if (echo_out.confirm_to_leader && !out.confirm_to_leader) {
         out.confirm_to_leader = std::move(echo_out.confirm_to_leader);
@@ -566,10 +553,10 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
     const crypto::PublicKey leader_pk = expected_instance_leader(scope, sn);
     const net::NodeId leader_id = node_of_pk(leader_pk);
     if (leader_id == self.id) {
-      auto lit = self.lead.find(sn);
-      if (lit != self.lead.end()) {
+      auto lit = self.round.lead.find(sn);
+      if (lit != self.round.lead.end()) {
         if (auto cert = lit->second.on_confirm(*out.confirm_to_leader)) {
-          self.certs[sn] = *cert;
+          self.round.certs[sn] = *cert;
           on_cert(self, scope, sn, *cert);
         }
       }
@@ -592,9 +579,9 @@ void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
   const std::uint64_t sn = fan.env.sn;
   if (!in_scope(self, scope)) return;
 
-  auto it = self.member.find(sn);
-  if (it == self.member.end()) {
-    it = self.member
+  auto it = self.round.member.find(sn);
+  if (it == self.round.member.end()) {
+    it = self.round.member
              .try_emplace(sn, self.keys, self.id,
                           consensus::InstanceId{round_, sn},
                           expected_instance_leader(scope, sn),
@@ -605,7 +592,7 @@ void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
   if (msg.tag == net::Tag::kPropose) {
     // Track leader engagement for the 2*Gamma concealment rule.
     if (scope < params_.m && seq::is_cross_in(sn)) {
-      self.cross_seen_propose.insert(seq::cross_in_origin(sn));
+      self.round.cross_seen_propose.insert(seq::cross_in_origin(sn));
     }
     if (!fan.propose) {
       fan.propose.emplace(consensus::ProposeWire::deserialize(fan.env.wire));
@@ -623,11 +610,11 @@ void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
 void Engine::on_confirm(NodeState& self, const net::Message& msg) {
   const auto env = wire::ConsensusEnvelope::deserialize(msg.payload());
   if (!in_scope(self, env.scope)) return;
-  auto it = self.lead.find(env.sn);
-  if (it == self.lead.end()) return;
+  auto it = self.round.lead.find(env.sn);
+  if (it == self.round.lead.end()) return;
   if (auto cert =
           it->second.on_confirm(consensus::ConfirmWire::deserialize(env.wire))) {
-    self.certs[env.sn] = *cert;
+    self.round.certs[env.sn] = *cert;
     on_cert(self, env.scope, env.sn, *cert);
   }
 }
@@ -655,8 +642,8 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     // Referee-scope instances.
     if (sn == seq::kBlock) {
       // Block certified.
-      auto it = self.lead.find(sn);
-      if (it == self.lead.end()) return;
+      auto it = self.round.lead.find(sn);
+      if (it == self.round.lead.end()) return;
       if (options_.extension_parallel_blocks) {
         // §VIII-B: C_R only issues permissions; each leader broadcasts
         // its own sub-block, removing the O(mn) burden from C_R.
@@ -686,8 +673,8 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       const std::uint32_t k = seq::semi_check_committee(sn);
       wire::SemiCommitAck ack;
       ack.committee = k;
-      const crypto::Digest* commitment = self.commitments.find(k);
-      const auto* members = self.lists.find(k);
+      const crypto::Digest* commitment = self.round.commitments.find(k);
+      const auto* members = self.round.lists.find(k);
       if (commitment == nullptr || members == nullptr) return;
       ack.commitment = *commitment;
       ack.members = *members;
@@ -709,8 +696,8 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
 
   if (seq::is_intra(sn)) {
     // Intra-committee decision certified -> report to C_R (Alg. 5 l.19).
-    auto it = self.lead.find(sn);
-    if (it == self.lead.end()) return;
+    auto it = self.round.lead.find(sn);
+    if (it == self.round.lead.end()) return;
     wire::CertifiedResult result;
     result.payload = committees_[k].pending_intra_payload;
     result.cert = cert.serialize();
@@ -718,7 +705,6 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     for (net::NodeId rm : assign_.referees) {
       net_->send_shared(self.id, rm, net::Tag::kIntraResult, payload);
     }
-    self.sent_intra_result = true;
     return;
   }
   if (seq::is_score(sn)) {
@@ -766,8 +752,9 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
   if (seq::is_cross_in(sn)) {
     // Acceptance certified -> reply to the origin leader and inform C_R.
     const std::uint32_t origin = seq::cross_in_origin(sn);
-    auto rit = self.cross_in.find(origin);
-    if (rit == self.cross_in.end()) return;
+    auto& duties = committees_[k].duties;
+    auto rit = duties.cross_in.find(origin);
+    if (rit == duties.cross_in.end()) return;
     wire::CrossResultMsg result;
     result.request = wire::CrossTxListMsg::deserialize(rit->second);
     result.dest_cert = cert.serialize();
@@ -778,7 +765,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     for (net::NodeId rm : assign_.referees) {
       net_->send_shared(self.id, rm, net::Tag::kCrossResult, payload);
     }
-    self.cross_done.insert(origin);
+    duties.cross_done.insert(origin);
     return;
   }
 }

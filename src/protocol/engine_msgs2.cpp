@@ -20,6 +20,19 @@ crypto::Digest vlist_digest(const std::map<net::NodeId, VoteVector>& votes) {
   }
   return crypto::sha256(w.out());
 }
+
+/// Whether `cert_bytes` is a quorum certificate over `payload` signed by
+/// more than half of `members`. Malformed certificate bytes fail.
+bool certifies(BytesView cert_bytes, BytesView payload,
+               const std::vector<crypto::PublicKey>& members) {
+  try {
+    const auto cert = consensus::QuorumCert::deserialize(cert_bytes);
+    return cert.digest == crypto::sha256(payload) &&
+           cert.verify(members, members.size());
+  } catch (const std::exception&) {
+    return false;
+  }
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -28,7 +41,7 @@ crypto::Digest vlist_digest(const std::map<net::NodeId, VoteVector>& votes) {
 
 Bytes Engine::build_semicommit(NodeState& leader, std::uint32_t k) {
   if (!leader.is_active(round_)) return {};
-  std::vector<crypto::PublicKey> list = leader.member_list;
+  std::vector<crypto::PublicKey> list = leader.round.member_list;
 
   crypto::Digest commitment = semi_commitment(list);
   if (leader.misbehaves(round_) &&
@@ -104,8 +117,8 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
       }
       return;
     }
-    self.commitments.set(k, commitment);
-    self.lists.set(k, members);
+    self.round.commitments.set(k, commitment);
+    self.round.lists.set(k, members);
     // "They transmit the set of valid semi-commitments to all key
     // members" (Alg. 4): every referee relays, so one crashed referee
     // cannot starve the other committees of this commitment. This is
@@ -134,16 +147,13 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
   }
 
   if (self.role == Role::kPartial && self.committee == static_cast<std::int64_t>(k)) {
-    self.leader_list_msg = sc.list_msg;
-    self.leader_commit_msg = sc.commitment_msg;
-    self.leader_sent_commitment = true;
     // Verify: the commitment matches the list, and the list S is no
     // smaller than the set we locally maintain (Alg. 4 step 3).
     bool mismatch = !verify_semi_commitment(commitment, members);
     if (!mismatch) {
       std::set<std::uint64_t> claimed;
       for (const auto& pk : members) claimed.insert(pk.y);
-      for (const auto& pk : self.member_list) {
+      for (const auto& pk : self.round.member_list) {
         if (!claimed.contains(pk.y)) {
           mismatch = true;  // leader omitted a registered member
           break;
@@ -151,7 +161,7 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
       }
     }
     if (mismatch && options_.recovery_enabled && !self.misbehaves(round_) &&
-        !self.accused_this_round && !committees_[k].leader_convicted) {
+        !self.round.accused_this_round && !committees_[k].leader_convicted) {
       CommitmentMismatchWitness witness{sc.list_msg, sc.commitment_msg};
       begin_accusation(self, k, WitnessKind::kCommitMismatch,
                        witness.serialize(), now);
@@ -159,14 +169,12 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
   }
 }
 
-void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg,
-                               net::Time now) {
+void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg) {
   const auto& ack = decode_once<wire::SemiCommitAck>(
       msg, &wire::SemiCommitAck::deserialize);
   if (ack.committee >= params_.m) return;
-  self.commitments.set(ack.committee, ack.commitment);
-  self.lists.set(ack.committee, ack.members);
-  (void)now;
+  self.round.commitments.set(ack.committee, ack.commitment);
+  self.round.lists.set(ack.committee, ack.members);
 }
 
 // ---------------------------------------------------------------------------
@@ -233,77 +241,131 @@ VoteVector Engine::compute_vote(NodeState& self,
   return vote;
 }
 
-VoteVector Engine::tally(const std::map<net::NodeId, VoteVector>& votes,
-                         std::size_t dimension,
-                         std::size_t committee_size) const {
-  VoteVector decision(dimension, Vote::kNo);
-  for (std::size_t k = 0; k < dimension; ++k) {
+void Engine::VoteTally::decide(std::size_t dimension,
+                               std::size_t committee_size) {
+  decision.assign(dimension, Vote::kNo);
+  for (std::size_t i = 0; i < dimension; ++i) {
     std::size_t yes = 0;
     for (const auto& [id, vote] : votes) {
-      if (k < vote.size() && vote[k] == Vote::kYes) ++yes;
+      if (i < vote.size() && vote[i] == Vote::kYes) ++yes;
     }
-    decision[k] = (yes * 2 > committee_size) ? Vote::kYes : Vote::kNo;
+    decision[i] = (yes * 2 > committee_size) ? Vote::kYes : Vote::kNo;
   }
-  return decision;
 }
 
-Bytes Engine::build_intra_txlist(std::uint32_t k) {
+Bytes Engine::build_txlist(std::uint32_t k, ListKind kind) {
   NodeState& leader = nodes_[committees_[k].current_leader];
   if (!leader.is_active(round_)) return {};
-  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) {
-    return {};
-  }
+  const auto& txs = committees_[k].list(kind);
+  // The intra list is agreed even when empty (its certified decision is
+  // the committee's output); an empty cross list has nothing to agree on.
+  if (kind == ListKind::kCross && txs.empty()) return {};
   wire::TxListMsg msg;
   msg.committee = k;
   msg.attempt = committees_[k].attempt;
-  msg.cross = false;
-  msg.signed_list = crypto::make_signed(
-      leader.keys, wire::encode_tx_vec(committees_[k].intra_list));
+  msg.cross = kind == ListKind::kCross;
+  msg.signed_list = crypto::make_signed(leader.keys, wire::encode_tx_vec(txs));
   return msg.serialize();
 }
 
-void Engine::emit_intra_txlist(std::uint32_t k, const Bytes& wire_bytes,
-                               net::Time now) {
+void Engine::emit_txlist(std::uint32_t k, ListKind kind,
+                         const Bytes& wire_bytes, net::Time now) {
   NodeState& leader = nodes_[committees_[k].current_leader];
-  const auto& txs = committees_[k].intra_list;
   net_->multicast(leader.id, committee_members(k), net::Tag::kTxList,
                   wire_bytes);
-  leader.votes.clear();
   // The leader votes too (it is a member of the committee). compute_vote
   // runs ledger::V, whose verdict-cache hits feed traced metrics — this
   // is why voting lives in the emit stage, on the engine thread.
-  leader.votes[leader.id] = compute_vote(leader, txs);
+  auto& votes = committees_[k].tally(kind).votes;
+  votes.clear();
+  votes[leader.id] = compute_vote(leader, committees_[k].list(kind));
 
   // Collection window (the paper suggests 6 Delta): tally, agree, report.
   const std::uint32_t attempt = committees_[k].attempt;
-  net_->schedule(now + 8.0 * params_.delays.delta, [this, k, attempt](net::Time) {
-    if (committees_[k].attempt != attempt) return;  // superseded by recovery
-    NodeState& leader = nodes_[committees_[k].current_leader];
+  net_->schedule(now + 8.0 * params_.delays.delta,
+                 [this, k, kind, attempt](net::Time) {
+    CommitteeRound& committee = committees_[k];
+    if (committee.attempt != attempt) return;  // superseded by recovery
+    NodeState& leader = nodes_[committee.current_leader];
     if (!leader.is_active(round_)) return;
-    leader_flush_votes(leader, /*cross=*/false);
-    const auto& txs = committees_[k].intra_list;
-    const std::size_t committee_size = assign_.committees[k].size();
-    leader.intra_decision = tally(leader.votes, txs.size(), committee_size);
+    VoteTally& tally = committee.tally(kind);
+    leader_flush_votes(tally);
+    const auto& txs = committee.list(kind);
+    tally.decide(txs.size(), assign_.committees[k].size());
 
-    wire::IntraDecision decision;
-    decision.committee = k;
-    decision.attempt = attempt;
+    if (kind == ListKind::kIntra) {
+      wire::IntraDecision decision;
+      decision.committee = k;
+      decision.attempt = attempt;
+      for (std::size_t i = 0; i < txs.size(); ++i) {
+        if (tally.decision[i] == Vote::kYes) {
+          decision.txdec_set.push_back(txs[i]);
+        }
+      }
+      decision.vlist_digest = vlist_digest(tally.votes);
+      committee.pending_intra_payload = decision.serialize();
+      leader_start_instance(leader, k, seq::intra(attempt),
+                            committee.pending_intra_payload);
+      return;
+    }
+    // Partition the accepted cross transactions by destination shard and
+    // run one Alg. 3 instance per destination.
+    std::map<std::uint32_t, std::vector<ledger::Transaction>> by_dest;
     for (std::size_t i = 0; i < txs.size(); ++i) {
-      if (leader.intra_decision[i] == Vote::kYes) {
-        decision.txdec_set.push_back(txs[i]);
+      if (tally.decision[i] != Vote::kYes) continue;
+      for (std::uint32_t shard : ledger::output_shards(txs[i], *shard_map_)) {
+        if (shard != k) {
+          by_dest[shard].push_back(txs[i]);
+          break;  // route via the first foreign shard
+        }
       }
     }
-    decision.vlist_digest = vlist_digest(leader.votes);
-    committees_[k].pending_intra_payload = decision.serialize();
-    leader_start_instance(leader, k, seq::intra(attempt),
-                          committees_[k].pending_intra_payload);
+    for (auto& [dest, dest_txs] : by_dest) {
+      wire::CrossTxListMsg request;
+      request.origin = k;
+      request.dest = dest;
+      request.attempt = attempt;
+      request.txs = dest_txs;
+      request.origin_members = leader.round.member_list;
+      // The origin cert is attached in on_cert once Alg. 3 completes;
+      // store the request now.
+      committee.pending_cross_out[dest] = request.serialize();
+      leader_start_instance(leader, k, seq::cross_out(dest, attempt),
+                            request.agreed_payload());
+    }
   });
 }
 
-void Engine::leader_start_intra(std::uint32_t k, net::Time now) {
-  const Bytes wire_bytes = build_intra_txlist(k);
+void Engine::leader_start_list(std::uint32_t k, ListKind kind, net::Time now) {
+  if (kind == ListKind::kCross && options_.extension_precommunication) {
+    // §VIII-A: enquire the destination leaders about candidate validity
+    // before packaging, then drop transactions the pre-check rejects —
+    // invalid traffic never reaches the two-committee consensus. The
+    // pre-check both sends and runs ledger::V, so this path stays fully
+    // sequential (phase_inter never fans it out).
+    NodeState& leader = nodes_[committees_[k].current_leader];
+    auto& txs = committees_[k].cross_list;
+    if (!leader.is_active(round_) || txs.empty()) return;
+    std::set<std::uint32_t> dests;
+    for (const auto& tx : txs) {
+      for (std::uint32_t shard : ledger::output_shards(tx, *shard_map_)) {
+        if (shard != k) dests.insert(shard);
+      }
+    }
+    for (std::uint32_t dest : dests) {
+      const net::NodeId peer = committees_[dest].current_leader;
+      net_->send(leader.id, peer, net::Tag::kPreCommQuery, Bytes(48, 0));
+      net_->send(peer, leader.id, net::Tag::kPreCommReply, Bytes(16, 0));
+    }
+    std::vector<ledger::Transaction> filtered;
+    for (const auto& tx : txs) {
+      if (ledger::V(tx, *leader.utxo)) filtered.push_back(tx);
+    }
+    txs = std::move(filtered);
+  }
+  const Bytes wire_bytes = build_txlist(k, kind);
   if (wire_bytes.empty()) return;
-  emit_intra_txlist(k, wire_bytes, now);
+  emit_txlist(k, kind, wire_bytes, now);
 }
 
 void Engine::on_txlist(NodeState& self, const net::Message& msg) {
@@ -314,7 +376,7 @@ void Engine::on_txlist(NodeState& self, const net::Message& msg) {
   if (!(list.signed_list.signer == leader_pk) || !list.signed_list.valid()) {
     return;
   }
-  self.leader_sent_txlist = true;
+  self.round.leader_sent_txlist = true;
   if (self.id == committees_[list.committee].current_leader) return;
 
   const auto txs = wire::decode_tx_vec(list.signed_list.payload);
@@ -330,22 +392,24 @@ void Engine::on_txlist(NodeState& self, const net::Message& msg) {
 
 void Engine::on_vote(NodeState& self, const net::Message& msg) {
   auto vote = wire::VoteMsg::deserialize(msg.payload());
-  if (self.id != committees_[vote.committee].current_leader) return;
-  if (vote.attempt != committees_[vote.committee].attempt) return;
+  if (vote.committee >= params_.m) return;
+  CommitteeRound& committee = committees_[vote.committee];
+  if (self.id != committee.current_leader) return;
+  if (vote.attempt != committee.attempt) return;
   const net::NodeId voter = node_of_pk(vote.signed_vote.signer);
   if (voter == net::kNoNode) return;
   if (!assign_.committees[vote.committee].contains(voter)) return;
   // Park the signed vote; signatures are batch-verified at tally time
   // (leader_flush_votes) instead of one Schnorr check per arrival.
-  auto& pending = vote.cross ? self.pending_cross_votes : self.pending_votes;
-  pending[voter].push_back(std::move(vote.signed_vote));
+  committee.tally(vote.cross ? ListKind::kCross : ListKind::kIntra)
+      .pending[voter]
+      .push_back(std::move(vote.signed_vote));
 }
 
-void Engine::leader_flush_votes(NodeState& leader, bool cross) {
-  auto& pending = cross ? leader.pending_cross_votes : leader.pending_votes;
-  if (pending.empty()) return;
+void Engine::leader_flush_votes(VoteTally& tally) {
+  if (tally.pending.empty()) return;
   std::vector<const crypto::SignedMessage*> batch;
-  for (const auto& [voter, arrivals] : pending) {
+  for (const auto& [voter, arrivals] : tally.pending) {
     for (const auto& sm : arrivals) batch.push_back(&sm);
   }
   // One aggregate check for the common all-valid case; either way the
@@ -355,145 +419,40 @@ void Engine::leader_flush_votes(NodeState& leader, bool cross) {
   if (obs_ != nullptr) {
     obs_->metrics.counter("engine.votes.flushed").add(batch.size());
   }
-  auto& sink = cross ? leader.cross_votes : leader.votes;
-  for (const auto& [voter, arrivals] : pending) {
+  for (const auto& [voter, arrivals] : tally.pending) {
     // Last valid arrival wins — identical to the old scheme where each
     // arriving vote was verified immediately and valid ones overwrote.
     for (const auto& sm : arrivals) {
-      if (sm.valid()) sink[voter] = wire::decode_vote_vec(sm.payload);
+      if (sm.valid()) tally.votes[voter] = wire::decode_vote_vec(sm.payload);
     }
   }
-  pending.clear();
+  tally.pending.clear();
 }
 
 // ---------------------------------------------------------------------------
 // Inter-committee consensus (§IV-D)
 // ---------------------------------------------------------------------------
 
-Bytes Engine::build_cross_txlist(std::uint32_t k) {
-  NodeState& leader = nodes_[committees_[k].current_leader];
-  if (!leader.is_active(round_)) return {};
-  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) {
-    return {};
-  }
-  if (committees_[k].cross_list.empty()) return {};
-  wire::TxListMsg msg;
-  msg.committee = k;
-  msg.attempt = committees_[k].attempt;
-  msg.cross = true;
-  msg.signed_list = crypto::make_signed(
-      leader.keys, wire::encode_tx_vec(committees_[k].cross_list));
-  return msg.serialize();
-}
-
-void Engine::emit_cross_txlist(std::uint32_t k, const Bytes& wire_bytes,
-                               net::Time now) {
-  NodeState& leader = nodes_[committees_[k].current_leader];
-  const auto& txs = committees_[k].cross_list;
-  net_->multicast(leader.id, committee_members(k), net::Tag::kTxList,
-                  wire_bytes);
-  leader.cross_votes.clear();
-  leader.cross_votes[leader.id] = compute_vote(leader, txs);
-
-  const std::uint32_t attempt = committees_[k].attempt;
-  net_->schedule(now + 8.0 * params_.delays.delta, [this, k, attempt](net::Time) {
-    if (committees_[k].attempt != attempt) return;
-    NodeState& leader = nodes_[committees_[k].current_leader];
-    if (!leader.is_active(round_)) return;
-    leader_flush_votes(leader, /*cross=*/true);
-    const auto& txs = committees_[k].cross_list;
-    const std::size_t committee_size = assign_.committees[k].size();
-    leader.cross_decision = tally(leader.cross_votes, txs.size(), committee_size);
-
-    // Partition the accepted cross transactions by destination shard and
-    // run one Alg. 3 instance per destination.
-    std::map<std::uint32_t, std::vector<ledger::Transaction>> by_dest;
-    for (std::size_t i = 0; i < txs.size(); ++i) {
-      if (leader.cross_decision[i] != Vote::kYes) continue;
-      for (std::uint32_t shard : ledger::output_shards(txs[i], *shard_map_)) {
-        if (shard != k) {
-          by_dest[shard].push_back(txs[i]);
-          break;  // route via the first foreign shard
-        }
-      }
-    }
-    for (auto& [dest, dest_txs] : by_dest) {
-      wire::CrossTxListMsg request;
-      request.origin = k;
-      request.dest = dest;
-      request.attempt = attempt;
-      request.txs = dest_txs;
-      request.origin_members = leader.member_list;
-      // The origin cert is attached in on_cert once Alg. 3 completes;
-      // store the request now.
-      committees_[k].pending_cross_out[dest] = request.serialize();
-      leader_start_instance(leader, k, seq::cross_out(dest, attempt),
-                            request.agreed_payload());
-    }
-  });
-}
-
-void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
-  if (options_.extension_precommunication) {
-    // §VIII-A: enquire the destination leaders about candidate validity
-    // before packaging, then drop transactions the pre-check rejects —
-    // invalid traffic never reaches the two-committee consensus. The
-    // pre-check both sends and runs ledger::V, so this path stays fully
-    // sequential (phase_inter never fans it out).
-    NodeState& leader = nodes_[committees_[k].current_leader];
-    if (!leader.is_active(round_)) return;
-    if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) {
-      return;
-    }
-    if (committees_[k].cross_list.empty()) return;
-    std::set<std::uint32_t> dests;
-    for (const auto& tx : committees_[k].cross_list) {
-      for (std::uint32_t shard : ledger::output_shards(tx, *shard_map_)) {
-        if (shard != k) dests.insert(shard);
-      }
-    }
-    for (std::uint32_t dest : dests) {
-      const net::NodeId peer = committees_[dest].current_leader;
-      net_->send(leader.id, peer, net::Tag::kPreCommQuery, Bytes(48, 0));
-      net_->send(peer, leader.id, net::Tag::kPreCommReply, Bytes(16, 0));
-    }
-    std::vector<ledger::Transaction> filtered;
-    for (const auto& tx : committees_[k].cross_list) {
-      if (ledger::V(tx, *leader.utxo)) filtered.push_back(tx);
-    }
-    committees_[k].cross_list = std::move(filtered);
-  }
-  const Bytes wire_bytes = build_cross_txlist(k);
-  if (wire_bytes.empty()) return;
-  emit_cross_txlist(k, wire_bytes, now);
-}
-
-void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
-                                    net::Time now) {
+void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request) {
   const auto req = wire::CrossTxListMsg::deserialize(request);
   const std::uint32_t k = static_cast<std::uint32_t>(leader.committee);
   if (req.dest != k) return;
-  if (leader.cross_done.contains(req.origin) ||
-      leader.cross_in.contains(req.origin)) {
+  auto& duties = committees_[k].duties;
+  if (duties.cross_done.contains(req.origin) ||
+      duties.cross_in.contains(req.origin)) {
     return;
   }
   // Verify the origin committee's certificate against its
   // semi-commitment: a faulty origin leader cannot fabricate a consensus
   // result (§IV-D).
-  const crypto::Digest* commitment = leader.commitments.find(req.origin);
+  const crypto::Digest* commitment = leader.round.commitments.find(req.origin);
   if (commitment == nullptr) return;
   if (!verify_semi_commitment(*commitment, req.origin_members)) return;
-  try {
-    const auto cert = consensus::QuorumCert::deserialize(req.origin_cert);
-    wire::CrossTxListMsg canonical = req;
-    if (cert.digest != crypto::sha256(canonical.agreed_payload())) return;
-    if (!cert.verify(req.origin_members, req.origin_members.size())) return;
-  } catch (const std::exception&) {
+  if (!certifies(req.origin_cert, req.agreed_payload(), req.origin_members)) {
     return;
   }
 
-  leader.cross_in[req.origin] = request;
-  leader.cross_in_at[req.origin] = now;
+  duties.cross_in[req.origin] = request;
 
   // Reach committee agreement on the acceptance (the C_j side of §IV-D).
   wire::CrossResultMsg result;
@@ -502,8 +461,7 @@ void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
                         result.acceptance_payload());
 }
 
-void Engine::on_cross_txlist(NodeState& self, const net::Message& msg,
-                             net::Time now) {
+void Engine::on_cross_txlist(NodeState& self, const net::Message& msg) {
   if (self.committee < 0) return;
   const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
   if (self.id != committees_[k].current_leader) return;
@@ -516,6 +474,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg,
     // >C/2 member signatures, so origin leader and referees reject it;
     // the partial set's 2*Gamma rule then evicts the imitator.
     const auto req = wire::CrossTxListMsg::deserialize(msg.payload());
+    if (req.origin >= params_.m) return;
     wire::CrossResultMsg forged;
     forged.request = req;
     consensus::QuorumCert fake;
@@ -533,7 +492,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg,
     }
     return;
   }
-  leader_handle_cross_in(self, msg.payload(), now);
+  leader_handle_cross_in(self, msg.payload());
 }
 
 void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
@@ -542,9 +501,8 @@ void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
   const auto req = wire::CrossTxListMsg::deserialize(msg.payload());
   const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
   if (req.dest != k) return;
-  if (self.cross_hints.contains(req.origin)) return;
-  self.cross_hints[req.origin] = msg.payload();
-  self.cross_hint_at[req.origin] = now;
+  if (self.round.cross_hints.contains(req.origin)) return;
+  self.round.cross_hints[req.origin] = msg.payload();
 
   // Lemma 7: if after 2*Gamma the leader has not engaged the consensus on
   // this origin's list, forward it and (if still silent) accuse.
@@ -553,22 +511,24 @@ void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
                  [this, id = self.id, k, origin](net::Time later) {
     NodeState& pm = nodes_[id];
     if (!pm.is_active(round_) || pm.misbehaves(round_)) return;
-    if (pm.cross_seen_propose.contains(origin)) return;  // leader engaged
+    if (pm.round.cross_seen_propose.contains(origin)) return;  // leader engaged
     if (committees_[k].leader_convicted) return;
     // First forward the set to the leader (an honest-but-slow leader can
     // still proceed)...
     net_->send(id, committees_[k].current_leader, net::Tag::kCrossTxList,
-               pm.cross_hints[origin]);
+               pm.round.cross_hints[origin]);
     // ...then check again after another 2*Gamma and accuse if ignored.
     net_->schedule(later + 2.0 * params_.delays.gamma,
                    [this, id, k, origin](net::Time final_time) {
       NodeState& pm = nodes_[id];
       if (!pm.is_active(round_) || pm.misbehaves(round_)) return;
-      if (pm.cross_seen_propose.contains(origin)) return;
-      if (committees_[k].leader_convicted || pm.accused_this_round) return;
+      if (pm.round.cross_seen_propose.contains(origin)) return;
+      if (committees_[k].leader_convicted || pm.round.accused_this_round) {
+        return;
+      }
       if (!options_.recovery_enabled) return;
-      begin_accusation(pm, k, WitnessKind::kTimeout, pm.cross_hints[origin],
-                       final_time);
+      begin_accusation(pm, k, WitnessKind::kTimeout,
+                       pm.round.cross_hints[origin], final_time);
     });
   });
 }
@@ -583,31 +543,15 @@ void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
   if (committees_[dest].cross_acks[origin].contains(self.id)) return;
 
   // Check both certificates against both semi-commitments.
-  const crypto::Digest* oc = self.commitments.find(origin);
-  const crypto::Digest* dc = self.commitments.find(dest);
+  const crypto::Digest* oc = self.round.commitments.find(origin);
+  const crypto::Digest* dc = self.round.commitments.find(dest);
   if (oc == nullptr || dc == nullptr) return;
   if (!verify_semi_commitment(*oc, result.request.origin_members)) return;
   if (!verify_semi_commitment(*dc, result.dest_members)) return;
-  try {
-    wire::CrossTxListMsg canonical = result.request;
-    const auto origin_cert =
-        consensus::QuorumCert::deserialize(result.request.origin_cert);
-    if (origin_cert.digest != crypto::sha256(canonical.agreed_payload())) return;
-    if (!origin_cert.verify(result.request.origin_members,
-                            result.request.origin_members.size())) {
-      return;
-    }
-    const auto dest_cert = consensus::QuorumCert::deserialize(result.dest_cert);
-    wire::CrossResultMsg canonical_result;
-    canonical_result.request = result.request;
-    if (dest_cert.digest !=
-        crypto::sha256(canonical_result.acceptance_payload())) {
-      return;
-    }
-    if (!dest_cert.verify(result.dest_members, result.dest_members.size())) {
-      return;
-    }
-  } catch (const std::exception&) {
+  if (!certifies(result.request.origin_cert, result.request.agreed_payload(),
+                 result.request.origin_members) ||
+      !certifies(result.dest_cert, result.acceptance_payload(),
+                 result.dest_members)) {
     return;
   }
   auto stored = committees_[dest].cross_results.find(origin);
@@ -623,59 +567,35 @@ void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
 // Results reaching the referee committee
 // ---------------------------------------------------------------------------
 
-void Engine::on_intra_result(NodeState& self, const net::Message& msg) {
+void Engine::on_committee_result(NodeState& self, const net::Message& msg) {
   // Every referee verifies the certificate independently and acks the
   // stored bytes; the result is only *used* once a majority acked (the
-  // quorum gate in phase_block / finalize_round). A duplicate delivery
-  // cannot double-ack (acks are keyed by referee id), and a partitioned
-  // minority of C_R can never push a result into the block alone.
+  // quorum gate in phase_block / finalize_round, and adopt_quorum_scores
+  // at the start of the selection phase). A duplicate delivery cannot
+  // double-ack (acks are keyed by referee id), and a partitioned minority
+  // of C_R can never push a result into the block alone.
   if (self.role != Role::kReferee) return;
   const auto result = wire::CertifiedResult::deserialize(msg.payload());
-  const auto decision = wire::IntraDecision::deserialize(result.payload);
-  if (decision.committee >= params_.m) return;
-  auto& committee = committees_[decision.committee];
-  if (committee.intra_acks.contains(self.id)) return;
-  const auto* members = self.lists.find(decision.committee);
+  const bool scores = msg.tag == net::Tag::kScoreReport;
+  const std::uint32_t k =
+      scores ? wire::ScoreListMsg::deserialize(result.payload).committee
+             : wire::IntraDecision::deserialize(result.payload).committee;
+  if (k >= params_.m) return;
+  CommitteeRound& committee = committees_[k];
+  std::optional<Bytes>& stored =
+      scores ? committee.score_report : committee.intra_result;
+  std::set<net::NodeId>& acks =
+      scores ? committee.score_acks : committee.intra_acks;
+  if (acks.contains(self.id)) return;
+  const auto* members = self.round.lists.find(k);
   if (members == nullptr) return;
-  try {
-    const auto cert = consensus::QuorumCert::deserialize(result.cert);
-    if (cert.digest != crypto::sha256(result.payload)) return;
-    if (!cert.verify(*members, members->size())) return;
-  } catch (const std::exception&) {
-    return;
-  }
-  if (!committee.intra_result) {
-    committee.intra_result = result.payload;
-  } else if (*committee.intra_result != result.payload) {
+  if (!certifies(result.cert, result.payload, *members)) return;
+  if (!stored) {
+    stored = result.payload;
+  } else if (*stored != result.payload) {
     return;  // conflicting certified payload: never ack a mismatch
   }
-  committee.intra_acks.insert(self.id);
-}
-
-void Engine::on_score_report(NodeState& self, const net::Message& msg) {
-  if (self.role != Role::kReferee) return;
-  const auto result = wire::CertifiedResult::deserialize(msg.payload());
-  const auto scores = wire::ScoreListMsg::deserialize(result.payload);
-  if (scores.committee >= params_.m) return;
-  auto& committee = committees_[scores.committee];
-  if (committee.score_acks.contains(self.id)) return;
-  const auto* members = self.lists.find(scores.committee);
-  if (members == nullptr) return;
-  try {
-    const auto cert = consensus::QuorumCert::deserialize(result.cert);
-    if (cert.digest != crypto::sha256(result.payload)) return;
-    if (!cert.verify(*members, members->size())) return;
-  } catch (const std::exception&) {
-    return;
-  }
-  if (!committee.score_report) {
-    committee.score_report = result.payload;
-  } else if (*committee.score_report != result.payload) {
-    return;
-  }
-  committee.score_acks.insert(self.id);
-  // Scores are applied at the start of the selection phase, once the
-  // report has gathered a referee majority — not here.
+  acks.insert(self.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -751,44 +671,44 @@ void Engine::on_catchup_reply(NodeState& self, const net::Message& msg) {
 // Reputation (§IV-E)
 // ---------------------------------------------------------------------------
 
-void Engine::leader_send_scores(std::uint32_t k, net::Time now) {
-  NodeState& leader = nodes_[committees_[k].current_leader];
+void Engine::leader_send_scores(std::uint32_t k) {
+  CommitteeRound& committee = committees_[k];
+  NodeState& leader = nodes_[committee.current_leader];
   if (!leader.is_active(round_)) return;
-  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) return;
 
   // Late votes (arrived after the tally deadline) still count for scores.
-  leader_flush_votes(leader, /*cross=*/false);
-  leader_flush_votes(leader, /*cross=*/true);
+  auto& duties = committee.duties;
+  leader_flush_votes(duties.intra);
+  leader_flush_votes(duties.cross);
 
-  const std::size_t intra_dim = committees_[k].intra_list.size();
-  const std::size_t cross_dim = committees_[k].cross_list.size();
-  VoteVector decision = leader.intra_decision;
-  decision.resize(intra_dim, Vote::kNo);
-  VoteVector cross_decision = leader.cross_decision;
-  cross_decision.resize(cross_dim, Vote::kNo);
-  decision.insert(decision.end(), cross_decision.begin(), cross_decision.end());
+  // Scores compare each member's votes on both lists, concatenated, with
+  // the leader's decisions; each part is padded to its list's length.
+  auto joined = [&](VoteVector intra, VoteVector cross, Vote fill) {
+    intra.resize(committee.intra_list.size(), fill);
+    cross.resize(committee.cross_list.size(), fill);
+    intra.insert(intra.end(), cross.begin(), cross.end());
+    return intra;
+  };
+  auto vote_of = [](const VoteTally& tally, net::NodeId id) {
+    auto it = tally.votes.find(id);
+    return it == tally.votes.end() ? VoteVector{} : it->second;
+  };
+  const VoteVector decision =
+      joined(duties.intra.decision, duties.cross.decision, Vote::kNo);
 
   wire::ScoreListMsg scores;
   scores.committee = k;
   for (net::NodeId id : committee_members(k)) {
     if (id == leader.id) continue;
-    VoteVector vote(intra_dim, Vote::kUnknown);
-    auto vit = leader.votes.find(id);
-    if (vit != leader.votes.end()) vote = vit->second;
-    vote.resize(intra_dim, Vote::kUnknown);
-    VoteVector cross_vote(cross_dim, Vote::kUnknown);
-    auto cit = leader.cross_votes.find(id);
-    if (cit != leader.cross_votes.end()) cross_vote = cit->second;
-    cross_vote.resize(cross_dim, Vote::kUnknown);
-    vote.insert(vote.end(), cross_vote.begin(), cross_vote.end());
+    const VoteVector vote = joined(vote_of(duties.intra, id),
+                                   vote_of(duties.cross, id), Vote::kUnknown);
     scores.nodes.push_back(id);
     scores.scores.push_back(decision.empty() ? 0.0
                                              : cosine_score(vote, decision));
   }
-  committees_[k].pending_score_payload = scores.serialize();
-  leader_start_instance(leader, k, seq::score(committees_[k].attempt),
-                        committees_[k].pending_score_payload);
-  (void)now;
+  committee.pending_score_payload = scores.serialize();
+  leader_start_instance(leader, k, seq::score(committee.attempt),
+                        committee.pending_score_payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -798,11 +718,11 @@ void Engine::leader_send_scores(std::uint32_t k, net::Time now) {
 void Engine::begin_accusation(NodeState& accuser, std::uint32_t k,
                               WitnessKind kind, Bytes witness, net::Time now) {
   if (!options_.recovery_enabled) return;
-  if (accuser.accused_this_round) return;
+  if (accuser.round.accused_this_round) return;
   if (committees_[k].recoveries >= options_.max_recoveries_per_committee) {
     return;
   }
-  accuser.accused_this_round = true;
+  accuser.round.accused_this_round = true;
   if (obs_ != nullptr) {
     obs_->trace.instant(obs::kTrackCommitteeBase + k, "accusation", "recovery",
                         now,
@@ -819,19 +739,17 @@ void Engine::begin_accusation(NodeState& accuser, std::uint32_t k,
   accusation.accuser = accuser.keys.pk;
   accusation.kind = kind;
   accusation.witness = std::move(witness);
-  accuser.pending_accusation = accusation;
-  accuser.impeach_approvals.clear();
+  accuser.round.pending_accusation = accusation;
+  accuser.round.impeach_approvals.clear();
   // The accuser approves its own impeachment.
-  accuser.impeach_approvals.push_back(crypto::make_signed(
+  accuser.round.impeach_approvals.push_back(crypto::make_signed(
       accuser.keys, ImpeachmentCert::approval_payload(accusation)));
 
   net_->multicast(accuser.id, committee_members(k), net::Tag::kAccuse,
                   accusation.serialize());
-  (void)now;
 }
 
-void Engine::on_accuse(NodeState& self, const net::Message& msg,
-                       net::Time now) {
+void Engine::on_accuse(NodeState& self, const net::Message& msg) {
   const auto accusation = Accusation::deserialize(msg.payload());
   if (self.committee != static_cast<std::int64_t>(accusation.committee)) return;
   const net::NodeId accuser_id = node_of_pk(accusation.accuser);
@@ -850,7 +768,7 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg,
       // TXList broadcast is the first leader action every member sees,
       // so corroboration is only possible once the intra phase started.
       approve = net_->phase() >= net::Phase::kIntraConsensus &&
-                !self.leader_sent_txlist;
+                !self.round.leader_sent_txlist;
     } else {
       // Cross-shard concealment: the witness is the certified hint; we
       // approve when the origin certificate checks out and our leader
@@ -858,23 +776,19 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg,
       // additionally bind the member list to the origin's
       // semi-commitment; common members (who never received the acks)
       // rely on signature verification, and the referee re-checks the
-      // binding at prosecution time.
-      try {
-        const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
-        const crypto::Digest* commitment = self.commitments.find(req.origin);
-        if (commitment != nullptr &&
-            !verify_semi_commitment(*commitment, req.origin_members)) {
-          return;  // provably fabricated list
-        }
-        wire::CrossTxListMsg canonical = req;
-        const auto cert = consensus::QuorumCert::deserialize(req.origin_cert);
-        const bool cert_ok =
-            cert.digest == crypto::sha256(canonical.agreed_payload()) &&
-            cert.verify(req.origin_members, req.origin_members.size());
-        approve = cert_ok && !self.cross_seen_propose.contains(req.origin);
-      } catch (const std::exception&) {
-        approve = false;
+      // binding at prosecution time. A malformed witness throws, and
+      // dispatch drops the accusation.
+      const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
+      const crypto::Digest* commitment =
+          self.round.commitments.find(req.origin);
+      if (commitment != nullptr &&
+          !verify_semi_commitment(*commitment, req.origin_members)) {
+        return;  // provably fabricated list
       }
+      approve =
+          certifies(req.origin_cert, req.agreed_payload(),
+                    req.origin_members) &&
+          !self.round.cross_seen_propose.contains(req.origin);
     }
   }
   if (!approve) return;
@@ -882,34 +796,31 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg,
       self.keys, ImpeachmentCert::approval_payload(accusation));
   net_->send(self.id, accuser_id, net::Tag::kImpeachVote,
              approval.serialize());
-  (void)now;
 }
 
-void Engine::on_impeach_vote(NodeState& self, const net::Message& msg,
-                             net::Time now) {
-  if (!self.pending_accusation || self.sent_prosecution) return;
+void Engine::on_impeach_vote(NodeState& self, const net::Message& msg) {
+  if (!self.round.pending_accusation || self.round.sent_prosecution) return;
   const auto approval = crypto::SignedMessage::deserialize(msg.payload());
   const Bytes expected =
-      ImpeachmentCert::approval_payload(*self.pending_accusation);
+      ImpeachmentCert::approval_payload(*self.round.pending_accusation);
   if (!equal(approval.payload, expected) || !approval.valid()) return;
-  for (const auto& existing : self.impeach_approvals) {
+  for (const auto& existing : self.round.impeach_approvals) {
     if (existing.signer == approval.signer) return;
   }
-  self.impeach_approvals.push_back(approval);
+  self.round.impeach_approvals.push_back(approval);
 
-  const std::uint32_t k = self.pending_accusation->committee;
+  const std::uint32_t k = self.round.pending_accusation->committee;
   const std::size_t committee_size = assign_.committees[k].size();
-  if (self.impeach_approvals.size() * 2 > committee_size) {
+  if (self.round.impeach_approvals.size() * 2 > committee_size) {
     ImpeachmentCert cert;
-    cert.accusation = *self.pending_accusation;
-    cert.approvals = self.impeach_approvals;
+    cert.accusation = *self.round.pending_accusation;
+    cert.approvals = self.round.impeach_approvals;
     const auto payload = net::make_payload(cert.serialize());
     for (net::NodeId rm : assign_.referees) {
       net_->send_shared(self.id, rm, net::Tag::kProsecute, payload);
     }
-    self.sent_prosecution = true;
+    self.round.sent_prosecution = true;
   }
-  (void)now;
 }
 
 bool Engine::referee_corroborates_timeout(const NodeState& referee,
@@ -919,28 +830,22 @@ bool Engine::referee_corroborates_timeout(const NodeState& referee,
     // Leader silence: the referee corroborates when it too received no
     // certified output from that committee for the current phase.
     if (net_->phase() == net::Phase::kSemiCommit) {
-      return !referee.commitments.contains(k);
+      return !referee.round.commitments.contains(k);
     }
     return !committees_[k].intra_result.has_value();
   }
   // Cross concealment: the hint proves the origin committee produced a
-  // certified list, yet no cross result for (origin -> k) arrived.
-  try {
-    const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
-    if (req.dest != k) return false;
-    const crypto::Digest* commitment = referee.commitments.find(req.origin);
-    if (commitment == nullptr) return false;
-    if (!verify_semi_commitment(*commitment, req.origin_members)) return false;
-    wire::CrossTxListMsg canonical = req;
-    const auto cert = consensus::QuorumCert::deserialize(req.origin_cert);
-    if (cert.digest != crypto::sha256(canonical.agreed_payload())) return false;
-    if (!cert.verify(req.origin_members, req.origin_members.size())) {
-      return false;
-    }
-    return !committees_[k].cross_results.contains(req.origin);
-  } catch (const std::exception&) {
-    return false;
-  }
+  // certified list, yet no cross result for (origin -> k) arrived. A
+  // malformed witness throws, and dispatch drops the prosecution.
+  const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
+  if (req.dest != k) return false;
+  const crypto::Digest* commitment =
+      referee.round.commitments.find(req.origin);
+  if (commitment == nullptr) return false;
+  if (!verify_semi_commitment(*commitment, req.origin_members)) return false;
+  return certifies(req.origin_cert, req.agreed_payload(),
+                   req.origin_members) &&
+         !committees_[k].cross_results.contains(req.origin);
 }
 
 void Engine::on_prosecute(NodeState& self, const net::Message& msg,
@@ -1021,7 +926,6 @@ void Engine::referee_convict(NodeState& referee, const Accusation& accusation,
   w.bytes(impeachment);
   leader_start_instance(referee, params_.m,
                         seq::reselect(k, committees_[k].attempt), w.take());
-  (void)now;
 }
 
 void Engine::announce_new_leader(NodeState& referee, std::uint32_t k) {
@@ -1045,16 +949,13 @@ void Engine::announce_new_leader(NodeState& referee, std::uint32_t k) {
   install_new_leader(k, replacement, net_->now());
 }
 
-void Engine::on_new_leader(NodeState& self, const net::Message& msg,
-                           net::Time now) {
+void Engine::on_new_leader(NodeState& self, const net::Message& msg) {
   // Member-side state refresh; the authoritative switch happened in
   // install_new_leader when C_R certified the re-selection.
   const auto announcement = wire::NewLeaderMsg::deserialize(msg.payload());
   if (self.committee == static_cast<std::int64_t>(announcement.committee)) {
-    self.leader_sent_txlist = false;
-    self.leader_sent_commitment = false;
+    self.round.leader_sent_txlist = false;
   }
-  (void)now;
 }
 
 void Engine::install_new_leader(std::uint32_t k, net::NodeId new_leader,
@@ -1077,6 +978,7 @@ void Engine::install_new_leader(std::uint32_t k, net::NodeId new_leader,
   nodes_[old_leader].role = Role::kCommon;  // evicted
   nodes_[new_leader].role = Role::kLeader;
   committees_[k].current_leader = new_leader;
+  committees_[k].duties = {};
   committees_[k].attempt += 1;
   committees_[k].recoveries += 1;
 
@@ -1093,18 +995,19 @@ void Engine::redo_leader_duties(std::uint32_t k, net::Time now) {
   }
   switch (net_->phase()) {
     case net::Phase::kIntraConsensus:
-      leader_start_intra(k, now);
+      leader_start_list(k, ListKind::kIntra, now);
       break;
     case net::Phase::kInterConsensus:
-      leader_start_intra(k, now);  // recover the intra output too
-      leader_start_cross(k, now);
+      // recover the intra output too
+      leader_start_list(k, ListKind::kIntra, now);
+      leader_start_list(k, ListKind::kCross, now);
       // Process any cross lists the partial member already holds.
-      for (const auto& [origin, hint] : leader.cross_hints) {
-        leader_handle_cross_in(leader, hint, now);
+      for (const auto& [origin, hint] : leader.round.cross_hints) {
+        leader_handle_cross_in(leader, hint);
       }
       break;
     case net::Phase::kReputation:
-      leader_send_scores(k, now);
+      leader_send_scores(k);
       break;
     default:
       break;

@@ -197,6 +197,26 @@ TEST(EngineHonest, ForgedSendFromUnknownNodeThrows) {
   EXPECT_EQ(engine.net().idle(), idle_before);
 }
 
+TEST(EngineHonest, ForgedVoteCommitteeOutOfRange) {
+  // A kVote naming committee m (one past the last) is dropped before its
+  // id indexes the per-committee round state.
+  const Params params = small_params(17);
+  Engine engine(params, AdversaryConfig{});
+  ASSERT_GT(engine.run_round().txs_committed, 0u);
+  rng::Stream rng(17);
+  wire::VoteMsg forged;
+  forged.committee = params.m;
+  forged.signed_vote = crypto::make_signed(crypto::KeyPair::generate(rng),
+                                           wire::encode_vote_vec({}));
+  const Bytes payload = forged.serialize();
+  for (net::NodeId to = 1; to < engine.node_count(); ++to) {
+    engine.net_mut().send(0, to, net::Tag::kVote, payload);
+  }
+  const RoundReport next = engine.run_round();
+  EXPECT_GT(next.txs_committed, 0u);
+  EXPECT_FALSE(next.block_void);
+}
+
 TEST(EngineHonest, ThroughputScalesWithCommittees) {
   // §III-D Scalability: more committees -> more committed transactions
   // per round (quasi-linear growth).
