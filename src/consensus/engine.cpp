@@ -1,55 +1,6 @@
 #include "consensus/engine.hpp"
 
-#include "support/serde.hpp"
-
 namespace cyc::consensus {
-
-// --- wire bundles ------------------------------------------------------------
-
-Bytes ProposeWire::serialize() const {
-  Writer w;
-  w.bytes(sig.serialize());
-  w.bytes(message);
-  return w.take();
-}
-
-ProposeWire ProposeWire::deserialize(BytesView b) {
-  Reader rd(b);
-  ProposeWire w;
-  w.sig = crypto::SignedMessage::deserialize(rd.bytes());
-  w.message = rd.bytes();
-  return w;
-}
-
-Bytes EchoWire::serialize() const {
-  Writer w;
-  w.bytes(sig.serialize());
-  w.bytes(body.serialize());
-  return w.take();
-}
-
-EchoWire EchoWire::deserialize(BytesView b) {
-  Reader rd(b);
-  EchoWire w;
-  w.sig = crypto::SignedMessage::deserialize(rd.bytes());
-  w.body = Echo::deserialize(rd.bytes());
-  return w;
-}
-
-Bytes ConfirmWire::serialize() const {
-  Writer w;
-  w.bytes(sig.serialize());
-  w.bytes(body.serialize());
-  return w.take();
-}
-
-ConfirmWire ConfirmWire::deserialize(BytesView b) {
-  Reader rd(b);
-  ConfirmWire w;
-  w.sig = crypto::SignedMessage::deserialize(rd.bytes());
-  w.body = Confirm::deserialize(rd.bytes());
-  return w;
-}
 
 // --- LeaderInstance -----------------------------------------------------------
 

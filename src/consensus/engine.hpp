@@ -22,8 +22,10 @@ struct ProposeWire {
   crypto::SignedMessage sig;  ///< signs Propose::signed_part()
   Bytes message;              ///< M
 
-  Bytes serialize() const;
-  static ProposeWire deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(nested(s.sig), s.message); }
+  Bytes serialize() const { return encode(*this); }
+  static ProposeWire deserialize(BytesView b) { return decode<ProposeWire>(b); }
 };
 
 /// Wire bundle for an ECHO: member's signature over the header plus body.
@@ -31,8 +33,10 @@ struct EchoWire {
   crypto::SignedMessage sig;  ///< signs Echo::signed_part()
   Echo body;
 
-  Bytes serialize() const;
-  static EchoWire deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(nested(s.sig), nested(s.body)); }
+  Bytes serialize() const { return encode(*this); }
+  static EchoWire deserialize(BytesView b) { return decode<EchoWire>(b); }
 };
 
 /// Wire bundle for a CONFIRM.
@@ -40,8 +44,10 @@ struct ConfirmWire {
   crypto::SignedMessage sig;  ///< signs Confirm::signed_part()
   Confirm body;
 
-  Bytes serialize() const;
-  static ConfirmWire deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(nested(s.sig), nested(s.body)); }
+  Bytes serialize() const { return encode(*this); }
+  static ConfirmWire deserialize(BytesView b) { return decode<ConfirmWire>(b); }
 };
 
 /// A PROPOSE as received: the decoded wire plus its receiver-independent

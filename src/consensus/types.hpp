@@ -13,6 +13,7 @@
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "support/bytes.hpp"
+#include "support/serde.hpp"
 
 namespace cyc::consensus {
 
@@ -22,6 +23,8 @@ struct InstanceId {
   std::uint64_t round = 0;
   std::uint64_t sn = 0;
 
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.round, s.sn); }
   bool operator==(const InstanceId&) const = default;
   auto operator<=>(const InstanceId&) const = default;
 };
@@ -34,8 +37,10 @@ struct Propose {
 
   /// Signed portion: <PROPOSE, r, sn, H(M)>.
   Bytes signed_part() const;
-  Bytes serialize() const;
-  static Propose deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.id, s.digest, s.message); }
+  Bytes serialize() const { return encode(*this); }
+  static Propose deserialize(BytesView b) { return decode<Propose>(b); }
 };
 
 /// The leader-signed PROPOSE header <PROPOSE, r, sn, H(M)> as read back
@@ -58,8 +63,12 @@ struct Echo {
   crypto::SignedMessage propose_sig;  ///< relayed signed PROPOSE
 
   Bytes signed_part() const;
-  Bytes serialize() const;
-  static Echo deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.id, s.digest, s.member, nested(s.propose_sig));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static Echo deserialize(BytesView b) { return decode<Echo>(b); }
 };
 
 /// A member's CONFIRM: <r, sn, H(M), i> plus the collected EchoList.
@@ -70,8 +79,12 @@ struct Confirm {
   std::vector<crypto::SignedMessage> echo_list;
 
   Bytes signed_part() const;
-  Bytes serialize() const;
-  static Confirm deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.id, s.digest, s.member, nested_each(s.echo_list));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static Confirm deserialize(BytesView b) { return decode<Confirm>(b); }
 };
 
 /// The SigList returned by Algorithm 3: >C/2 signed CONFIRMs over one
@@ -82,8 +95,12 @@ struct QuorumCert {
   crypto::Digest digest{};
   std::vector<crypto::SignedMessage> confirms;
 
-  Bytes serialize() const;
-  static QuorumCert deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.id, s.digest, nested_each(s.confirms));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static QuorumCert deserialize(BytesView b) { return decode<QuorumCert>(b); }
 
   /// Verify: every confirm is a valid signature by a *distinct* member of
   /// `committee` over <CONFIRM, r, sn, digest>, and there are more than
@@ -99,8 +116,14 @@ struct EquivocationWitness {
   crypto::SignedMessage first;
   crypto::SignedMessage second;
 
-  Bytes serialize() const;
-  static EquivocationWitness deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(nested(s.first), nested(s.second));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static EquivocationWitness deserialize(BytesView b) {
+    return decode<EquivocationWitness>(b);
+  }
 
   /// Valid iff both messages verify under `leader`, decode as PROPOSEs
   /// with the same instance id, and carry different digests.

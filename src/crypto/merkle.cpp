@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "support/serde.hpp"
-
 namespace cyc::crypto {
 
 namespace {
@@ -19,27 +17,6 @@ Digest hash_node(const Digest& left, const Digest& right) {
 }
 
 }  // namespace
-
-Bytes MerkleProof::serialize() const {
-  Writer w;
-  w.u64(index);
-  w.u32(static_cast<std::uint32_t>(siblings.size()));
-  for (const auto& s : siblings) w.bytes(digest_to_bytes(s));
-  return w.take();
-}
-
-MerkleProof MerkleProof::deserialize(BytesView b) {
-  Reader rd(b);
-  MerkleProof p;
-  p.index = rd.u64();
-  const std::uint32_t count = rd.u32();
-  // Each sibling is a length-prefixed 32-byte digest.
-  p.siblings.reserve(rd.reservable(count, 4 + 32));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    p.siblings.push_back(digest_from_bytes(rd.bytes()));
-  }
-  return p;
-}
 
 MerkleTree::MerkleTree(const std::vector<Bytes>& leaves)
     : leaf_count_(leaves.size()) {

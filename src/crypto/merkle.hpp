@@ -11,6 +11,7 @@
 
 #include "crypto/sha256.hpp"
 #include "support/bytes.hpp"
+#include "support/serde.hpp"
 
 namespace cyc::crypto {
 
@@ -18,8 +19,10 @@ struct MerkleProof {
   std::uint64_t index = 0;          ///< leaf position
   std::vector<Digest> siblings;     ///< bottom-up sibling hashes
 
-  Bytes serialize() const;
-  static MerkleProof deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.index, s.siblings); }
+  Bytes serialize() const { return encode(*this); }
+  static MerkleProof deserialize(BytesView b) { return decode<MerkleProof>(b); }
 };
 
 class MerkleTree {

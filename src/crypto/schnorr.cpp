@@ -3,8 +3,6 @@
 #include <random>
 #include <unordered_map>
 
-#include "support/serde.hpp"
-
 namespace cyc::crypto {
 
 namespace {
@@ -87,21 +85,6 @@ KeyPair KeyPair::generate(rng::Stream& rng) {
 KeyPair KeyPair::from_seed(std::uint64_t seed) {
   rng::Stream stream(seed);
   return generate(stream);
-}
-
-Bytes Signature::serialize() const {
-  Writer w;
-  w.u64(r);
-  w.u64(s);
-  return w.take();
-}
-
-Signature Signature::deserialize(BytesView b) {
-  Reader rd(b);
-  Signature sig;
-  sig.r = rd.u64();
-  sig.s = rd.u64();
-  return sig;
 }
 
 namespace {
@@ -224,25 +207,6 @@ bool verify_batch(const std::vector<const SignedMessage*>& msgs) {
     t_cache.verdicts.emplace(unknown_fp[i], true);
   }
   return true;
-}
-
-Bytes SignedMessage::serialize() const {
-  Writer w;
-  w.u64(signer.y);
-  w.bytes(payload);
-  w.u64(sig.r);
-  w.u64(sig.s);
-  return w.take();
-}
-
-SignedMessage SignedMessage::deserialize(BytesView b) {
-  Reader rd(b);
-  SignedMessage m;
-  m.signer.y = rd.u64();
-  m.payload = rd.bytes();
-  m.sig.r = rd.u64();
-  m.sig.s = rd.u64();
-  return m;
 }
 
 SignedMessage make_signed(const KeyPair& keys, BytesView payload) {

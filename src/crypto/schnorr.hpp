@@ -17,12 +17,15 @@
 #include "crypto/sha256.hpp"
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
+#include "support/serde.hpp"
 
 namespace cyc::crypto {
 
 struct PublicKey {
   std::uint64_t y = 0;  ///< g^x mod p
 
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.y); }
   Bytes serialize() const;
   static PublicKey deserialize(BytesView b);
   bool operator==(const PublicKey&) const = default;
@@ -47,8 +50,10 @@ struct Signature {
   std::uint64_t r = 0;  ///< commitment R = g^k mod p
   std::uint64_t s = 0;  ///< response s = k + e*x mod q
 
-  Bytes serialize() const;
-  static Signature deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.r, s.s); }
+  Bytes serialize() const { return encode(*this); }
+  static Signature deserialize(BytesView b) { return decode<Signature>(b); }
   bool operator==(const Signature&) const = default;
 };
 
@@ -96,8 +101,12 @@ struct SignedMessage {
   /// Content fingerprint used as the cache key.
   std::uint64_t fingerprint() const;
 
-  Bytes serialize() const;
-  static SignedMessage deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.signer, s.payload, s.sig); }
+  Bytes serialize() const { return encode(*this); }
+  static SignedMessage deserialize(BytesView b) {
+    return decode<SignedMessage>(b);
+  }
   bool operator==(const SignedMessage&) const = default;
 };
 

@@ -1,7 +1,5 @@
 #include "crypto/vrf.hpp"
 
-#include "support/serde.hpp"
-
 namespace cyc::crypto {
 
 namespace {
@@ -9,23 +7,6 @@ Bytes domain_separated(BytesView input) {
   return concat({bytes_of("cyc.vrf"), input});
 }
 }  // namespace
-
-Bytes VrfOutput::serialize() const {
-  Writer w;
-  w.bytes(digest_to_bytes(hash));
-  w.u64(proof.r);
-  w.u64(proof.s);
-  return w.take();
-}
-
-VrfOutput VrfOutput::deserialize(BytesView b) {
-  Reader rd(b);
-  VrfOutput out;
-  out.hash = digest_from_bytes(rd.bytes());
-  out.proof.r = rd.u64();
-  out.proof.s = rd.u64();
-  return out;
-}
 
 VrfOutput vrf_prove(const SecretKey& sk, BytesView input) {
   const Bytes msg = domain_separated(input);

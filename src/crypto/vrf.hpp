@@ -21,8 +21,10 @@ struct VrfOutput {
   Digest hash{};        ///< pseudorandom 32-byte output
   Signature proof;      ///< Schnorr signature acting as proof pi
 
-  Bytes serialize() const;
-  static VrfOutput deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.hash, s.proof); }
+  Bytes serialize() const { return encode(*this); }
+  static VrfOutput deserialize(BytesView b) { return decode<VrfOutput>(b); }
   bool operator==(const VrfOutput&) const = default;
 };
 

@@ -46,6 +46,15 @@ struct EpochHandoff {
   /// without a plan keep their pre-rebalance byte encoding and digest).
   std::optional<RebalancePlan> plan;
 
+  /// Every field but the plan, which serialize() appends as a u8 1 and
+  /// the nested plan when present; deserialize() reads it iff bytes remain.
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(Literal{"EPOCH_HANDOFF"}, s.epoch, s.boundary_round, s.randomness,
+       s.chain_tip, s.chain_height, s.shard_digests, s.carried_txs,
+       s.carried_digest, s.surviving_reputation, s.members, s.joined,
+       s.retired, s.join_candidates, s.beacon_disqualified);
+  }
   /// Canonical encoding (deterministic; digest() hashes it).
   Bytes serialize() const;
   static EpochHandoff deserialize(BytesView b);

@@ -6,48 +6,8 @@
 #include <stdexcept>
 
 #include "analysis/bounds.hpp"
-#include "support/serde.hpp"
 
 namespace cyc::epoch {
-
-Bytes RebalancePlan::serialize() const {
-  Writer w;
-  w.str("REBALANCE_PLAN");
-  w.u64(epoch);
-  w.u32(m_before);
-  w.u32(m_after);
-  w.vec(moves, [](Writer& w2, const ledger::AccountMove& mv) {
-    w2.u64(mv.account);
-    w2.u32(mv.from);
-    w2.u32(mv.to);
-  });
-  w.f64(fair_draw_tail);
-  w.bytes(crypto::digest_to_bytes(map_digest));
-  w.u64(migrated_outputs);
-  return w.take();
-}
-
-RebalancePlan RebalancePlan::deserialize(BytesView b) {
-  Reader r(b);
-  if (r.str() != "REBALANCE_PLAN") {
-    throw std::invalid_argument("RebalancePlan: bad magic");
-  }
-  RebalancePlan plan;
-  plan.epoch = r.u64();
-  plan.m_before = r.u32();
-  plan.m_after = r.u32();
-  plan.moves = r.vec<ledger::AccountMove>(16, [](Reader& r2) {
-    ledger::AccountMove mv;
-    mv.account = r2.u64();
-    mv.from = r2.u32();
-    mv.to = r2.u32();
-    return mv;
-  });
-  plan.fair_draw_tail = r.f64();
-  plan.map_digest = crypto::digest_from_bytes(r.bytes());
-  plan.migrated_outputs = r.u64();
-  return plan;
-}
 
 crypto::Digest RebalancePlan::digest() const {
   return crypto::sha256(serialize());

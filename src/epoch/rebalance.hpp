@@ -23,6 +23,7 @@
 #include "crypto/sha256.hpp"
 #include "ledger/shard_map.hpp"
 #include "protocol/params.hpp"
+#include "support/serde.hpp"
 
 namespace cyc::epoch {
 
@@ -46,8 +47,15 @@ struct RebalancePlan {
   /// applied (filled by the manager after Engine::apply_rebalance).
   std::uint64_t migrated_outputs = 0;
 
-  Bytes serialize() const;
-  static RebalancePlan deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(Literal{"REBALANCE_PLAN"}, s.epoch, s.m_before, s.m_after, s.moves,
+       s.fair_draw_tail, s.map_digest, s.migrated_outputs);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static RebalancePlan deserialize(BytesView b) {
+    return decode<RebalancePlan>(b);
+  }
   crypto::Digest digest() const;
 
   bool operator==(const RebalancePlan&) const = default;

@@ -1,29 +1,6 @@
 #include "ledger/block.hpp"
 
-#include "support/serde.hpp"
-
 namespace cyc::ledger {
-
-Bytes BlockHeader::serialize() const {
-  Writer w;
-  w.u64(round);
-  w.bytes(crypto::digest_to_bytes(prev_hash));
-  w.bytes(crypto::digest_to_bytes(body_root));
-  w.bytes(crypto::digest_to_bytes(randomness));
-  w.u32(tx_count);
-  return w.take();
-}
-
-BlockHeader BlockHeader::deserialize(BytesView b) {
-  Reader rd(b);
-  BlockHeader h;
-  h.round = rd.u64();
-  h.prev_hash = crypto::digest_from_bytes(rd.bytes());
-  h.body_root = crypto::digest_from_bytes(rd.bytes());
-  h.randomness = crypto::digest_from_bytes(rd.bytes());
-  h.tx_count = rd.u32();
-  return h;
-}
 
 crypto::Digest BlockHeader::hash() const {
   return crypto::sha256_concat({bytes_of("cyc.blockheader"), serialize()});
@@ -63,26 +40,6 @@ crypto::MerkleProof Block::prove_inclusion(std::size_t index) const {
 bool Block::verify_inclusion(const BlockHeader& header, const Transaction& tx,
                              const crypto::MerkleProof& proof) {
   return crypto::MerkleTree::verify(header.body_root, tx.serialize(), proof);
-}
-
-Bytes Block::serialize() const {
-  Writer w;
-  w.bytes(header.serialize());
-  w.u32(static_cast<std::uint32_t>(txs.size()));
-  for (const auto& tx : txs) w.bytes(tx.serialize());
-  return w.take();
-}
-
-Block Block::deserialize(BytesView b) {
-  Reader rd(b);
-  Block block;
-  block.header = BlockHeader::deserialize(rd.bytes());
-  const std::uint32_t count = rd.u32();
-  block.txs.reserve(rd.reservable(count, Transaction::kMinWireBytes));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    block.txs.push_back(Transaction::deserialize(rd.bytes()));
-  }
-  return block;
 }
 
 Chain::Chain() {

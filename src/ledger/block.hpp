@@ -14,6 +14,7 @@
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
 #include "ledger/types.hpp"
+#include "support/serde.hpp"
 
 namespace cyc::ledger {
 
@@ -24,8 +25,12 @@ struct BlockHeader {
   crypto::Digest randomness{};  ///< R^{r+1} carried in the block
   std::uint32_t tx_count = 0;
 
-  Bytes serialize() const;
-  static BlockHeader deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.round, s.prev_hash, s.body_root, s.randomness, s.tx_count);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static BlockHeader deserialize(BytesView b) { return decode<BlockHeader>(b); }
 
   /// Header hash (chains the blocks).
   crypto::Digest hash() const;
@@ -53,8 +58,10 @@ struct Block {
                                const Transaction& tx,
                                const crypto::MerkleProof& proof);
 
-  Bytes serialize() const;
-  static Block deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(nested(s.header), s.txs); }
+  Bytes serialize() const { return encode(*this); }
+  static Block deserialize(BytesView b) { return decode<Block>(b); }
 };
 
 /// An append-only, linkage-checked chain of blocks.

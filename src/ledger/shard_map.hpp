@@ -32,6 +32,8 @@ struct AccountMove {
   ShardId from = 0;
   ShardId to = 0;
 
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.account, s.from, s.to); }
   bool operator==(const AccountMove&) const = default;
 };
 

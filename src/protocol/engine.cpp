@@ -1013,8 +1013,8 @@ void Engine::adopt_quorum_scores() {
     }
     const auto scores =
         wire::ScoreListMsg::deserialize(*committees_[k].score_report);
-    for (std::size_t i = 0; i < scores.nodes.size(); ++i) {
-      pending_scores_[scores.nodes[i]] = scores.scores[i];
+    for (const auto& [node, score] : scores.entries) {
+      pending_scores_[node] = score;
     }
   }
 }

@@ -702,9 +702,8 @@ void Engine::leader_send_scores(std::uint32_t k) {
     if (id == leader.id) continue;
     const VoteVector vote = joined(vote_of(duties.intra, id),
                                    vote_of(duties.cross, id), Vote::kUnknown);
-    scores.nodes.push_back(id);
-    scores.scores.push_back(decision.empty() ? 0.0
-                                             : cosine_score(vote, decision));
+    scores.entries.push_back(
+        {id, decision.empty() ? 0.0 : cosine_score(vote, decision)});
   }
   committee.pending_score_payload = scores.serialize();
   leader_start_instance(leader, k, seq::score(committee.attempt),

@@ -10,6 +10,7 @@
 #include "protocol/reputation.hpp"
 #include "protocol/sortition.hpp"
 #include "support/bytes.hpp"
+#include "support/serde.hpp"
 
 namespace cyc::protocol::wire {
 
@@ -19,16 +20,24 @@ struct Intro {
   crypto::PublicKey pk;
   SortitionTicket ticket;
 
-  Bytes serialize() const;
-  static Intro deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.node, s.pk, s.ticket.committee, nested(s.ticket.proof));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static Intro deserialize(BytesView b) { return decode<Intro>(b); }
 };
 
-/// MEM_LIST: a key member's current registration list.
+/// MEM_LIST: a key member's current registration list, as two parallel
+/// vectors of equal length.
 struct MemberListMsg {
   std::vector<std::uint32_t> nodes;
   std::vector<crypto::PublicKey> pks;
 
-  Bytes serialize() const;
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.nodes, s.pks); }
+  Bytes serialize() const { return encode(*this); }
+  /// Throws std::invalid_argument if the two counts differ.
   static MemberListMsg deserialize(BytesView b);
 };
 
@@ -38,6 +47,9 @@ struct ConsensusEnvelope {
   std::uint64_t sn = 0;
   Bytes wire;
 
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.scope, s.sn, s.wire); }
+  /// Both count themselves; see consensus_encodes() / consensus_decodes().
   Bytes serialize() const;
   static ConsensusEnvelope deserialize(BytesView b);
 };
@@ -49,8 +61,14 @@ struct SemiCommitMsg {
   crypto::SignedMessage commitment_msg;
   crypto::SignedMessage list_msg;
 
-  Bytes serialize() const;
-  static SemiCommitMsg deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.committee, nested(s.commitment_msg), nested(s.list_msg));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static SemiCommitMsg deserialize(BytesView b) {
+    return decode<SemiCommitMsg>(b);
+  }
 };
 
 /// Referee relay of an accepted semi-commitment to all key members.
@@ -60,8 +78,14 @@ struct SemiCommitAck {
   std::vector<crypto::PublicKey> members;
   Bytes cert;  ///< serialized QuorumCert from the C_R check
 
-  Bytes serialize() const;
-  static SemiCommitAck deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.committee, s.commitment, s.members, s.cert);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static SemiCommitAck deserialize(BytesView b) {
+    return decode<SemiCommitAck>(b);
+  }
 };
 
 /// TX_LIST the leader broadcasts (intra or cross list).
@@ -69,14 +93,22 @@ struct TxListMsg {
   std::uint32_t committee = 0;
   std::uint32_t attempt = 0;
   bool cross = false;
-  crypto::SignedMessage signed_list;  ///< payload = serialized txs
+  crypto::SignedMessage signed_list;  ///< payload = encode_tx_vec
 
-  Bytes serialize() const;
-  static TxListMsg deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.committee, s.attempt, s.cross, nested(s.signed_list));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static TxListMsg deserialize(BytesView b) { return decode<TxListMsg>(b); }
 };
 
-Bytes encode_tx_vec(const std::vector<ledger::Transaction>& txs);
-std::vector<ledger::Transaction> decode_tx_vec(BytesView b);
+inline Bytes encode_tx_vec(const std::vector<ledger::Transaction>& txs) {
+  return encode(txs);
+}
+inline std::vector<ledger::Transaction> decode_tx_vec(BytesView b) {
+  return decode<std::vector<ledger::Transaction>>(b);
+}
 
 /// VOTE reply.
 struct VoteMsg {
@@ -85,12 +117,18 @@ struct VoteMsg {
   bool cross = false;
   crypto::SignedMessage signed_vote;  ///< payload = encode_vote_vec
 
-  Bytes serialize() const;
-  static VoteMsg deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.committee, s.attempt, s.cross, nested(s.signed_vote));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static VoteMsg deserialize(BytesView b) { return decode<VoteMsg>(b); }
 };
 
-Bytes encode_vote_vec(const VoteVector& votes);
-VoteVector decode_vote_vec(BytesView b);
+inline Bytes encode_vote_vec(const VoteVector& votes) { return encode(votes); }
+inline VoteVector decode_vote_vec(BytesView b) {
+  return decode<VoteVector>(b);
+}
 
 /// The message M agreed by Alg. 3 in the intra phase: TXdecSET + VList
 /// digest (the full VList travels alongside; digest keeps M small).
@@ -100,8 +138,15 @@ struct IntraDecision {
   std::vector<ledger::Transaction> txdec_set;
   crypto::Digest vlist_digest{};
 
-  Bytes serialize() const;
-  static IntraDecision deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(Literal{"INTRA_DEC"}, s.committee, s.attempt, nested(s.txdec_set),
+       s.vlist_digest);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static IntraDecision deserialize(BytesView b) {
+    return decode<IntraDecision>(b);
+  }
 };
 
 /// INTRA result sent to the referees: decision + quorum certificate.
@@ -109,8 +154,12 @@ struct CertifiedResult {
   Bytes payload;  ///< the agreed message M
   Bytes cert;     ///< serialized QuorumCert over H(M)
 
-  Bytes serialize() const;
-  static CertifiedResult deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.payload, s.cert); }
+  Bytes serialize() const { return encode(*this); }
+  static CertifiedResult deserialize(BytesView b) {
+    return decode<CertifiedResult>(b);
+  }
 };
 
 /// Cross-shard TX list from committee `origin` to committee `dest`
@@ -126,8 +175,15 @@ struct CrossTxListMsg {
 
   /// The message the origin committee agreed on via Alg. 3.
   Bytes agreed_payload() const;
-  Bytes serialize() const;
-  static CrossTxListMsg deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.origin, s.dest, s.attempt, nested(s.txs), s.origin_cert,
+       s.origin_members);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static CrossTxListMsg deserialize(BytesView b) {
+    return decode<CrossTxListMsg>(b);
+  }
 };
 
 /// Destination committee's answer: both certificates travel to l_i and
@@ -139,18 +195,39 @@ struct CrossResultMsg {
 
   /// The acceptance message the destination committee agreed on.
   Bytes acceptance_payload() const;
-  Bytes serialize() const;
-  static CrossResultMsg deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(nested(s.request), s.dest_cert, s.dest_members);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static CrossResultMsg deserialize(BytesView b) {
+    return decode<CrossResultMsg>(b);
+  }
+};
+
+/// One node's cosine score in a ScoreList.
+struct ScoreEntry {
+  std::uint32_t node = 0;
+  double score = 0;
+
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.node, s.score); }
+  bool operator==(const ScoreEntry&) const = default;
 };
 
 /// ScoreList (§IV-E): per-node cosine scores.
 struct ScoreListMsg {
   std::uint32_t committee = 0;
-  std::vector<std::uint32_t> nodes;
-  std::vector<double> scores;
+  std::vector<ScoreEntry> entries;
 
-  Bytes serialize() const;
-  static ScoreListMsg deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(Literal{"SCORE_LIST"}, s.committee, s.entries);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static ScoreListMsg deserialize(BytesView b) {
+    return decode<ScoreListMsg>(b);
+  }
 };
 
 /// PoW registration (§IV-F).
@@ -160,8 +237,12 @@ struct PowMsg {
   std::uint64_t nonce = 0;
   crypto::Digest digest{};
 
-  Bytes serialize() const;
-  static PowMsg deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.node, s.pk, s.nonce, s.digest);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static PowMsg deserialize(BytesView b) { return decode<PowMsg>(b); }
 };
 
 /// NEW leader announcement (Alg. 6).
@@ -170,8 +251,14 @@ struct NewLeaderMsg {
   crypto::PublicKey evicted;
   crypto::PublicKey new_leader;
 
-  Bytes serialize() const;
-  static NewLeaderMsg deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.committee, s.evicted, s.new_leader);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static NewLeaderMsg deserialize(BytesView b) {
+    return decode<NewLeaderMsg>(b);
+  }
 };
 
 /// Block summary broadcast to every node (§IV-G). Carries enough for
@@ -182,7 +269,12 @@ struct BlockMsg {
   crypto::Digest randomness{};
   crypto::Digest body_root{};  ///< Merkle root over the tx leaves
 
-  Bytes serialize() const;
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.round, nested(s.txs), s.randomness, s.body_root);
+  }
+  Bytes serialize() const { return encode(*this); }
+  /// Counts itself; see block_decodes().
   static BlockMsg deserialize(BytesView b);
 };
 

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/serde.hpp"
+
 namespace cyc::protocol {
 
 enum class Vote : std::int8_t {
@@ -22,6 +24,14 @@ enum class Vote : std::int8_t {
 };
 
 using VoteVector = std::vector<Vote>;
+
+}  // namespace cyc::protocol
+
+/// A vote travels as one byte, offset so that kNo is 0.
+template <>
+inline constexpr int cyc::kEnumOffset<cyc::protocol::Vote> = 1;
+
+namespace cyc::protocol {
 
 /// Eq. 1: cosine similarity between a member's vote and the decision
 /// vector, in [-1, 1]. An all-Unknown vote (zero vector) scores 0.

@@ -76,21 +76,6 @@ crypto::Digest parse_commitment_payload(BytesView payload) {
   return crypto::digest_from_bytes(rd.bytes());
 }
 
-Bytes CommitmentMismatchWitness::serialize() const {
-  Writer w;
-  w.bytes(list_msg.serialize());
-  w.bytes(commitment_msg.serialize());
-  return w.take();
-}
-
-CommitmentMismatchWitness CommitmentMismatchWitness::deserialize(BytesView b) {
-  Reader rd(b);
-  CommitmentMismatchWitness w;
-  w.list_msg = crypto::SignedMessage::deserialize(rd.bytes());
-  w.commitment_msg = crypto::SignedMessage::deserialize(rd.bytes());
-  return w;
-}
-
 bool CommitmentMismatchWitness::valid(const crypto::PublicKey& leader) const {
   if (!(list_msg.signer == leader) || !(commitment_msg.signer == leader)) {
     return false;

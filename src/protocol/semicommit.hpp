@@ -14,6 +14,7 @@
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "support/bytes.hpp"
+#include "support/serde.hpp"
 
 namespace cyc::protocol {
 
@@ -36,8 +37,14 @@ struct CommitmentMismatchWitness {
   crypto::SignedMessage list_msg;        ///< leader-signed member list
   crypto::SignedMessage commitment_msg;  ///< leader-signed SEMI_COM
 
-  Bytes serialize() const;
-  static CommitmentMismatchWitness deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(nested(s.list_msg), nested(s.commitment_msg));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static CommitmentMismatchWitness deserialize(BytesView b) {
+    return decode<CommitmentMismatchWitness>(b);
+  }
 
   /// Valid iff both messages are signed by `leader` and the hash of the
   /// list payload differs from the committed digest.

@@ -15,29 +15,6 @@ std::string_view witness_kind_name(WitnessKind k) {
   return "unknown";
 }
 
-Bytes Accusation::serialize() const {
-  Writer w;
-  w.u64(round);
-  w.u32(committee);
-  w.u64(accused.y);
-  w.u64(accuser.y);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.bytes(witness);
-  return w.take();
-}
-
-Accusation Accusation::deserialize(BytesView b) {
-  Reader rd(b);
-  Accusation a;
-  a.round = rd.u64();
-  a.committee = rd.u32();
-  a.accused.y = rd.u64();
-  a.accuser.y = rd.u64();
-  a.kind = static_cast<WitnessKind>(rd.u8());
-  a.witness = rd.bytes();
-  return a;
-}
-
 bool Accusation::witness_valid() const {
   try {
     switch (kind) {
@@ -63,27 +40,6 @@ Bytes ImpeachmentCert::approval_payload(const Accusation& a) {
   w.str("IMPEACH");
   w.bytes(crypto::digest_to_bytes(crypto::sha256(a.serialize())));
   return w.take();
-}
-
-Bytes ImpeachmentCert::serialize() const {
-  Writer w;
-  w.bytes(accusation.serialize());
-  w.u32(static_cast<std::uint32_t>(approvals.size()));
-  for (const auto& sm : approvals) w.bytes(sm.serialize());
-  return w.take();
-}
-
-ImpeachmentCert ImpeachmentCert::deserialize(BytesView b) {
-  Reader rd(b);
-  ImpeachmentCert cert;
-  cert.accusation = Accusation::deserialize(rd.bytes());
-  const std::uint32_t count = rd.u32();
-  // Each approval is a length-prefixed SignedMessage (>= 32 bytes).
-  cert.approvals.reserve(rd.reservable(count, 32));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    cert.approvals.push_back(crypto::SignedMessage::deserialize(rd.bytes()));
-  }
-  return cert;
 }
 
 bool ImpeachmentCert::verify(const std::vector<crypto::PublicKey>& committee,

@@ -33,8 +33,12 @@ struct Accusation {
   WitnessKind kind = WitnessKind::kTimeout;
   Bytes witness;               ///< serialized witness for the kind
 
-  Bytes serialize() const;
-  static Accusation deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(s.round, s.committee, s.accused, s.accuser, s.kind, s.witness);
+  }
+  Bytes serialize() const { return encode(*this); }
+  static Accusation deserialize(BytesView b) { return decode<Accusation>(b); }
 
   /// Validity per Claim 3/4. For signed kinds this checks the witness
   /// cryptographically. Timeout accusations return false here — they are
@@ -49,8 +53,14 @@ struct ImpeachmentCert {
   Accusation accusation;
   std::vector<crypto::SignedMessage> approvals;
 
-  Bytes serialize() const;
-  static ImpeachmentCert deserialize(BytesView b);
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) {
+    io(nested(s.accusation), nested_each(s.approvals));
+  }
+  Bytes serialize() const { return encode(*this); }
+  static ImpeachmentCert deserialize(BytesView b) {
+    return decode<ImpeachmentCert>(b);
+  }
 
   /// >C/2 distinct committee members signed the accusation digest.
   bool verify(const std::vector<crypto::PublicKey>& committee,

@@ -40,6 +40,13 @@ void Writer::str(std::string_view v) {
   bytes(BytesView(reinterpret_cast<const std::uint8_t*>(v.data()), v.size()));
 }
 
+void Writer::patch_u32(std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    buf_[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((v >> (8 * (3 - i))) & 0xff);
+  }
+}
+
 void Reader::need(std::size_t n) const {
   if (pos_ + n > data_.size()) {
     throw std::out_of_range("Reader: truncated input");
@@ -76,18 +83,22 @@ double Reader::f64() {
 
 bool Reader::boolean() { return u8() != 0; }
 
-Bytes Reader::bytes() {
-  std::uint32_t len = u32();
+BytesView Reader::view() {
+  const std::uint32_t len = u32();
   need(len);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+  const BytesView out = data_.subspan(pos_, len);
   pos_ += len;
   return out;
 }
 
+Bytes Reader::bytes() {
+  const BytesView v = view();
+  return Bytes(v.begin(), v.end());
+}
+
 std::string Reader::str() {
-  Bytes b = bytes();
-  return std::string(b.begin(), b.end());
+  const BytesView v = view();
+  return std::string(v.begin(), v.end());
 }
 
 }  // namespace cyc

@@ -217,6 +217,24 @@ TEST(EngineHonest, ForgedVoteCommitteeOutOfRange) {
   EXPECT_FALSE(next.block_void);
 }
 
+TEST(EngineHonest, ForgedMemberListCountMismatch) {
+  // A MEM_LIST with two keys and no node ids is dropped at decode; a
+  // receiver never indexes the node ids by the key count.
+  const Params params = small_params(17);
+  Engine engine(params, AdversaryConfig{});
+  ASSERT_GT(engine.run_round().txs_committed, 0u);
+  wire::MemberListMsg forged;
+  forged.pks = {crypto::KeyPair::from_seed(1).pk,
+                crypto::KeyPair::from_seed(2).pk};
+  const Bytes payload = forged.serialize();
+  for (net::NodeId to = 1; to < engine.node_count(); ++to) {
+    engine.net_mut().send(0, to, net::Tag::kMemberList, payload);
+  }
+  const RoundReport next = engine.run_round();
+  EXPECT_GT(next.txs_committed, 0u);
+  EXPECT_FALSE(next.block_void);
+}
+
 TEST(EngineHonest, ThroughputScalesWithCommittees) {
   // §III-D Scalability: more committees -> more committed transactions
   // per round (quasi-linear growth).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ledger/shard_map.hpp"
 #include "support/serde.hpp"
 
 #include <stdexcept>
@@ -121,12 +122,10 @@ TEST(Payloads, CrossResultAcceptanceBinding) {
 TEST(Payloads, ScoreListRoundTrip) {
   ScoreListMsg m;
   m.committee = 1;
-  m.nodes = {4, 5, 6};
-  m.scores = {1.0, -0.5, 0.0};
+  m.entries = {{4, 1.0}, {5, -0.5}, {6, 0.0}};
   const auto back = ScoreListMsg::deserialize(m.serialize());
   EXPECT_EQ(back.committee, 1u);
-  EXPECT_EQ(back.nodes, m.nodes);
-  EXPECT_EQ(back.scores, m.scores);
+  EXPECT_EQ(back.entries, m.entries);
 }
 
 TEST(Payloads, NewLeaderRoundTrip) {
@@ -206,6 +205,18 @@ TEST(Payloads, MemberListForgedCountThrowsOutOfRange) {
   EXPECT_THROW(MemberListMsg::deserialize(w.out()), std::out_of_range);
 }
 
+TEST(Payloads, MemberListCountMismatchThrows) {
+  // Two keys but no node ids: a receiver must not index nodes by the
+  // key count.
+  MemberListMsg m;
+  m.pks = {crypto::KeyPair::from_seed(1).pk, crypto::KeyPair::from_seed(2).pk};
+  EXPECT_THROW(MemberListMsg::deserialize(m.serialize()),
+               std::invalid_argument);
+  m.nodes = {1, 2, 3};
+  EXPECT_THROW(MemberListMsg::deserialize(m.serialize()),
+               std::invalid_argument);
+}
+
 TEST(Payloads, PublicKeyListForgedCountThrowsOutOfRange) {
   Writer w;
   w.u32(0);
@@ -232,6 +243,23 @@ TEST(Payloads, ScoreListForgedCountThrowsOutOfRange) {
   w.u32(0);
   w.u32(0xFFFFFFFFu);
   EXPECT_THROW(ScoreListMsg::deserialize(w.out()), std::out_of_range);
+}
+
+// The reserve bound of every decoded vector is derived from its element's
+// field list; these are the per-element minimums the hand-written
+// decoders used to spell out.
+TEST(Payloads, DerivedElementMinimumsMatchFormerConstants) {
+  crypto::SignedMessage sm;
+  EXPECT_EQ(min_bytes(nested(sm)), 32u);
+  EXPECT_EQ(min_bytes(crypto::Digest{}), 36u);
+  EXPECT_EQ(min_bytes(ledger::Transaction{}), 40u);
+  EXPECT_EQ(min_bytes(ledger::Transaction{}),
+            ledger::Transaction::kMinWireBytes);
+  EXPECT_EQ(min_bytes(crypto::PublicKey{}), 8u);
+  EXPECT_EQ(min_bytes(std::uint32_t{}), 4u);
+  EXPECT_EQ(min_bytes(ledger::AccountMove{}), 16u);
+  EXPECT_EQ(min_bytes(Vote::kNo), 1u);
+  EXPECT_EQ(min_bytes(ScoreEntry{}), 12u);
 }
 
 }  // namespace
