@@ -93,7 +93,7 @@ struct TxListMsg {
   std::uint32_t committee = 0;
   std::uint32_t attempt = 0;
   bool cross = false;
-  crypto::SignedMessage signed_list;  ///< payload = encode_tx_vec
+  crypto::SignedMessage signed_list;  ///< payload = serialized txs
 
   template <class IO, class Self>
   static void fields(IO& io, Self& s) {

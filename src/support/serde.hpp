@@ -203,13 +203,11 @@ struct FieldSize {
   }
 };
 
-}  // namespace serde_detail
-
 /// A type that lists its wire fields.
 template <typename T>
-concept FieldList = requires(serde_detail::AnyIO& io, T& value) {
-  T::fields(io, value);
-};
+concept FieldList = requires(AnyIO& io, T& value) { T::fields(io, value); };
+
+}  // namespace serde_detail
 
 /// The smallest encoding a field of this kind can have. For a vector
 /// element it bounds how many elements the unread input can hold.

@@ -253,8 +253,6 @@ TEST(Payloads, DerivedElementMinimumsMatchFormerConstants) {
   EXPECT_EQ(min_bytes(nested(sm)), 32u);
   EXPECT_EQ(min_bytes(crypto::Digest{}), 36u);
   EXPECT_EQ(min_bytes(ledger::Transaction{}), 40u);
-  EXPECT_EQ(min_bytes(ledger::Transaction{}),
-            ledger::Transaction::kMinWireBytes);
   EXPECT_EQ(min_bytes(crypto::PublicKey{}), 8u);
   EXPECT_EQ(min_bytes(std::uint32_t{}), 4u);
   EXPECT_EQ(min_bytes(ledger::AccountMove{}), 16u);
