@@ -114,28 +114,10 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, std::uint64_t seed,
   outcome.seed = seed;
   outcome.epochs = spec.epochs;
 
-  if (spec.epochs <= 1) {
-    // Single-epoch path: a bare Engine, bit-for-bit the pre-epoch
-    // harness behaviour.
-    protocol::Engine engine(params, spec.adversary, spec.options);
-    engine.attach_observer(observer);
-    InvariantChecker checker(engine);
-    outcome.rounds = spec.rounds;
-    for (std::uint64_t r = 1; r <= spec.rounds; ++r) {
-      apply_events(spec, engine, r);
-      const protocol::RoundReport report = engine.run_round();
-      checker.check_round(report);
-      accumulate(outcome, report);
-    }
-    outcome.carryover = engine.carryover_size();
-    outcome.chain_height = engine.chain().height();
-    outcome.violations = checker.violations();
-    return outcome;
-  }
-
-  // Multi-epoch path: the epoch lifecycle drives the engine; every
-  // boundary's EpochHandoff is audited in addition to the per-round
-  // suite. Event rounds are absolute (continuing across boundaries).
+  // The epoch lifecycle drives the engine; with one epoch it only calls
+  // Engine::run_round. Every boundary's EpochHandoff is audited in
+  // addition to the per-round suite. Event rounds are absolute
+  // (continuing across boundaries).
   epoch::EpochConfig config;
   config.epochs = spec.epochs;
   config.rounds_per_epoch = spec.rounds;

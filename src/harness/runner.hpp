@@ -72,8 +72,9 @@ struct MatrixResult {
   bool all_green() const { return total_violations() == 0; }
 };
 
-/// Run one (scenario, seed) point: fresh Engine, events applied at their
-/// rounds, invariants checked after every round. With `observer`, the
+/// Run one (scenario, seed) point: a fresh Engine driven by an
+/// epoch::EpochManager (every spec, one epoch included), events applied at
+/// their rounds, invariants checked after every round. With `observer`, the
 /// engine records spans/metrics into it (the thread-local verify cache is
 /// cleared first so cache-hit metrics are thread-placement invariant).
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, std::uint64_t seed,

@@ -1,6 +1,10 @@
 #include "harness/scenario.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <concepts>
+#include <limits>
 #include <stdexcept>
 
 namespace cyc::harness {
@@ -18,187 +22,319 @@ constexpr std::array<Behavior, 10> kAllBehaviors = {
     Behavior::kFramer,
 };
 
-// Checked double -> unsigned conversions: a negative or out-of-range
-// number in a spec is a user error worth a diagnostic, and casting a
-// negative double to an unsigned type is undefined behaviour.
-std::uint64_t checked_u64(double value, std::string_view key) {
-  if (value < 0.0 || value > 1.8446744073709552e19) {
-    throw std::runtime_error("scenario: field '" + std::string(key) +
-                             "' must be a non-negative integer");
+// --- Field lists ------------------------------------------------------------
+//
+// Every struct a spec carries states its JSON keys once, in encoding
+// order. JsonOut (to_json) and JsonIn (from_json) walk the same list, so
+// the two directions cannot drift apart. `io.when(on)` opens a group the
+// writer emits only while `on` holds; the reader always accepts it. A key
+// marked kRequired must be present when reading.
+
+constexpr bool kRequired = true;
+
+/// Matches T and const T, so one list serves the writer and the reader.
+template <class Self, class T>
+concept Is = std::same_as<std::remove_const_t<Self>, T>;
+
+void fields(auto& io, Is<protocol::Params> auto& p) {
+  io("m", p.m);
+  io("c", p.c);
+  io("lambda", p.lambda);
+  io("referee_size", p.referee_size);
+  io("txs_per_committee", p.txs_per_committee);
+  io("cross_shard_fraction", p.cross_shard_fraction);
+  io("invalid_fraction", p.invalid_fraction);
+  io("users", p.users);
+  // The open-loop source is inert at rate 0 and zipf_s / mempool_cap mean
+  // nothing without it, so closed-loop specs omit the group.
+  if (io.when(p.arrival_rate > 0.0)) {
+    io("arrival_rate", p.arrival_rate);
+    io("zipf_s", p.zipf_s);
+    io("mempool_cap", p.mempool_cap);
   }
-  return static_cast<std::uint64_t>(value);
-}
-
-std::uint32_t checked_u32(double value, std::string_view key) {
-  if (value < 0.0 || value > 4294967295.0) {
-    throw std::runtime_error("scenario: field '" + std::string(key) +
-                             "' must fit in an unsigned 32-bit integer");
+  if (io.when(p.rebalance)) {
+    io("rebalance", p.rebalance);
+    io("rebalance_moves", p.rebalance_moves);
+    io("rebalance_split_budget", p.rebalance_split_budget);
   }
-  return static_cast<std::uint32_t>(value);
-}
-
-std::uint64_t u64_field(const JsonValue& v, std::string_view key,
-                        std::uint64_t fallback) {
-  return checked_u64(v.number_or(key, static_cast<double>(fallback)), key);
-}
-
-std::uint32_t u32_field(const JsonValue& v, std::string_view key,
-                        std::uint32_t fallback) {
-  return checked_u32(v.number_or(key, fallback), key);
-}
-
-protocol::Params params_from_json(const JsonValue& v,
-                                  const protocol::Params& base) {
-  protocol::Params p = base;
-  p.m = u32_field(v, "m", p.m);
-  p.c = u32_field(v, "c", p.c);
-  p.lambda = u32_field(v, "lambda", p.lambda);
-  p.referee_size = u32_field(v, "referee_size", p.referee_size);
-  p.txs_per_committee = u32_field(v, "txs_per_committee", p.txs_per_committee);
-  p.cross_shard_fraction =
-      v.number_or("cross_shard_fraction", p.cross_shard_fraction);
-  p.invalid_fraction = v.number_or("invalid_fraction", p.invalid_fraction);
-  p.users = u32_field(v, "users", p.users);
-  p.arrival_rate = v.number_or("arrival_rate", p.arrival_rate);
-  p.zipf_s = v.number_or("zipf_s", p.zipf_s);
-  p.mempool_cap = u32_field(v, "mempool_cap", p.mempool_cap);
-  if (p.arrival_rate > 0.0 && p.mempool_cap == 0) {
-    // A zero-capacity mempool silently drops every open-loop arrival —
-    // reject the spec instead of running a vacuous experiment.
-    throw std::runtime_error(
-        "scenario: mempool_cap must be > 0 when arrival_rate > 0 (a "
-        "zero-capacity mempool drops every arrival)");
+  io("capacity_min", p.capacity_min);
+  io("capacity_max", p.capacity_max);
+  io("standby", p.standby);
+  io("pow_bits", p.pow_bits);
+  io("seed", p.seed);
+  io("delta", p.delays.delta);
+  io("gamma", p.delays.gamma);
+  io("jitter", p.delays.jitter);
+  if (io.when(p.faults.any())) {
+    io("fault_drop", p.faults.drop);
+    io("fault_duplicate", p.faults.duplicate);
+    io("fault_reorder", p.faults.reorder);
+    io("fault_reorder_scale", p.faults.reorder_scale);
   }
-  p.rebalance = v.bool_or("rebalance", p.rebalance);
-  p.rebalance_moves = u32_field(v, "rebalance_moves", p.rebalance_moves);
-  p.rebalance_split_budget =
-      u32_field(v, "rebalance_split_budget", p.rebalance_split_budget);
-  p.capacity_min = u32_field(v, "capacity_min", p.capacity_min);
-  p.capacity_max = u32_field(v, "capacity_max", p.capacity_max);
-  p.standby = u32_field(v, "standby", p.standby);
-  p.pow_bits = u32_field(v, "pow_bits", p.pow_bits);
-  p.seed = u64_field(v, "seed", p.seed);
-  p.delays.delta = v.number_or("delta", p.delays.delta);
-  p.delays.gamma = v.number_or("gamma", p.delays.gamma);
-  p.delays.jitter = v.number_or("jitter", p.delays.jitter);
-  p.faults.drop = v.number_or("fault_drop", p.faults.drop);
-  p.faults.duplicate = v.number_or("fault_duplicate", p.faults.duplicate);
-  p.faults.reorder = v.number_or("fault_reorder", p.faults.reorder);
-  p.faults.reorder_scale =
-      v.number_or("fault_reorder_scale", p.faults.reorder_scale);
-  p.config_duration = v.number_or("config_duration", p.config_duration);
-  p.semicommit_duration =
-      v.number_or("semicommit_duration", p.semicommit_duration);
-  p.intra_duration = v.number_or("intra_duration", p.intra_duration);
-  p.inter_duration = v.number_or("inter_duration", p.inter_duration);
-  p.reputation_duration =
-      v.number_or("reputation_duration", p.reputation_duration);
-  p.selection_duration =
-      v.number_or("selection_duration", p.selection_duration);
-  p.block_duration = v.number_or("block_duration", p.block_duration);
-  return p;
+  io("config_duration", p.config_duration);
+  io("semicommit_duration", p.semicommit_duration);
+  io("intra_duration", p.intra_duration);
+  io("inter_duration", p.inter_duration);
+  io("reputation_duration", p.reputation_duration);
+  io("selection_duration", p.selection_duration);
+  io("block_duration", p.block_duration);
 }
 
-protocol::AdversaryConfig adversary_from_json(const JsonValue& v) {
-  protocol::AdversaryConfig adv;
-  adv.corrupt_fraction = v.number_or("corrupt_fraction", adv.corrupt_fraction);
-  adv.forced_corrupt_leader_fraction = v.number_or(
-      "forced_corrupt_leader_fraction", adv.forced_corrupt_leader_fraction);
-  if (const JsonValue* mix = v.find("mix")) {
-    adv.mix.clear();
-    for (const auto& entry : mix->as_array()) {
-      Behavior b;
-      const std::string token = entry.string_or("behavior", "");
-      if (!behavior_from_token(token, b)) {
-        throw std::runtime_error("scenario: unknown behavior '" + token + "'");
-      }
-      adv.mix.push_back({b, entry.number_or("weight", 1.0)});
+void fields(auto& io, Is<protocol::AdversaryConfig::Weight> auto& e) {
+  io("behavior", e.behavior, kRequired);
+  io("weight", e.weight);
+}
+
+void fields(auto& io, Is<protocol::AdversaryConfig> auto& a) {
+  io("corrupt_fraction", a.corrupt_fraction);
+  io("forced_corrupt_leader_fraction", a.forced_corrupt_leader_fraction);
+  io("mix", a.mix);
+}
+
+// engine_threads is an execution knob, not protocol state: never listed.
+void fields(auto& io, Is<protocol::EngineOptions> auto& o) {
+  io("recovery_enabled", o.recovery_enabled);
+  io("reputation_leader_selection", o.reputation_leader_selection);
+  io("leader_bonus", o.leader_bonus);
+  io("referee_credit", o.referee_credit);
+  io("max_recoveries_per_committee", o.max_recoveries_per_committee);
+  io("extension_precommunication", o.extension_precommunication);
+  io("extension_parallel_blocks", o.extension_parallel_blocks);
+}
+
+void fields(auto& io, Is<ScenarioSpec> auto& s) {
+  io("name", s.name);
+  io("params", s.params);
+  io("adversary", s.adversary);
+  io("options", s.options);
+  io("rounds", s.rounds);
+  io("epochs", s.epochs);
+  io("churn_rate", s.churn_rate);
+  io("seeds", s.seeds);
+  io("events", s.events);
+}
+
+// --- Walkers ----------------------------------------------------------------
+
+[[noreturn]] void fail_field(std::string_view key, std::string_view what) {
+  throw std::runtime_error("scenario: field '" + std::string(key) + "' " +
+                           std::string(what));
+}
+
+// Checked double -> unsigned conversion: a negative, out-of-range or
+// fractional number in a spec is a user error worth a diagnostic, and
+// casting a negative double to an unsigned type is undefined behaviour.
+template <std::unsigned_integral T>
+T checked_uint(double value, std::string_view key) {
+  if (value < 0.0 ||
+      value >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    fail_field(key, sizeof(T) == 4 ? "must fit in an unsigned 32-bit integer"
+                                   : "must be a non-negative integer");
+  }
+  if (value != std::floor(value)) fail_field(key, "must be an integer");
+  return static_cast<T>(value);
+}
+
+void event_to_json(JsonWriter& w, const ScenarioEvent& ev);
+ScenarioEvent event_from_json(const JsonValue& v);
+
+class JsonOut {
+ public:
+  explicit JsonOut(JsonWriter& w) : w_(w) {}
+  static bool when(bool on) { return on; }
+  void operator()(std::string_view key, const auto& value, bool = false) {
+    w_.key(key);
+    write(value);
+  }
+
+  void write(Behavior b) { w_.value(behavior_token(b)); }
+  void write(const ScenarioEvent& ev) { event_to_json(w_, ev); }
+  template <class T>
+  void write(const std::vector<T>& items) {
+    w_.begin_array();
+    for (const T& item : items) write(item);
+    w_.end_array();
+  }
+  template <class T>
+  void write(const T& v) {
+    if constexpr (requires { w_.value(v); }) {
+      w_.value(v);  // numbers, booleans, strings
+    } else {
+      w_.begin_object();
+      fields(*this, v);
+      w_.end_object();
     }
   }
-  return adv;
-}
 
-protocol::EngineOptions options_from_json(const JsonValue& v) {
-  protocol::EngineOptions o;
-  o.recovery_enabled = v.bool_or("recovery_enabled", o.recovery_enabled);
-  o.reputation_leader_selection =
-      v.bool_or("reputation_leader_selection", o.reputation_leader_selection);
-  o.leader_bonus = v.number_or("leader_bonus", o.leader_bonus);
-  o.referee_credit = v.number_or("referee_credit", o.referee_credit);
-  o.max_recoveries_per_committee = u32_field(
-      v, "max_recoveries_per_committee", o.max_recoveries_per_committee);
-  o.extension_precommunication = v.bool_or("extension_precommunication",
-                                           o.extension_precommunication);
-  o.extension_parallel_blocks =
-      v.bool_or("extension_parallel_blocks", o.extension_parallel_blocks);
-  return o;
-}
+ private:
+  JsonWriter& w_;
+};
 
-bool event_kind_from_token(std::string_view token, ScenarioEvent::Kind& out) {
-  if (token == "corrupt") out = ScenarioEvent::Kind::kCorrupt;
-  else if (token == "crash") out = ScenarioEvent::Kind::kCrash;
-  else if (token == "restart") out = ScenarioEvent::Kind::kRestart;
-  else if (token == "partition") out = ScenarioEvent::Kind::kPartition;
-  else if (token == "heal") out = ScenarioEvent::Kind::kHeal;
-  else if (token == "blackout") out = ScenarioEvent::Kind::kBlackout;
-  else return false;
-  return true;
-}
-
-std::string_view event_kind_token(ScenarioEvent::Kind k) {
-  switch (k) {
-    case ScenarioEvent::Kind::kCorrupt: return "corrupt";
-    case ScenarioEvent::Kind::kCrash: return "crash";
-    case ScenarioEvent::Kind::kRestart: return "restart";
-    case ScenarioEvent::Kind::kPartition: return "partition";
-    case ScenarioEvent::Kind::kHeal: return "heal";
-    case ScenarioEvent::Kind::kBlackout: return "blackout";
+/// Reads one JSON object. Absent keys keep the target's current value; a
+/// present key must hold its field's type, and finish() rejects any key
+/// the walked list did not name.
+class JsonIn {
+ public:
+  JsonIn(const JsonValue& object, std::string_view key) : object_(object) {
+    if (!object.is_object()) fail_field(key, "must be an object");
   }
-  return "corrupt";
+  static bool when(bool) { return true; }
+  void operator()(std::string_view key, auto& out, bool required = false) {
+    known_.push_back(key);
+    if (const JsonValue* v = object_.find(key)) {
+      read(*v, key, out);
+    } else if (required) {
+      throw std::runtime_error("scenario: missing key '" + std::string(key) +
+                               "'");
+    }
+  }
+  void finish() const {
+    for (const auto& [key, value] : object_.as_object()) {
+      if (std::find(known_.begin(), known_.end(), key) == known_.end()) {
+        throw std::runtime_error("scenario: unknown key '" + key + "'");
+      }
+    }
+  }
+
+  static void read(const JsonValue& v, std::string_view key,
+                   std::string& out) {
+    if (!v.is_string()) fail_field(key, "must be a string");
+    out = v.as_string();
+  }
+  static void read(const JsonValue& v, std::string_view key, bool& out) {
+    if (!v.is_bool()) fail_field(key, "must be a boolean");
+    out = v.as_bool();
+  }
+  static void read(const JsonValue& v, std::string_view key, double& out) {
+    if (!v.is_number()) fail_field(key, "must be a number");
+    out = v.as_number();
+  }
+  template <std::unsigned_integral T>
+  static void read(const JsonValue& v, std::string_view key, T& out) {
+    double number = 0.0;
+    read(v, key, number);
+    out = checked_uint<T>(number, key);
+  }
+  static void read(const JsonValue& v, std::string_view key, Behavior& out) {
+    std::string token;
+    read(v, key, token);
+    if (!behavior_from_token(token, out)) {
+      throw std::runtime_error("scenario: unknown behavior '" + token + "'");
+    }
+  }
+  static void read(const JsonValue& v, std::string_view, ScenarioEvent& out) {
+    out = event_from_json(v);
+  }
+  template <class T>
+  static void read(const JsonValue& v, std::string_view key,
+                   std::vector<T>& out) {
+    if (!v.is_array()) fail_field(key, "must be an array");
+    out.clear();
+    for (const JsonValue& entry : v.as_array()) {
+      read(entry, key, out.emplace_back());
+    }
+  }
+  static void read(const JsonValue& v, std::string_view key, auto& out) {
+    JsonIn in(v, key);
+    fields(in, out);
+    in.finish();
+  }
+
+ private:
+  const JsonValue& object_;
+  std::vector<std::string_view> known_;
+};
+
+// --- Events -----------------------------------------------------------------
+//
+// Events keep a hand-written codec: the keys they carry depend on their
+// kind and target.
+
+constexpr std::pair<ScenarioEvent::Kind, std::string_view> kEventKinds[] = {
+    {ScenarioEvent::Kind::kCorrupt, "corrupt"},
+    {ScenarioEvent::Kind::kCrash, "crash"},
+    {ScenarioEvent::Kind::kRestart, "restart"},
+    {ScenarioEvent::Kind::kPartition, "partition"},
+    {ScenarioEvent::Kind::kHeal, "heal"},
+    {ScenarioEvent::Kind::kBlackout, "blackout"},
+};
+constexpr std::pair<ScenarioEvent::Target, std::string_view> kEventTargets[] = {
+    {ScenarioEvent::Target::kNode, "node"},
+    {ScenarioEvent::Target::kLeaderOf, "leader-of"},
+    {ScenarioEvent::Target::kRefereeAt, "referee-at"},
+    {ScenarioEvent::Target::kCommittee, "committee"},
+};
+
+template <class E, std::size_t N>
+std::string_view token_of(const std::pair<E, std::string_view> (&table)[N],
+                          E value) {
+  for (const auto& [e, token] : table) {
+    if (e == value) return token;
+  }
+  return table[0].second;
+}
+
+template <class E, std::size_t N>
+E from_token(const std::pair<E, std::string_view> (&table)[N],
+             std::string_view token, std::string_view what) {
+  for (const auto& [e, t] : table) {
+    if (t == token) return e;
+  }
+  throw std::runtime_error("scenario: unknown event " + std::string(what) +
+                           " '" + std::string(token) + "'");
+}
+
+void event_to_json(JsonWriter& w, const ScenarioEvent& ev) {
+  // Omit-when-default keeps legacy (corrupt-only) specs byte-identical
+  // to their pre-fault-fabric encoding.
+  w.begin_object();
+  w.field("round", ev.round);
+  if (ev.kind != ScenarioEvent::Kind::kCorrupt) {
+    w.field("kind", token_of(kEventKinds, ev.kind));
+  }
+  w.field("target", token_of(kEventTargets, ev.target));
+  if (ev.target == ScenarioEvent::Target::kNode) {
+    w.field("node", ev.node);
+  } else {
+    w.field("committee", ev.committee);
+  }
+  if (ev.kind == ScenarioEvent::Kind::kCorrupt) {
+    w.field("behavior", behavior_token(ev.behavior));
+  }
+  if (ev.kind == ScenarioEvent::Kind::kPartition ||
+      ev.kind == ScenarioEvent::Kind::kBlackout) {
+    w.field("duration", ev.duration);
+  }
+  w.end_object();
 }
 
 ScenarioEvent event_from_json(const JsonValue& v) {
   ScenarioEvent ev;
-  ev.round = u64_field(v, "round", ev.round);
-  const std::string kind = v.string_or("kind", "corrupt");
-  if (!event_kind_from_token(kind, ev.kind)) {
-    throw std::runtime_error("scenario: unknown event kind '" + kind + "'");
-  }
-  const std::string target = v.string_or("target", "node");
-  if (target == "node") {
-    ev.target = ScenarioEvent::Target::kNode;
-    ev.node = u32_field(v, "node", ev.node);
-  } else if (target == "leader-of") {
-    ev.target = ScenarioEvent::Target::kLeaderOf;
-    ev.committee = u32_field(v, "committee", ev.committee);
-  } else if (target == "referee-at") {
-    ev.target = ScenarioEvent::Target::kRefereeAt;
-    ev.committee = u32_field(v, "committee", ev.committee);
-  } else if (target == "committee") {
-    ev.target = ScenarioEvent::Target::kCommittee;
-    ev.committee = u32_field(v, "committee", ev.committee);
+  std::string kind = "corrupt";
+  std::string target = "node";
+  net::NodeId node = ev.node;
+  std::uint32_t committee = ev.committee;
+  JsonIn in(v, "events");
+  in("round", ev.round);
+  in("kind", kind);
+  in("target", target);
+  in("node", node);
+  in("committee", committee);
+  in("behavior", ev.behavior);
+  in("duration", ev.duration);
+  in.finish();
+  ev.kind = from_token(kEventKinds, kind, "kind");
+  ev.target = from_token(kEventTargets, target, "target");
+  // Only the id the target uses is kept; the writer emits only that one.
+  if (ev.target == ScenarioEvent::Target::kNode) {
+    ev.node = node;
   } else {
-    throw std::runtime_error("scenario: unknown event target '" + target + "'");
+    ev.committee = committee;
   }
-  const std::string token = v.string_or("behavior", "crash");
-  if (!behavior_from_token(token, ev.behavior)) {
-    throw std::runtime_error("scenario: unknown behavior '" + token + "'");
-  }
-  ev.duration = u64_field(v, "duration", ev.duration);
   if (ev.duration == 0) {
     throw std::runtime_error("scenario: event duration must be > 0");
   }
   return ev;
-}
-
-std::string_view event_target_token(ScenarioEvent::Target t) {
-  switch (t) {
-    case ScenarioEvent::Target::kNode: return "node";
-    case ScenarioEvent::Target::kLeaderOf: return "leader-of";
-    case ScenarioEvent::Target::kRefereeAt: return "referee-at";
-    case ScenarioEvent::Target::kCommittee: return "committee";
-  }
-  return "node";
 }
 
 }  // namespace
@@ -222,37 +358,21 @@ ScenarioSpec ScenarioSpec::from_json(const JsonValue& v) {
     throw std::runtime_error("scenario: expected a JSON object");
   }
   ScenarioSpec spec;
-  spec.name = v.string_or("name", spec.name);
-  if (const JsonValue* params = v.find("params")) {
-    spec.params = params_from_json(*params, spec.params);
+  JsonIn::read(v, "scenario", spec);
+  if (spec.params.arrival_rate > 0.0 && spec.params.mempool_cap == 0) {
+    // A zero-capacity mempool silently drops every open-loop arrival —
+    // reject the spec instead of running a vacuous experiment.
+    throw std::runtime_error(
+        "scenario: mempool_cap must be > 0 when arrival_rate > 0 (a "
+        "zero-capacity mempool drops every arrival)");
   }
-  if (const JsonValue* adv = v.find("adversary")) {
-    spec.adversary = adversary_from_json(*adv);
-  }
-  if (const JsonValue* options = v.find("options")) {
-    spec.options = options_from_json(*options);
-  }
-  spec.rounds = static_cast<std::size_t>(u64_field(v, "rounds", spec.rounds));
   if (spec.rounds == 0) throw std::runtime_error("scenario: rounds must be > 0");
-  spec.epochs = static_cast<std::size_t>(u64_field(v, "epochs", spec.epochs));
   if (spec.epochs == 0) throw std::runtime_error("scenario: epochs must be > 0");
-  spec.churn_rate = v.number_or("churn_rate", spec.churn_rate);
   if (spec.churn_rate < 0.0 || spec.churn_rate > 1.0) {
     throw std::runtime_error("scenario: churn_rate must be in [0, 1]");
   }
-  if (const JsonValue* seeds = v.find("seeds")) {
-    spec.seeds.clear();
-    for (const auto& s : seeds->as_array()) {
-      spec.seeds.push_back(checked_u64(s.as_number(), "seeds"));
-    }
-    if (spec.seeds.empty()) {
-      throw std::runtime_error("scenario: seeds must be non-empty");
-    }
-  }
-  if (const JsonValue* events = v.find("events")) {
-    for (const auto& e : events->as_array()) {
-      spec.events.push_back(event_from_json(e));
-    }
+  if (spec.seeds.empty()) {
+    throw std::runtime_error("scenario: seeds must be non-empty");
   }
   return spec;
 }
@@ -271,119 +391,7 @@ std::vector<ScenarioSpec> ScenarioSpec::list_from_json(std::string_view text) {
   return specs;
 }
 
-void ScenarioSpec::to_json(JsonWriter& w) const {
-  w.begin_object();
-  w.field("name", name);
-  w.key("params");
-  w.begin_object();
-  w.field("m", params.m);
-  w.field("c", params.c);
-  w.field("lambda", params.lambda);
-  w.field("referee_size", params.referee_size);
-  w.field("txs_per_committee", params.txs_per_committee);
-  w.field("cross_shard_fraction", params.cross_shard_fraction);
-  w.field("invalid_fraction", params.invalid_fraction);
-  w.field("users", params.users);
-  // Emitted only when the open-loop source is on: the source is inert at
-  // rate 0 and zipf_s / mempool_cap are meaningless without it, so
-  // legacy closed-loop specs keep their exact byte encoding.
-  if (params.arrival_rate > 0.0) {
-    w.field("arrival_rate", params.arrival_rate);
-    w.field("zipf_s", params.zipf_s);
-    w.field("mempool_cap", params.mempool_cap);
-  }
-  // Emitted only when the load-aware re-draw is on — specs without it
-  // keep their exact byte encoding.
-  if (params.rebalance) {
-    w.field("rebalance", params.rebalance);
-    w.field("rebalance_moves", params.rebalance_moves);
-    w.field("rebalance_split_budget", params.rebalance_split_budget);
-  }
-  w.field("capacity_min", params.capacity_min);
-  w.field("capacity_max", params.capacity_max);
-  w.field("standby", params.standby);
-  w.field("pow_bits", static_cast<std::uint32_t>(params.pow_bits));
-  w.field("seed", params.seed);
-  w.field("delta", params.delays.delta);
-  w.field("gamma", params.delays.gamma);
-  w.field("jitter", params.delays.jitter);
-  // Emitted only when probabilistic faults are on: legacy specs stay
-  // byte-identical, and reorder_scale is meaningless without an axis.
-  if (params.faults.any()) {
-    w.field("fault_drop", params.faults.drop);
-    w.field("fault_duplicate", params.faults.duplicate);
-    w.field("fault_reorder", params.faults.reorder);
-    w.field("fault_reorder_scale", params.faults.reorder_scale);
-  }
-  w.field("config_duration", params.config_duration);
-  w.field("semicommit_duration", params.semicommit_duration);
-  w.field("intra_duration", params.intra_duration);
-  w.field("inter_duration", params.inter_duration);
-  w.field("reputation_duration", params.reputation_duration);
-  w.field("selection_duration", params.selection_duration);
-  w.field("block_duration", params.block_duration);
-  w.end_object();
-  w.key("adversary");
-  w.begin_object();
-  w.field("corrupt_fraction", adversary.corrupt_fraction);
-  w.field("forced_corrupt_leader_fraction",
-          adversary.forced_corrupt_leader_fraction);
-  w.key("mix");
-  w.begin_array();
-  for (const auto& entry : adversary.mix) {
-    w.begin_object();
-    w.field("behavior", behavior_token(entry.behavior));
-    w.field("weight", entry.weight);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.key("options");
-  w.begin_object();
-  w.field("recovery_enabled", options.recovery_enabled);
-  w.field("reputation_leader_selection", options.reputation_leader_selection);
-  w.field("leader_bonus", options.leader_bonus);
-  w.field("referee_credit", options.referee_credit);
-  w.field("max_recoveries_per_committee",
-          options.max_recoveries_per_committee);
-  w.field("extension_precommunication", options.extension_precommunication);
-  w.field("extension_parallel_blocks", options.extension_parallel_blocks);
-  w.end_object();
-  w.field("rounds", static_cast<std::uint64_t>(rounds));
-  w.field("epochs", static_cast<std::uint64_t>(epochs));
-  w.field("churn_rate", churn_rate);
-  w.key("seeds");
-  w.begin_array();
-  for (std::uint64_t s : seeds) w.value(s);
-  w.end_array();
-  w.key("events");
-  w.begin_array();
-  for (const auto& ev : events) {
-    // Omit-when-default keeps legacy (corrupt-only) specs byte-identical
-    // to their pre-fault-fabric encoding.
-    w.begin_object();
-    w.field("round", ev.round);
-    if (ev.kind != ScenarioEvent::Kind::kCorrupt) {
-      w.field("kind", event_kind_token(ev.kind));
-    }
-    w.field("target", event_target_token(ev.target));
-    if (ev.target == ScenarioEvent::Target::kNode) {
-      w.field("node", ev.node);
-    } else {
-      w.field("committee", ev.committee);
-    }
-    if (ev.kind == ScenarioEvent::Kind::kCorrupt) {
-      w.field("behavior", behavior_token(ev.behavior));
-    }
-    if (ev.kind == ScenarioEvent::Kind::kPartition ||
-        ev.kind == ScenarioEvent::Kind::kBlackout) {
-      w.field("duration", ev.duration);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
+void ScenarioSpec::to_json(JsonWriter& w) const { JsonOut(w).write(*this); }
 
 std::string ScenarioSpec::to_json_text() const {
   JsonWriter w;

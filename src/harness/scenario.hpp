@@ -7,6 +7,14 @@
 // (scenario_runner --spec). The sweep axes follow what separates sharded
 // designs in practice: adversary mix, delay regime, capacity skew and
 // cross-shard fraction.
+//
+// JSON encoding: scenario.cpp states the keys of ScenarioSpec, Params,
+// AdversaryConfig (with its mix entries) and EngineOptions once each, as
+// a field list that both to_json and from_json walk, so a key cannot be
+// written without being read. Events keep a hand-written codec, since
+// the keys they carry depend on their kind and target. The reader is
+// strict: a wrong-typed value, a fractional value for an integer field or
+// an unknown key throws std::runtime_error naming the key.
 #pragma once
 
 #include <string>
@@ -74,9 +82,10 @@ struct ScenarioSpec {
   std::vector<std::uint64_t> seeds = {1};
   std::vector<ScenarioEvent> events;
 
-  /// Parse one spec from a JSON object. Unknown keys are ignored; absent
-  /// keys keep their defaults, so specs stay short. Throws
-  /// std::runtime_error / support::JsonParseError on malformed input.
+  /// Parse one spec from a JSON object. Absent keys keep their defaults,
+  /// so specs stay short; unknown keys, wrong-typed values and fractional
+  /// integers are rejected. Throws std::runtime_error on a malformed
+  /// spec.
   static ScenarioSpec from_json(const support::JsonValue& v);
 
   /// Parse a document that is either one spec object or an array of

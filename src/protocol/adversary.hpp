@@ -60,7 +60,7 @@ struct AdversaryConfig {
   /// entries are never drawn. Defaults exercise every detection path.
   struct Weight {
     Behavior behavior;
-    double weight;
+    double weight = 1.0;
   };
   std::vector<Weight> mix = {
       {Behavior::kCrash, 1.0},        {Behavior::kEquivocator, 1.0},

@@ -103,6 +103,27 @@ TEST(ScenarioSpec, RejectsInvalidInput) {
   EXPECT_THROW(ScenarioSpec::list_from_json(
                    R"({"events":[{"round":1,"node":-2}]})"),
                std::runtime_error);
+  // A present key must hold its field's type, integer fields take only
+  // integral values, and unknown keys are diagnosed instead of ignored;
+  // each error names the offending key.
+  const std::pair<const char*, const char*> malformed[] = {
+      {R"({"rounds":"5"})", "'rounds'"},
+      {R"({"name":5})", "'name'"},
+      {R"({"params":{"m":2.5}})", "'m'"},
+      {R"({"params":{"rebalance":1}})", "'rebalance'"},
+      {R"({"seeds":[1.5]})", "'seeds'"},
+      {R"({"events":[{"round":"3"}]})", "'round'"},
+      {R"({"params":{"fault_dorp":0.1}})", "'fault_dorp'"},
+  };
+  for (const auto& [text, key] : malformed) {
+    std::string error;
+    try {
+      ScenarioSpec::list_from_json(text);
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find(key), std::string::npos) << text << ": " << error;
+  }
 }
 
 TEST(ScenarioSpec, JsonRoundTrip) {

@@ -5,6 +5,10 @@
 // this property.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "fuzz/generator.hpp"
 #include "harness/scenario.hpp"
 
@@ -229,6 +233,26 @@ TEST(SpecRoundTrip, RandomizedGeneratorSpecs) {
     spec.name = "roundtrip/" + std::to_string(seed);
     expect_byte_identical_roundtrip(spec);
   }
+}
+
+TEST(SpecRoundTrip, CorpusFilesAreCanonical) {
+  // tests/corpus/README.md promises the canonical encoding: each checked-in
+  // spec is its own parse -> encode, plus one trailing newline.
+  const auto dir =
+      std::filesystem::path(__FILE__).parent_path().parent_path() / "corpus";
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in(entry.path());
+    ASSERT_TRUE(in) << entry.path();
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string encoded =
+        ScenarioSpec::from_json_text(text.str()).to_json_text();
+    EXPECT_EQ(text.str(), encoded + "\n") << entry.path();
+    files += 1;
+  }
+  EXPECT_GE(files, 6u);
 }
 
 }  // namespace
