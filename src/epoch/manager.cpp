@@ -81,8 +81,7 @@ void EpochManager::perform_boundary() {
     if (!engine_->enrolled(id)) pool.push_back(id);
   }
   const double rate =
-      std::clamp(std::min(config_.churn_rate, config_.max_churn_fraction),
-                 0.0, 1.0);
+      std::clamp(std::min(config_.churn_rate, kMaxChurnFraction), 0.0, 1.0);
   std::size_t budget = static_cast<std::size_t>(
       std::floor(rate * static_cast<double>(members.size())));
   budget = std::min(budget, pool.size());
@@ -96,7 +95,7 @@ void EpochManager::perform_boundary() {
   rng::shuffle(candidates, join_rng);
   candidates.resize(budget);
   const std::uint64_t target =
-      crypto::pow_target_for_bits(config_.join_pow_bits);
+      crypto::pow_target_for_bits(kJoinPowBits);
   std::vector<net::NodeId> joined;
   for (net::NodeId id : candidates) {
     const Bytes challenge =
@@ -104,7 +103,7 @@ void EpochManager::perform_boundary() {
                 crypto::digest_to_bytes(randomness),
                 be64(engine_->public_key(id).y)});
     const auto solution =
-        crypto::pow_solve(challenge, target, 0, config_.join_pow_max_iters);
+        crypto::pow_solve(challenge, target, 0, kJoinPowMaxIters);
     if (!solution) continue;  // budget seat stays un-churned this epoch
     // Registration path: the referees re-verify the submitted solution.
     if (!crypto::pow_verify(challenge, target, *solution)) continue;

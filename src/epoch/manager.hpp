@@ -36,22 +36,23 @@
 
 namespace cyc::epoch {
 
+/// Bounded-churn budget: hard cap on the per-epoch replacement fraction,
+/// per the "Divide and Scale" epoch-security argument that only a bounded
+/// fraction may reshuffle between consecutive epochs.
+inline constexpr double kMaxChurnFraction = 0.25;
+/// Identity puzzle difficulty (leading zero bits). Separate from the
+/// per-round participation puzzle (protocol::kPowBits): joining an epoch
+/// is the Sybil-resistance event, so it is the harder puzzle.
+inline constexpr unsigned kJoinPowBits = 12;
+/// Bound on the join puzzle search; a candidate that exhausts it stays in
+/// the standby pool (its seat is simply not churned this epoch).
+inline constexpr std::uint64_t kJoinPowMaxIters = 1ull << 22;
+
 struct EpochConfig {
   std::size_t epochs = 1;
   std::size_t rounds_per_epoch = 2;
   /// Fraction of the membership replaced per boundary (before the cap).
   double churn_rate = 0.0;
-  /// Bounded-churn budget: hard cap on the per-epoch replacement
-  /// fraction, per the "Divide and Scale" epoch-security argument that
-  /// only a bounded fraction may reshuffle between consecutive epochs.
-  double max_churn_fraction = 0.25;
-  /// Identity puzzle difficulty (leading zero bits). Separate from the
-  /// per-round participation puzzle (Params::pow_bits): joining an epoch
-  /// is the Sybil-resistance event, so it is the harder puzzle.
-  unsigned join_pow_bits = 12;
-  /// Bound on the join puzzle search; a candidate that exhausts it stays
-  /// in the standby pool (its seat is simply not churned this epoch).
-  std::uint64_t join_pow_max_iters = 1ull << 22;
 };
 
 class EpochManager {

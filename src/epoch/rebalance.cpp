@@ -80,7 +80,7 @@ RebalancePlan plan_rebalance(
       if (load[k] > load[hot]) hot = k;
       if (load[k] < load[cold]) cold = k;
     }
-    if (hot == cold || load[hot] <= cfg.overload_threshold * mean) break;
+    if (hot == cold || load[hot] <= kOverloadThreshold * mean) break;
     if (census[hot] <= 1) break;  // never empty a shard of accounts
 
     std::uint64_t best_account = 0;
@@ -133,7 +133,7 @@ RebalancePlan plan_rebalance(
       const double tail = analysis::committee_failure_exact(
           member_count, corrupt_members,
           rescaled_seats(committee_size, m, want));
-      if (tail <= cfg.max_fair_draw_tail) {
+      if (tail <= kMaxFairDrawTail) {
         plan.m_after = want;
         plan.fair_draw_tail = tail;
       }

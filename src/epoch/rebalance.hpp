@@ -61,13 +61,18 @@ struct RebalancePlan {
   bool operator==(const RebalancePlan&) const = default;
 };
 
+/// A shard is hot when its offered load exceeds this multiple of the mean.
+inline constexpr double kOverloadThreshold = 1.10;
+/// Highest exact fair-draw probability of a corrupt-majority committee
+/// that still counts as an unlucky draw rather than a rigged one: the cap
+/// on a split/merge recommendation and the invariant checker's threshold.
+inline constexpr double kMaxFairDrawTail = 1e-6;
+
 /// Planner knobs, derived from Params (rebalance_config below).
 struct RebalanceConfig {
   bool enabled = false;
   std::uint32_t max_moves = 4;        ///< account moves per boundary
-  double overload_threshold = 1.10;   ///< hot = offered > threshold * mean
   std::uint32_t split_merge_budget = 0;  ///< max |m_after - m_before|
-  double max_fair_draw_tail = 1e-6;   ///< kRiggedDrawThreshold
 };
 
 RebalanceConfig rebalance_config(const protocol::Params& params);

@@ -385,12 +385,12 @@ void InvariantChecker::check_rebalance_plan(
                        std::to_string(cfg.split_merge_budget)});
   }
   if (plan.m_after != plan.m_before &&
-      plan.fair_draw_tail > cfg.max_fair_draw_tail) {
+      plan.fair_draw_tail > epoch::kMaxFairDrawTail) {
     out.push_back({"epoch-rebalance-fair-draw", round,
                    "recommended re-draw carries fair-draw failure tail " +
                        std::to_string(plan.fair_draw_tail) +
                        ", above the safety threshold " +
-                       std::to_string(cfg.max_fair_draw_tail)});
+                       std::to_string(epoch::kMaxFairDrawTail)});
   }
 }
 
@@ -617,7 +617,6 @@ void InvariantChecker::check_committee_honesty(
   // that tail is statistically impossible for the population actually
   // drawn from — then the draw was rigged, not unlucky — so legitimate
   // executions stay deterministically green.
-  constexpr double kRiggedDrawThreshold = 1e-6;
   auto audit = [&](const std::vector<net::NodeId>& group, std::string who) {
     std::size_t bad = 0;
     for (net::NodeId id : group) {
@@ -626,7 +625,7 @@ void InvariantChecker::check_committee_honesty(
     if (group.empty() || bad * 2 < group.size()) return;
     const double fair_draw_tail = analysis::committee_failure_exact(
         members.size(), corrupt_members, group.size());
-    if (fair_draw_tail < kRiggedDrawThreshold) {
+    if (fair_draw_tail < epoch::kMaxFairDrawTail) {
       out.push_back({"epoch-committee-honest-majority", round,
                      std::move(who) + " lost its honest majority (" +
                          std::to_string(bad) + "/" +
@@ -645,15 +644,14 @@ void InvariantChecker::check_committee_honesty(
 void InvariantChecker::check_recovery(const protocol::RoundReport& report) {
   const std::uint64_t round = report.round;
   const auto& log = engine_.recovery_log();
-  const auto& options = engine_.options();
   std::size_t committee_sum = 0;
   for (const auto& stats : report.committees) {
     committee_sum += stats.recoveries;
-    if (stats.recoveries > options.max_recoveries_per_committee) {
+    if (stats.recoveries > protocol::kMaxRecoveriesPerCommittee) {
       add("recovery-bounds", round,
           "committee " + std::to_string(stats.committee) + " recovered " +
               std::to_string(stats.recoveries) + " times (cap " +
-              std::to_string(options.max_recoveries_per_committee) + ")");
+              std::to_string(protocol::kMaxRecoveriesPerCommittee) + ")");
     }
   }
   // (report.recoveries itself is assigned from the log's size, so the
@@ -782,7 +780,7 @@ void InvariantChecker::check_liveness(const protocol::RoundReport& report) {
     const bool leader_ok = contributes(info.leader);
     bool recoverable = false;
     if (options.recovery_enabled && referees_ok &&
-        stats.recoveries < options.max_recoveries_per_committee) {
+        stats.recoveries < protocol::kMaxRecoveriesPerCommittee) {
       for (net::NodeId id : info.partial) {
         if (contributes(id)) {
           recoverable = true;

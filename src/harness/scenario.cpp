@@ -60,7 +60,6 @@ void fields(auto& io, Is<protocol::Params> auto& p) {
   io("capacity_min", p.capacity_min);
   io("capacity_max", p.capacity_max);
   io("standby", p.standby);
-  io("pow_bits", p.pow_bits);
   io("seed", p.seed);
   io("delta", p.delays.delta);
   io("gamma", p.delays.gamma);
@@ -69,7 +68,6 @@ void fields(auto& io, Is<protocol::Params> auto& p) {
     io("fault_drop", p.faults.drop);
     io("fault_duplicate", p.faults.duplicate);
     io("fault_reorder", p.faults.reorder);
-    io("fault_reorder_scale", p.faults.reorder_scale);
   }
   io("config_duration", p.config_duration);
   io("semicommit_duration", p.semicommit_duration);
@@ -95,9 +93,6 @@ void fields(auto& io, Is<protocol::AdversaryConfig> auto& a) {
 void fields(auto& io, Is<protocol::EngineOptions> auto& o) {
   io("recovery_enabled", o.recovery_enabled);
   io("reputation_leader_selection", o.reputation_leader_selection);
-  io("leader_bonus", o.leader_bonus);
-  io("referee_credit", o.referee_credit);
-  io("max_recoveries_per_committee", o.max_recoveries_per_committee);
   io("extension_precommunication", o.extension_precommunication);
   io("extension_parallel_blocks", o.extension_parallel_blocks);
 }

@@ -69,7 +69,7 @@ Engine::Engine(Params params, AdversaryConfig adversary, EngineOptions options)
       faults->drop = params_.faults.drop;
       faults->duplicate = params_.faults.duplicate;
       faults->reorder = params_.faults.reorder;
-      faults->reorder_scale = params_.faults.reorder_scale;
+      faults->reorder_scale = kReorderScale;
     }
     net_->install_faults(std::move(plan), rng_.fork("faults"));
   }
@@ -714,7 +714,7 @@ void Engine::start_round_state() {
       n.catching_up = false;
       n.catchup_adopted = false;
       n.catchup_tally.clear();
-    } else if (n.catchup_attempts >= options_.max_catchup_rounds) {
+    } else if (n.catchup_attempts >= kMaxCatchupRounds) {
       n.catching_up = false;
       n.behavior = Behavior::kCrash;
       n.corrupted_at = 0;
@@ -1240,12 +1240,12 @@ void Engine::finalize_round(RoundReport& report) {
     if (!convicted_leaders_.contains(leader) &&
         committees_[k].intra_result &&
         referee_quorum(committees_[k].intra_acks)) {
-      nodes_[leader].reputation += options_.leader_bonus;
+      nodes_[leader].reputation += kLeaderBonus;
     }
   }
   for (net::NodeId id : assign_.referees) {
     if (nodes_[id].is_active(round_)) {
-      nodes_[id].reputation += options_.referee_credit;
+      nodes_[id].reputation += kRefereeCredit;
     }
   }
   for (net::NodeId id : convicted_leaders_) {

@@ -45,6 +45,21 @@ struct Observer;
 
 namespace cyc::protocol {
 
+/// Extra reputation granted to an unconvicted leader (§VII-A: "leaders
+/// obtain some extra reputation as a bonus for their hard work"). Set
+/// above a perfect member score (1.0) so that serving as leader never
+/// pays worse than voting.
+inline constexpr double kLeaderBonus = 1.25;
+/// Reputation credit for referee-committee service. The paper defers
+/// C_R's update to the next round's referees (§IV-G); we apply the flat
+/// credit at round end, which preserves the incentive ordering.
+inline constexpr double kRefereeCredit = 1.0;
+/// Safety valve on repeated recoveries in one committee and round.
+inline constexpr std::uint32_t kMaxRecoveriesPerCommittee = 4;
+/// Crash-recovery: how many consecutive rounds a restarted node keeps
+/// retrying the referee catch-up before it gives up and re-crashes.
+inline constexpr std::uint32_t kMaxCatchupRounds = 4;
+
 struct EngineOptions {
   /// Disable the recovery procedure: committees with a faulty leader lose
   /// the round (the RapidChain-like baseline behaviour of Table I).
@@ -52,17 +67,6 @@ struct EngineOptions {
   /// Select leaders by reputation rank (§IV-F). When false, leaders are
   /// drawn uniformly (ablation for E12).
   bool reputation_leader_selection = true;
-  /// Extra reputation granted to an unconvicted leader (§VII-A: "leaders
-  /// obtain some extra reputation as a bonus for their hard work"). Set
-  /// above a perfect member score (1.0) so that serving as leader never
-  /// pays worse than voting.
-  double leader_bonus = 1.25;
-  /// Reputation credit for referee-committee service. The paper defers
-  /// C_R's update to the next round's referees (§IV-G); we apply the
-  /// flat credit at round end, which preserves the incentive ordering.
-  double referee_credit = 1.0;
-  /// Safety valve on repeated recoveries in one committee and round.
-  std::uint32_t max_recoveries_per_committee = 4;
   /// §VIII-A extension: leaders pre-filter cross-shard lists by asking
   /// the destination leader which transactions are valid, excluding
   /// low-value (invalid) transactions before the expensive two-committee
@@ -73,9 +77,6 @@ struct EngineOptions {
   /// broadcasts its own sub-block, removing the O(mn) broadcast burden
   /// from C_R.
   bool extension_parallel_blocks = false;
-  /// Crash-recovery: how many consecutive rounds a restarted node keeps
-  /// retrying the referee catch-up before it gives up and re-crashes.
-  std::uint32_t max_catchup_rounds = 4;
   /// Intra-engine shard parallelism: worker threads for the parallel
   /// *compute* stage of each phase (signing, serialization, hashing,
   /// PoW, UTXO copies). All message emission, signature verification

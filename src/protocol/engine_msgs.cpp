@@ -189,7 +189,7 @@ void Engine::phase_selection(net::Time at) {
   const Bytes challenge =
       concat({bytes_of("cyc.round"), be64(round_),
               crypto::digest_to_bytes(randomness_)});
-  const std::uint64_t target = crypto::pow_target_for_bits(params_.pow_bits);
+  const std::uint64_t target = crypto::pow_target_for_bits(kPowBits);
   // Two-stage fan-out: the PoW search is the single most expensive pure
   // computation of the round (a bounded nonce scan per enrolled node),
   // so it runs on the pool; the solution sends run on the engine thread
@@ -342,8 +342,8 @@ void Engine::dispatch(NodeState& self, const net::Message& msg,
         const Bytes challenge =
             concat({bytes_of("cyc.round"), be64(round_),
                     crypto::digest_to_bytes(randomness_), be64(pow.pk.y)});
-        if (crypto::pow_verify(challenge, crypto::pow_target_for_bits(
-                                              params_.pow_bits),
+        if (crypto::pow_verify(challenge,
+                               crypto::pow_target_for_bits(kPowBits),
                                {pow.nonce, pow.digest})) {
           registered_.insert(pow.node);
         }

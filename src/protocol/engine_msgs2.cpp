@@ -718,7 +718,7 @@ void Engine::begin_accusation(NodeState& accuser, std::uint32_t k,
                               WitnessKind kind, Bytes witness, net::Time now) {
   if (!options_.recovery_enabled) return;
   if (accuser.round.accused_this_round) return;
-  if (committees_[k].recoveries >= options_.max_recoveries_per_committee) {
+  if (committees_[k].recoveries >= kMaxRecoveriesPerCommittee) {
     return;
   }
   accuser.round.accused_this_round = true;

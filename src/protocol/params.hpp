@@ -8,6 +8,14 @@
 
 namespace cyc::protocol {
 
+/// PoW participation puzzle difficulty (leading zero bits; small so
+/// simulations stay fast).
+inline constexpr unsigned kPowBits = 8;
+
+/// Extra delay factor of a reordered message: its scheduled delay is
+/// scaled by (1 + kReorderScale * u), u uniform.
+inline constexpr double kReorderScale = 4.0;
+
 /// Probabilistic message faults on the wide-area link classes (key mesh
 /// and partial-sync cross links). Intra-committee links stay reliable:
 /// the paper's synchronous-Delta bound (§III-B) holds inside a committee,
@@ -17,8 +25,7 @@ namespace cyc::protocol {
 struct FaultProfile {
   double drop = 0.0;       ///< P[message silently lost]
   double duplicate = 0.0;  ///< P[message delivered twice]
-  double reorder = 0.0;    ///< P[delivery delayed by an extra factor]
-  double reorder_scale = 4.0;
+  double reorder = 0.0;    ///< P[delivery delayed by kReorderScale]
 
   bool any() const { return drop > 0.0 || duplicate > 0.0 || reorder > 0.0; }
 };
@@ -71,10 +78,6 @@ struct Params {
   /// Unknown beyond that.
   std::uint32_t capacity_min = 64;
   std::uint32_t capacity_max = 64;
-
-  /// PoW participation puzzle difficulty (leading zero bits; small by
-  /// default so simulations stay fast).
-  unsigned pow_bits = 8;
 
   /// Extra nodes in the simulated universe beyond the `total_nodes()`
   /// active seats. Standby nodes hold keys but are not enrolled: they sit

@@ -146,7 +146,7 @@ TEST(Rebalance, SplitGatedByFairDrawSafety) {
   const RebalancePlan safe = plan_rebalance(cfg, map, window, accounts,
                                             kMembers, 0, kSeats, 2);
   EXPECT_EQ(safe.m_after, kShards + 1);
-  EXPECT_LE(safe.fair_draw_tail, cfg.max_fair_draw_tail);
+  EXPECT_LE(safe.fair_draw_tail, kMaxFairDrawTail);
 
   // Hostile population: enough corrupt members that the smaller
   // rescaled committees would fail the exact-hypergeometric gate — the

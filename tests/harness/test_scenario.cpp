@@ -31,8 +31,7 @@ TEST(ScenarioSpec, ParsesFullSpec) {
                   "forced_corrupt_leader_fraction": 0.5,
                   "mix": [{"behavior": "crash", "weight": 2.0},
                           {"behavior": "inverse-voter", "weight": 1.0}]},
-    "options": {"recovery_enabled": false, "leader_bonus": 2.0,
-                "max_recoveries_per_committee": 2},
+    "options": {"recovery_enabled": false},
     "rounds": 3,
     "seeds": [7, 8, 9],
     "events": [{"round": 2, "target": "leader-of", "committee": 1,
@@ -55,8 +54,6 @@ TEST(ScenarioSpec, ParsesFullSpec) {
   EXPECT_EQ(spec.adversary.mix[0].behavior, protocol::Behavior::kCrash);
   EXPECT_DOUBLE_EQ(spec.adversary.mix[0].weight, 2.0);
   EXPECT_FALSE(spec.options.recovery_enabled);
-  EXPECT_DOUBLE_EQ(spec.options.leader_bonus, 2.0);
-  EXPECT_EQ(spec.options.max_recoveries_per_committee, 2u);
   EXPECT_EQ(spec.rounds, 3u);
   EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{7, 8, 9}));
   ASSERT_EQ(spec.events.size(), 3u);

@@ -25,7 +25,7 @@ void expect_byte_identical_roundtrip(const ScenarioSpec& spec) {
 
 TEST(SpecRoundTrip, EveryBuilderFieldSurvives) {
   // Non-default value in *every* settable field, including the ones the
-  // matrix never sweeps (pow_bits, seed, the phase schedule).
+  // matrix never sweeps (seed, the phase schedule).
   ScenarioSpec spec;
   spec.name = "max/ed-out";
   spec.params.m = 5;
@@ -39,7 +39,6 @@ TEST(SpecRoundTrip, EveryBuilderFieldSurvives) {
   spec.params.capacity_min = 6;
   spec.params.capacity_max = 48;
   spec.params.standby = 9;
-  spec.params.pow_bits = 10;
   spec.params.seed = 77;
   spec.params.delays.delta = 1.5;
   spec.params.delays.gamma = 6.5;
@@ -57,9 +56,6 @@ TEST(SpecRoundTrip, EveryBuilderFieldSurvives) {
                         {protocol::Behavior::kFramer, 2.0}};
   spec.options.recovery_enabled = false;
   spec.options.reputation_leader_selection = false;
-  spec.options.leader_bonus = 2.5;
-  spec.options.referee_credit = 0.5;
-  spec.options.max_recoveries_per_committee = 2;
   spec.options.extension_precommunication = true;
   spec.options.extension_parallel_blocks = true;
   spec.rounds = 5;
@@ -78,7 +74,6 @@ TEST(SpecRoundTrip, EveryBuilderFieldSurvives) {
   // Field-by-field equality of the parsed spec (byte-identity alone
   // cannot catch a field missing from both serializer and parser).
   const ScenarioSpec parsed = ScenarioSpec::from_json_text(spec.to_json_text());
-  EXPECT_EQ(parsed.params.pow_bits, 10u);
   EXPECT_EQ(parsed.params.seed, 77u);
   EXPECT_DOUBLE_EQ(parsed.params.delays.delta, 1.5);
   EXPECT_DOUBLE_EQ(parsed.params.config_duration, 9.0);
@@ -88,8 +83,6 @@ TEST(SpecRoundTrip, EveryBuilderFieldSurvives) {
   EXPECT_DOUBLE_EQ(parsed.params.reputation_duration, 23.0);
   EXPECT_DOUBLE_EQ(parsed.params.selection_duration, 17.0);
   EXPECT_DOUBLE_EQ(parsed.params.block_duration, 25.0);
-  EXPECT_DOUBLE_EQ(parsed.options.leader_bonus, 2.5);
-  EXPECT_DOUBLE_EQ(parsed.options.referee_credit, 0.5);
   EXPECT_FALSE(parsed.options.reputation_leader_selection);
   EXPECT_TRUE(parsed.options.extension_precommunication);
   EXPECT_TRUE(parsed.options.extension_parallel_blocks);
@@ -108,7 +101,6 @@ TEST(SpecRoundTrip, FaultFabricFieldsSurvive) {
   spec.params.faults.drop = 0.1;
   spec.params.faults.duplicate = 0.05;
   spec.params.faults.reorder = 0.25;
-  spec.params.faults.reorder_scale = 6.0;
 
   ScenarioEvent cut;
   cut.round = 2;
@@ -147,7 +139,6 @@ TEST(SpecRoundTrip, FaultFabricFieldsSurvive) {
   EXPECT_DOUBLE_EQ(parsed.params.faults.drop, 0.1);
   EXPECT_DOUBLE_EQ(parsed.params.faults.duplicate, 0.05);
   EXPECT_DOUBLE_EQ(parsed.params.faults.reorder, 0.25);
-  EXPECT_DOUBLE_EQ(parsed.params.faults.reorder_scale, 6.0);
   ASSERT_EQ(parsed.events.size(), 5u);
   EXPECT_EQ(parsed.events[0].kind, ScenarioEvent::Kind::kPartition);
   EXPECT_EQ(parsed.events[0].target, ScenarioEvent::Target::kCommittee);
