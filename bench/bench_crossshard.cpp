@@ -47,7 +47,7 @@ constexpr std::uint64_t kCommitteeSweepSeed = 13;
 
 Row measure(std::uint32_t m, double cross_fraction, std::uint64_t seed) {
   const protocol::Params params = params_for(m, cross_fraction, seed);
-  // Paper-scale committee counts get intra-engine shard parallelism;
+  // Paper-scale committee counts run the PoW search on engine threads;
   // the historical points keep the sequential reference path (protocol
   // numbers are byte-identical either way).
   protocol::EngineOptions options;

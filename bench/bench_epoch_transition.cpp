@@ -57,7 +57,7 @@ Row measure(std::uint32_t m, std::uint32_t c) {
   config.rounds_per_epoch = 1;
   config.churn_rate = 0.2;
 
-  // Paper-scale committee counts get intra-engine shard parallelism;
+  // Paper-scale committee counts run the PoW search on engine threads;
   // the historical points keep the sequential reference path (protocol
   // numbers are byte-identical either way).
   protocol::EngineOptions options;

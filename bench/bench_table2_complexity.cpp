@@ -31,8 +31,8 @@ struct Sample {
   std::vector<net::Counter> phases;
 };
 
-// Paper-scale configurations (m >= 32) enable intra-engine shard
-// parallelism; the historical points keep the sequential reference path
+// Paper-scale configurations (m >= 32) run the PoW search on engine
+// threads; the historical points keep the sequential reference path
 // so their perf fields stay comparable across revisions. Protocol
 // numbers are byte-identical either way (the determinism contract
 // scripts/run_checks.sh enforces).

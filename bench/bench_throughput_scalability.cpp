@@ -48,7 +48,7 @@ protocol::Params params_for(std::uint32_t m) {
 
 constexpr std::size_t kRounds = 2;
 
-// Paper-scale points (m >= 32) enable intra-engine shard parallelism;
+// Paper-scale points (m >= 32) run the PoW search on engine threads;
 // the smaller historical points keep the sequential reference path so
 // their perf fields (wall_ms, payload counters) stay comparable across
 // revisions. Protocol numbers are byte-identical either way — that is

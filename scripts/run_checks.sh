@@ -2,7 +2,8 @@
 # Sanitizer gate: build with AddressSanitizer + UBSan and run the tier-1
 # test suite plus the bounded default scenario matrix under
 # instrumentation. Catches memory and UB bugs the optimized builds hide.
-# The intra-engine shard-parallelism path gets three dedicated jobs:
+# The engine's one pooled stage (the PoW search, --engine-threads) gets
+# three dedicated jobs:
 #   - a --engine-threads 1 vs 4 byte-compare over the full traced
 #     default matrix (ASan/UBSan),
 #   - the CLI edge-path script (scripts/test_cli.sh) on the same build,
@@ -44,8 +45,8 @@ echo
 echo "=== traced scenario matrix (determinism byte-compare) ==="
 # Traces record simulated time only, so both the per-point trace files
 # and the matrix artifact must be byte-identical across runs AND thread
-# counts — the sweep pool (--threads) and the intra-engine shard
-# parallelism (--engine-threads) alike — and tracing must not perturb
+# counts — the sweep pool (--threads) and the engine's pooled PoW
+# search (--engine-threads) alike — and tracing must not perturb
 # the untraced artifact either. Run A is the fully sequential reference
 # path; run B parallelizes both layers.
 rm -rf "$BUILD_DIR/traces-a" "$BUILD_DIR/traces-b"
@@ -95,8 +96,8 @@ cmp "$BUILD_DIR/skew-rebalance.et1.json" "$BUILD_DIR/skew-rebalance.et4.json"
 echo "skew-rebalance spec: byte-identical across engine thread counts"
 
 echo
-echo "=== ThreadSanitizer job (intra-engine shard parallelism) ==="
-# The two-stage compute/emit engine path is the only code that shares an
+echo "=== ThreadSanitizer job (pooled PoW search) ==="
+# The PoW search's compute/emit split is the only code that shares an
 # Engine across threads; TSan instruments exactly that. Scope: the
 # parallel-equivalence gate (thread counts 1..8 in-process) plus a full
 # default-matrix run at --engine-threads 4. ASan/UBSan and TSan cannot

@@ -16,10 +16,6 @@ PayloadPtr make_payload(Bytes b) {
 
 std::uint64_t payload_allocations() { return t_payload_allocs; }
 std::uint64_t payload_bytes_allocated() { return t_payload_bytes; }
-void reset_payload_counters() {
-  t_payload_allocs = 0;
-  t_payload_bytes = 0;
-}
 
 const Bytes& Message::payload() const {
   return body ? *body : kEmptyPayload;
@@ -33,7 +29,6 @@ std::string_view tag_name(Tag tag) {
     case Tag::kPropose: return "PROPOSE";
     case Tag::kEcho: return "ECHO";
     case Tag::kConfirm: return "CONFIRM";
-    case Tag::kAbort: return "ABORT";
     case Tag::kSemiCommit: return "SEMI_COM";
     case Tag::kSemiCommitAck: return "SEMI_COM_ACK";
     case Tag::kTxList: return "TX_LIST";
@@ -42,7 +37,6 @@ std::string_view tag_name(Tag tag) {
     case Tag::kCrossTxList: return "CROSS_TX";
     case Tag::kCrossResult: return "CROSS_RESULT";
     case Tag::kCrossPartialHint: return "CROSS_HINT";
-    case Tag::kScoreList: return "SCORE_LIST";
     case Tag::kScoreReport: return "SCORE_REPORT";
     case Tag::kAccuse: return "ACCUSE";
     case Tag::kImpeachVote: return "IMPEACH_VOTE";

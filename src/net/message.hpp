@@ -29,7 +29,6 @@ enum class Tag : std::uint16_t {
   kPropose,       // PROPOSE: r, sn, H(M), M
   kEcho,          // ECHO: r, sn, H(M), i  (plus relayed PROPOSE)
   kConfirm,       // CONFIRM: r, sn, H(M), i (plus EchoList)
-  kAbort,         // honest node announcing leader equivocation
   // Semi-commitment exchange (Alg. 4)
   kSemiCommit,    // SEMI_COM to referees / partial set
   kSemiCommitAck, // referee relay of accepted semi-commitments
@@ -42,7 +41,6 @@ enum class Tag : std::uint16_t {
   kCrossResult,   // C_j's decision back to l_i
   kCrossPartialHint,  // partial-set copy used by the 2-Gamma rule (Lemma 7)
   // Reputation
-  kScoreList,     // ScoreList + VList for consensus
   kScoreReport,   // agreed ScoreList -> referee
   // Recovery (Alg. 6)
   kAccuse,        // witness broadcast to committee
@@ -82,11 +80,10 @@ using PayloadPtr = std::shared_ptr<const Bytes>;
 /// Engine per thread) account independently.
 PayloadPtr make_payload(Bytes b);
 
-/// Payload buffers allocated on this thread since start / last reset.
+/// Payload buffers allocated on this thread since it started.
 std::uint64_t payload_allocations();
-/// Total payload bytes allocated on this thread since start / last reset.
+/// Total payload bytes allocated on this thread since it started.
 std::uint64_t payload_bytes_allocated();
-void reset_payload_counters();
 
 struct Message {
   NodeId from = kNoNode;

@@ -15,12 +15,11 @@
 // Intra-engine contract (EngineOptions::engine_threads): delay jitter is
 // drawn from the stream *at send time*, in global send order, so every
 // call into send()/multicast()/send_shared() must happen on the engine
-// thread in the exact order of the sequential path. The Engine's shard
-// parallelism honours this by splitting each phase into a parallel
-// compute stage (no sends, no RNG) and a sequential emit stage that
-// performs the sends in committee-index order — see "Execution model"
-// in src/protocol/README.md. SimNet itself is never called from pool
-// workers.
+// thread in the exact order of the sequential path. The Engine's one
+// pooled stage, the PoW search, honours this: its workers only compute
+// the solutions, and the engine thread sends them in node order — see
+// "Execution model" in src/protocol/README.md. SimNet itself is never
+// called from pool workers.
 //
 // Accounting: stats() is the only traffic count. A send is counted (by
 // sender, current phase and tag) before the channel / fault drop

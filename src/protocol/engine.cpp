@@ -13,7 +13,6 @@
 #include "crypto/schnorr.hpp"
 #include "obs/observer.hpp"
 #include "protocol/payloads.hpp"
-#include "support/parallel.hpp"
 #include "support/serde.hpp"
 
 namespace cyc::protocol {
@@ -729,18 +728,11 @@ void Engine::start_round_state() {
       n.catchup_tally.clear();  // fresh tally every attempt
     }
   }
-  // Per-node round reset: every write is confined to nodes_[i], so the
-  // jobs are index-disjoint and the result is independent of worker
-  // scheduling (no RNG, no sends, no verify-cache touches).
-  support::parallel_for(
-      nodes_.size(),
-      [&](std::size_t i) {
-        auto& n = nodes_[i];
-        n.role = Role::kCommon;
-        n.committee = -1;
-        n.round = {};
-      },
-      options_.engine_threads);
+  for (auto& n : nodes_) {
+    n.role = Role::kCommon;
+    n.committee = -1;
+    n.round = {};
+  }
   for (net::NodeId id : assign_.referees) {
     nodes_[id].role = Role::kReferee;
   }
@@ -757,16 +749,13 @@ void Engine::start_round_state() {
     }
   }
   // Members share their shard's UTXO view (the state their committee is
-  // responsible for): one immutable snapshot per shard. Each job copies
-  // one shard, so the copies parallelize without a merge step; nodes
-  // outside every committee share one empty store.
-  std::vector<std::shared_ptr<const ledger::UtxoStore>> views(params_.m);
-  support::parallel_for(
-      params_.m,
-      [&](std::size_t k) {
-        views[k] = std::make_shared<const ledger::UtxoStore>(shard_state_[k]);
-      },
-      options_.engine_threads);
+  // responsible for): one immutable snapshot per shard; nodes outside
+  // every committee share one empty store.
+  std::vector<std::shared_ptr<const ledger::UtxoStore>> views;
+  views.reserve(shard_state_.size());
+  for (const auto& shard : shard_state_) {
+    views.push_back(std::make_shared<const ledger::UtxoStore>(shard));
+  }
   auto outside = std::make_shared<ledger::UtxoStore>(0, params_.m);
   outside->attach_map(shard_map_);
   for (auto& n : nodes_) {
@@ -1005,6 +994,23 @@ double Engine::storage_proxy(const NodeState& n) const {
   return bytes;
 }
 
+void Engine::for_each_acked_result(
+    std::uint32_t k, const AckedResultVisitor& visit) const {
+  const CommitteeRound& committee = committees_[k];
+  if (committee.intra_result && referee_quorum(committee.intra_acks)) {
+    visit(k, false,
+          wire::IntraDecision::deserialize(*committee.intra_result).txdec_set);
+  }
+  for (const auto& [origin, payload] : committee.cross_results) {
+    const auto acks = committee.cross_acks.find(origin);
+    if (acks == committee.cross_acks.end() || !referee_quorum(acks->second)) {
+      continue;
+    }
+    visit(origin, true,
+          wire::CrossResultMsg::deserialize(payload).request.txs);
+  }
+}
+
 void Engine::adopt_quorum_scores() {
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     if (!committees_[k].score_report ||
@@ -1067,6 +1073,7 @@ void Engine::finalize_round(RoundReport& report) {
   };
 
   report.committees.resize(params_.m);
+  std::vector<bool> leader_earns_bonus(params_.m, false);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     auto& stats = report.committees[k];
     stats.committee = k;
@@ -1076,31 +1083,13 @@ void Engine::finalize_round(RoundReport& report) {
         committees_[k].intra_list.size() + committees_[k].cross_list.size();
     report.txs_offered += stats.txs_listed;
 
-    // A stored result counts only once a majority of referees acked the
-    // same bytes: a result that reached just a minority island of a
-    // partitioned C_R never makes it into the block.
-    if (committees_[k].intra_result &&
-        referee_quorum(committees_[k].intra_acks)) {
-      stats.produced_output = true;
-      const auto decision =
-          wire::IntraDecision::deserialize(*committees_[k].intra_result);
-      for (const auto& tx : decision.txdec_set) {
-        add_committed(tx, false, stats);
-      }
-    }
-    for (const auto& [origin, payload] : committees_[k].cross_results) {
-      auto acks = committees_[k].cross_acks.find(origin);
-      if (acks == committees_[k].cross_acks.end() ||
-          !referee_quorum(acks->second)) {
-        continue;
-      }
+    for_each_acked_result(k, [&](std::uint32_t origin, bool cross,
+                                 const std::vector<ledger::Transaction>& txs) {
       auto& origin_stats = report.committees[origin];
-      const auto result = wire::CrossResultMsg::deserialize(payload);
-      for (const auto& tx : result.request.txs) {
-        add_committed(tx, true, origin_stats);
-      }
+      for (const auto& tx : txs) add_committed(tx, cross, origin_stats);
       origin_stats.produced_output = true;
-    }
+      if (!cross) leader_earns_bonus[k] = true;
+    });
   }
 
   report.txs_committed = committed.size();
@@ -1144,30 +1133,22 @@ void Engine::finalize_round(RoundReport& report) {
   }
 
   // --- Apply the block to the authoritative per-shard state. ---
-  // Parallel over *stores*: each job walks its shard's slice of the
-  // committed list in block order (a tx outside the slice is a no-op for
-  // the store), computing the fee just before the apply when that shard
-  // is the tx's input shard. This reproduces the sequential semantics
-  // exactly — fee(tx_i) is taken against the store after txs 0..i-1
-  // applied — with index-disjoint writes (fees[i] has a unique owning
-  // shard). The fee sum then runs sequentially in block order so
-  // floating-point association is bit-identical to the single-threaded
-  // path.
+  // Each store applies its slice of the committed list in block order (a
+  // tx outside the slice is a no-op for the store), taking a tx's fee
+  // just before the apply on its input shard — against the store after
+  // txs 0..i-1 applied. The fees are then summed in block order.
   const ledger::RoutedBlock routed(std::move(committed), *shard_map_);
   const std::vector<ledger::Transaction>& block_txs = routed.txs();
   std::vector<double> fees(block_txs.size(), 0.0);
-  support::parallel_for(
-      shard_state_.size(),
-      [&](std::size_t s) {
-        auto& store = shard_state_[s];
-        for (std::uint32_t i : routed.slice(static_cast<ledger::ShardId>(s))) {
-          if (routed.input_shard(i) == s) {
-            fees[i] = static_cast<double>(ledger::tx_fee(block_txs[i], store));
-          }
-          store.apply(block_txs[i], routed.ids()[i]);
-        }
-      },
-      options_.engine_threads);
+  for (std::size_t s = 0; s < shard_state_.size(); ++s) {
+    auto& store = shard_state_[s];
+    for (std::uint32_t i : routed.slice(static_cast<ledger::ShardId>(s))) {
+      if (routed.input_shard(i) == s) {
+        fees[i] = static_cast<double>(ledger::tx_fee(block_txs[i], store));
+      }
+      store.apply(block_txs[i], routed.ids()[i]);
+    }
+  }
   double total_fees = 0.0;
   for (std::size_t i = 0; i < block_txs.size(); ++i) {
     total_fees += fees[i];
@@ -1237,9 +1218,7 @@ void Engine::finalize_round(RoundReport& report) {
   }
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     const net::NodeId leader = committees_[k].current_leader;
-    if (!convicted_leaders_.contains(leader) &&
-        committees_[k].intra_result &&
-        referee_quorum(committees_[k].intra_acks)) {
+    if (leader_earns_bonus[k] && !convicted_leaders_.contains(leader)) {
       nodes_[leader].reputation += kLeaderBonus;
     }
   }
@@ -1379,26 +1358,12 @@ RoundAssignment Engine::draw_assignment(
   // (§IV-F); taking the best `referee_size` implements a difficulty d
   // that yields the target committee size exactly.
   auto rank_by_role = [&](std::string_view role) {
-    // Candidate filter stays sequential (reads `taken`); the role-hash
-    // lottery itself is a pure SHA-256 per candidate, so it fans out.
-    // The final (hash, id) sort is a total order — independent of both
-    // insertion and worker order.
-    std::vector<net::NodeId> candidates;
+    std::vector<std::pair<std::uint64_t, net::NodeId>> ranked;
     for (net::NodeId id : participants) {
       if (taken.contains(id)) continue;
-      candidates.push_back(id);
+      ranked.emplace_back(
+          role_hash(next_round, randomness, nodes_[id].keys.pk, role), id);
     }
-    std::vector<std::pair<std::uint64_t, net::NodeId>> ranked(
-        candidates.size());
-    support::parallel_for(
-        candidates.size(),
-        [&](std::size_t i) {
-          const net::NodeId id = candidates[i];
-          ranked[i] = {
-              role_hash(next_round, randomness, nodes_[id].keys.pk, role),
-              id};
-        },
-        options_.engine_threads);
     std::sort(ranked.begin(), ranked.end());
     return ranked;
   };
@@ -1434,26 +1399,12 @@ RoundAssignment Engine::draw_assignment(
 
   // Everyone else: committee via cryptographic sortition (Alg. 1) with
   // the new randomness; the node re-derives this itself in the next
-  // round's configuration phase. The sortition hash chain per node is
-  // pure and writes only that node's ticket, so it fans out; the commons
-  // push-back runs afterwards in participants order so each committee's
-  // commons list keeps the sequential ordering exactly.
-  {
-    std::vector<net::NodeId> commons;
-    for (net::NodeId id : participants) {
-      if (taken.contains(id)) continue;
-      commons.push_back(id);
-    }
-    support::parallel_for(
-        commons.size(),
-        [&](std::size_t i) {
-          NodeState& n = nodes_[commons[i]];
-          n.ticket = crypto_sort(n.keys, next_round, randomness, params_.m);
-        },
-        options_.engine_threads);
-    for (net::NodeId id : commons) {
-      next.committees[nodes_[id].ticket.committee].commons.push_back(id);
-    }
+  // round's configuration phase.
+  for (net::NodeId id : participants) {
+    if (taken.contains(id)) continue;
+    NodeState& n = nodes_[id];
+    n.ticket = crypto_sort(n.keys, next_round, randomness, params_.m);
+    next.committees[n.ticket.committee].commons.push_back(id);
   }
   return next;
 }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -77,14 +78,13 @@ struct EngineOptions {
   /// broadcasts its own sub-block, removing the O(mn) broadcast burden
   /// from C_R.
   bool extension_parallel_blocks = false;
-  /// Intra-engine shard parallelism: worker threads for the parallel
-  /// *compute* stage of each phase (signing, serialization, hashing,
-  /// PoW, UTXO copies). All message emission, signature verification
-  /// (the thread_local verdict cache feeds traced metrics) and RNG-
-  /// consuming work stays on the engine thread in committee-index
-  /// order, so every artifact is byte-identical across thread counts.
-  /// 1 = fully sequential reference path. Deliberately NOT serialized
-  /// by ScenarioSpec::to_json: an execution knob, not protocol state.
+  /// Worker threads for the PoW search of the selection phase, the one
+  /// stage of the round that runs on a pool; every other stage runs
+  /// inline on the engine thread. The solutions are sent on the engine
+  /// thread in node order, so every artifact is byte-identical across
+  /// thread counts. 1 = fully sequential reference path. Deliberately NOT
+  /// serialized by ScenarioSpec::to_json: an execution knob, not
+  /// protocol state.
   unsigned engine_threads = 1;
 };
 
@@ -534,6 +534,16 @@ class Engine {
   bool referee_quorum(const std::set<net::NodeId>& acks) const {
     return acks.size() * 2 > assign_.referees.size();
   }
+  /// (origin committee, is a cross result, transactions).
+  using AckedResultVisitor = std::function<void(
+      std::uint32_t, bool, const std::vector<ledger::Transaction>&)>;
+  /// The referee-quorum rule for stored results: visit committee k's
+  /// results that a majority of referees acked, in block order — its
+  /// intra decision (origin k), then its cross results by origin. A
+  /// result stranded on a minority island of a partitioned C_R is
+  /// skipped.
+  void for_each_acked_result(std::uint32_t k,
+                             const AckedResultVisitor& visit) const;
   /// Recompute, for every committee, whether an active partition /
   /// blackout schedule severs it from quorum this round.
   void compute_severed();
@@ -584,34 +594,15 @@ class Engine {
                           net::Time now);
   void redo_leader_duties(std::uint32_t k, net::Time now);
 
-  /// Leader duties per phase (also used on recovery redo; each stays
-  /// callable inline for a single committee).
+  /// Leader duties per phase, for one committee: the phase drivers loop
+  /// over them and recovery's redo calls them for the new leader.
+  /// Sign and send committee k's semi-commitment (Alg. 4).
   void leader_send_semicommit(NodeState& leader, std::uint32_t k);
   /// Multicast committee k's `kind` list, vote on it and schedule the
   /// tally; the §VIII-A pre-filter runs first for a cross list.
   void leader_start_list(std::uint32_t k, ListKind kind, net::Time now);
   void leader_handle_cross_in(NodeState& leader, const Bytes& request);
   void leader_send_scores(std::uint32_t k);
-
-  /// Two-stage split of the leader duties above for intra-engine shard
-  /// parallelism: build_* is the pure compute half (deterministic
-  /// signing, serialization, commitment hashing — no sends, no RNG, no
-  /// signature *verification*, which would touch the thread_local
-  /// verdict cache that feeds traced metrics) and is safe on pool
-  /// workers; emit_* performs exactly the sends and engine-state
-  /// mutations of the sequential path and must run on the engine thread
-  /// in committee-index order. build_* returns empty bytes when the
-  /// committee's leader has nothing to send this phase.
-  Bytes build_semicommit(NodeState& leader, std::uint32_t k);
-  void emit_semicommit(NodeState& leader, std::uint32_t k,
-                       const Bytes& wire_bytes);
-  Bytes build_txlist(std::uint32_t k, ListKind kind);
-  void emit_txlist(std::uint32_t k, ListKind kind, const Bytes& wire_bytes,
-                   net::Time now);
-  /// leader_start_list for every committee, minus the sequential §VIII-A
-  /// pre-filter: a build stage on the pool, then an emit stage in
-  /// committee order.
-  void start_lists(ListKind kind, net::Time at);
 
   /// Apply score reports that have gathered a referee-majority ack into
   /// pending_scores_ (idempotent; run before selection and finalize).

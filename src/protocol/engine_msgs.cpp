@@ -19,56 +19,29 @@ namespace cyc::protocol {
 
 void Engine::phase_config(net::Time at) {
   enter_phase(net::Phase::kCommitteeConfig, at);
-  // Key members seed their list S with the committee's key members
-  // (addresses known from block B^{r-1}). Every key member belongs to
-  // exactly one committee, so the per-committee jobs write disjoint node
-  // state and fan out without a merge step.
-  support::parallel_for(
-      params_.m,
-      [&](std::size_t k) {
-        for (net::NodeId id : assign_.committees[k].key_members()) {
-          NodeState::Round& key_member = nodes_[id].round;
-          for (net::NodeId peer : assign_.committees[k].key_members()) {
-            if (key_member.known_pks.insert(nodes_[peer].keys.pk.y).second) {
-              key_member.member_list.push_back(nodes_[peer].keys.pk);
-            }
-          }
+  for (const CommitteeInfo& committee : assign_.committees) {
+    const std::vector<net::NodeId> key_members = committee.key_members();
+    // Key members seed their list S with the committee's key members
+    // (addresses known from block B^{r-1}).
+    for (net::NodeId id : key_members) {
+      NodeState::Round& key_member = nodes_[id].round;
+      for (net::NodeId peer : key_members) {
+        if (key_member.known_pks.insert(nodes_[peer].keys.pk.y).second) {
+          key_member.member_list.push_back(nodes_[peer].keys.pk);
         }
-      },
-      options_.engine_threads);
-  // Non-key members run CRYPTO_SORT and register with the key members.
-  // Two stages: the per-common self-registration and Intro serialization
-  // are node-disjoint pure compute; payload creation (thread_local alloc
-  // counters) and sends run on the engine thread in (committee, id)
-  // order so the simulator's delay-RNG draw order matches the
-  // sequential path byte for byte.
-  struct IntroJob {
-    std::uint32_t k;
-    net::NodeId id;
-    Bytes wire_bytes;
-  };
-  std::vector<IntroJob> intros;
-  for (std::uint32_t k = 0; k < params_.m; ++k) {
-    for (net::NodeId id : assign_.committees[k].commons) {
-      if (!nodes_[id].is_active(round_)) continue;
-      intros.push_back(IntroJob{k, id, {}});
+      }
     }
-  }
-  support::parallel_for(
-      intros.size(),
-      [&](std::size_t i) {
-        NodeState& common = nodes_[intros[i].id];
-        common.round.known_pks.insert(common.keys.pk.y);
-        common.round.member_list.push_back(common.keys.pk);
-        wire::Intro intro{common.id, common.keys.pk, common.ticket};
-        intros[i].wire_bytes = intro.serialize();
-      },
-      options_.engine_threads);
-  for (std::size_t i : support::stage_order(intros.size())) {
-    const auto& job = intros[i];
-    const auto payload = net::make_payload(job.wire_bytes);
-    for (net::NodeId km : assign_.committees[job.k].key_members()) {
-      net_->send_shared(job.id, km, net::Tag::kConfig, payload);
+    // Non-key members run CRYPTO_SORT and register with the key members.
+    for (net::NodeId id : committee.commons) {
+      NodeState& common = nodes_[id];
+      if (!common.is_active(round_)) continue;
+      common.round.known_pks.insert(common.keys.pk.y);
+      common.round.member_list.push_back(common.keys.pk);
+      const wire::Intro intro{id, common.keys.pk, common.ticket};
+      const auto payload = net::make_payload(intro.serialize());
+      for (net::NodeId km : key_members) {
+        net_->send_shared(id, km, net::Tag::kConfig, payload);
+      }
     }
   }
   // Restarted nodes spend the configuration phase asking the referees for
@@ -87,22 +60,8 @@ void Engine::phase_config(net::Time at) {
 
 void Engine::phase_semicommit(net::Time at) {
   enter_phase(net::Phase::kSemiCommit, at);
-  // Two-stage fan-out: commitment hashing + double signing + wire
-  // serialization per committee on the pool, emission in committee-index
-  // order on the engine thread (see "Execution model" in
-  // src/protocol/README.md).
-  std::vector<Bytes> built(params_.m);
-  support::parallel_for(
-      params_.m,
-      [&](std::size_t k) {
-        NodeState& leader = nodes_[committees_[k].current_leader];
-        built[k] = build_semicommit(leader, static_cast<std::uint32_t>(k));
-      },
-      options_.engine_threads);
-  for (std::size_t k : support::stage_order(params_.m)) {
-    if (built[k].empty()) continue;
-    NodeState& leader = nodes_[committees_[k].current_leader];
-    emit_semicommit(leader, static_cast<std::uint32_t>(k), built[k]);
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    leader_send_semicommit(nodes_[committees_[k].current_leader], k);
   }
   // A silent leader is only impeachable once common members can
   // corroborate the silence (they never see SEMI_COM traffic), so the
@@ -111,7 +70,9 @@ void Engine::phase_semicommit(net::Time at) {
 
 void Engine::phase_intra(net::Time at) {
   enter_phase(net::Phase::kIntraConsensus, at);
-  start_lists(ListKind::kIntra, at);
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    leader_start_list(k, ListKind::kIntra, at);
+  }
   const net::Time deadline =
       at + 0.7 * params_.intra_duration * params_.delays.delta;
   net_->schedule(deadline, [this](net::Time now) {
@@ -143,33 +104,8 @@ void Engine::phase_intra(net::Time at) {
 
 void Engine::phase_inter(net::Time at) {
   enter_phase(net::Phase::kInterConsensus, at);
-  if (options_.extension_precommunication) {
-    // The §VIII-A pre-check interleaves sends with ledger::V filtering,
-    // so it cannot be split into a pure compute stage — run the whole
-    // phase sequentially (the reference path).
-    for (std::uint32_t k = 0; k < params_.m; ++k) {
-      leader_start_list(k, ListKind::kCross, at);
-    }
-    return;
-  }
-  start_lists(ListKind::kCross, at);
-}
-
-void Engine::start_lists(ListKind kind, net::Time at) {
-  // Two-stage fan-out: the leader's tx-list signing + serialization per
-  // committee runs on the pool; the multicast, the leader's own vote
-  // (ledger::V — verdict cache) and the tally timer run on the engine
-  // thread in committee-index order.
-  std::vector<Bytes> built(params_.m);
-  support::parallel_for(
-      params_.m,
-      [&](std::size_t k) {
-        built[k] = build_txlist(static_cast<std::uint32_t>(k), kind);
-      },
-      options_.engine_threads);
-  for (std::size_t k : support::stage_order(params_.m)) {
-    if (built[k].empty()) continue;
-    emit_txlist(static_cast<std::uint32_t>(k), kind, built[k], at);
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    leader_start_list(k, ListKind::kCross, at);
   }
 }
 
@@ -190,11 +126,11 @@ void Engine::phase_selection(net::Time at) {
       concat({bytes_of("cyc.round"), be64(round_),
               crypto::digest_to_bytes(randomness_)});
   const std::uint64_t target = crypto::pow_target_for_bits(kPowBits);
-  // Two-stage fan-out: the PoW search is the single most expensive pure
-  // computation of the round (a bounded nonce scan per enrolled node),
-  // so it runs on the pool; the solution sends run on the engine thread
-  // in node-id order so delay-RNG draw order matches the sequential
-  // path.
+  // The one pooled stage of the round (see "Execution model" in
+  // src/protocol/README.md): the PoW search is its most expensive pure
+  // computation (a bounded nonce scan per enrolled node), so it runs on
+  // the pool; the solution sends run on the engine thread in node-id
+  // order so delay-RNG draw order matches the sequential path.
   std::vector<net::NodeId> solvers;
   for (const auto& n : nodes_) {
     if (!n.enrolled) continue;               // standby identities sit out
@@ -233,24 +169,12 @@ void Engine::phase_block(net::Time at) {
   NodeState& referee = nodes_[proposer];
   wire::BlockMsg block;
   block.round = round_;
-  // Only results a majority of referees acked enter the proposal — a
-  // result stranded on a minority island of a partitioned C_R stays out.
+  // Only results a majority of referees acked enter the proposal.
   for (std::uint32_t k = 0; k < params_.m; ++k) {
-    if (committees_[k].intra_result &&
-        referee_quorum(committees_[k].intra_acks)) {
-      const auto decision =
-          wire::IntraDecision::deserialize(*committees_[k].intra_result);
-      for (const auto& tx : decision.txdec_set) block.txs.push_back(tx);
-    }
-    for (const auto& [origin, payload] : committees_[k].cross_results) {
-      auto acks = committees_[k].cross_acks.find(origin);
-      if (acks == committees_[k].cross_acks.end() ||
-          !referee_quorum(acks->second)) {
-        continue;
-      }
-      const auto result = wire::CrossResultMsg::deserialize(payload);
-      for (const auto& tx : result.request.txs) block.txs.push_back(tx);
-    }
+    for_each_acked_result(k, [&](std::uint32_t, bool,
+                                 const std::vector<ledger::Transaction>& txs) {
+      block.txs.insert(block.txs.end(), txs.begin(), txs.end());
+    });
   }
   block.randomness = next_randomness_;
   std::vector<Bytes> leaves;
@@ -372,8 +296,6 @@ void Engine::dispatch(NodeState& self, const net::Message& msg,
         }
         break;
       }
-      case net::Tag::kScoreList:
-      case net::Tag::kAbort:
       case net::Tag::kUtxoHandoff:
       case net::Tag::kBeaconShare:
       case net::Tag::kPreCommQuery:

@@ -39,9 +39,9 @@ bool certifies(BytesView cert_bytes, BytesView payload,
 // Semi-commitment exchange (Alg. 4)
 // ---------------------------------------------------------------------------
 
-Bytes Engine::build_semicommit(NodeState& leader, std::uint32_t k) {
-  if (!leader.is_active(round_)) return {};
-  std::vector<crypto::PublicKey> list = leader.round.member_list;
+void Engine::leader_send_semicommit(NodeState& leader, std::uint32_t k) {
+  if (!leader.is_active(round_)) return;
+  const std::vector<crypto::PublicKey>& list = leader.round.member_list;
 
   crypto::Digest commitment = semi_commitment(list);
   if (leader.misbehaves(round_) &&
@@ -58,12 +58,7 @@ Bytes Engine::build_semicommit(NodeState& leader, std::uint32_t k) {
       leader.keys, commitment_payload(round_, k, commitment));
   msg.list_msg =
       crypto::make_signed(leader.keys, member_list_payload(round_, k, list));
-  return msg.serialize();
-}
-
-void Engine::emit_semicommit(NodeState& leader, std::uint32_t k,
-                             const Bytes& wire_bytes) {
-  const auto payload = net::make_payload(wire_bytes);
+  const auto payload = net::make_payload(msg.serialize());
   for (net::NodeId rm : assign_.referees) {
     net_->send_shared(leader.id, rm, net::Tag::kSemiCommit, payload);
   }
@@ -71,12 +66,6 @@ void Engine::emit_semicommit(NodeState& leader, std::uint32_t k,
     if (pm == leader.id) continue;
     net_->send_shared(leader.id, pm, net::Tag::kSemiCommit, payload);
   }
-}
-
-void Engine::leader_send_semicommit(NodeState& leader, std::uint32_t k) {
-  const Bytes wire_bytes = build_semicommit(leader, k);
-  if (wire_bytes.empty()) return;
-  emit_semicommit(leader, k, wire_bytes);
 }
 
 void Engine::on_semicommit(NodeState& self, const net::Message& msg,
@@ -253,32 +242,46 @@ void Engine::VoteTally::decide(std::size_t dimension,
   }
 }
 
-Bytes Engine::build_txlist(std::uint32_t k, ListKind kind) {
+void Engine::leader_start_list(std::uint32_t k, ListKind kind, net::Time now) {
   NodeState& leader = nodes_[committees_[k].current_leader];
-  if (!leader.is_active(round_)) return {};
-  const auto& txs = committees_[k].list(kind);
+  if (!leader.is_active(round_)) return;
+  auto& txs = committees_[k].list(kind);
   // The intra list is agreed even when empty (its certified decision is
   // the committee's output); an empty cross list has nothing to agree on.
-  if (kind == ListKind::kCross && txs.empty()) return {};
+  if (kind == ListKind::kCross && txs.empty()) return;
+  if (kind == ListKind::kCross && options_.extension_precommunication) {
+    // §VIII-A: enquire the destination leaders about candidate validity
+    // before packaging, then drop transactions the pre-check rejects —
+    // invalid traffic never reaches the two-committee consensus.
+    std::set<std::uint32_t> dests;
+    for (const auto& tx : txs) {
+      for (std::uint32_t shard : ledger::output_shards(tx, *shard_map_)) {
+        if (shard != k) dests.insert(shard);
+      }
+    }
+    for (std::uint32_t dest : dests) {
+      const net::NodeId peer = committees_[dest].current_leader;
+      net_->send(leader.id, peer, net::Tag::kPreCommQuery, Bytes(48, 0));
+      net_->send(peer, leader.id, net::Tag::kPreCommReply, Bytes(16, 0));
+    }
+    std::vector<ledger::Transaction> filtered;
+    for (const auto& tx : txs) {
+      if (ledger::V(tx, *leader.utxo)) filtered.push_back(tx);
+    }
+    txs = std::move(filtered);
+    if (txs.empty()) return;
+  }
   wire::TxListMsg msg;
   msg.committee = k;
   msg.attempt = committees_[k].attempt;
   msg.cross = kind == ListKind::kCross;
   msg.signed_list = crypto::make_signed(leader.keys, wire::encode_tx_vec(txs));
-  return msg.serialize();
-}
-
-void Engine::emit_txlist(std::uint32_t k, ListKind kind,
-                         const Bytes& wire_bytes, net::Time now) {
-  NodeState& leader = nodes_[committees_[k].current_leader];
   net_->multicast(leader.id, committee_members(k), net::Tag::kTxList,
-                  wire_bytes);
-  // The leader votes too (it is a member of the committee). compute_vote
-  // runs ledger::V, whose verdict-cache hits feed traced metrics — this
-  // is why voting lives in the emit stage, on the engine thread.
+                  msg.serialize());
+  // The leader votes too (it is a member of the committee).
   auto& votes = committees_[k].tally(kind).votes;
   votes.clear();
-  votes[leader.id] = compute_vote(leader, committees_[k].list(kind));
+  votes[leader.id] = compute_vote(leader, txs);
 
   // Collection window (the paper suggests 6 Delta): tally, agree, report.
   const std::uint32_t attempt = committees_[k].attempt;
@@ -336,37 +339,6 @@ void Engine::emit_txlist(std::uint32_t k, ListKind kind,
   });
 }
 
-void Engine::leader_start_list(std::uint32_t k, ListKind kind, net::Time now) {
-  if (kind == ListKind::kCross && options_.extension_precommunication) {
-    // §VIII-A: enquire the destination leaders about candidate validity
-    // before packaging, then drop transactions the pre-check rejects —
-    // invalid traffic never reaches the two-committee consensus. The
-    // pre-check both sends and runs ledger::V, so this path stays fully
-    // sequential (phase_inter never fans it out).
-    NodeState& leader = nodes_[committees_[k].current_leader];
-    auto& txs = committees_[k].cross_list;
-    if (!leader.is_active(round_) || txs.empty()) return;
-    std::set<std::uint32_t> dests;
-    for (const auto& tx : txs) {
-      for (std::uint32_t shard : ledger::output_shards(tx, *shard_map_)) {
-        if (shard != k) dests.insert(shard);
-      }
-    }
-    for (std::uint32_t dest : dests) {
-      const net::NodeId peer = committees_[dest].current_leader;
-      net_->send(leader.id, peer, net::Tag::kPreCommQuery, Bytes(48, 0));
-      net_->send(peer, leader.id, net::Tag::kPreCommReply, Bytes(16, 0));
-    }
-    std::vector<ledger::Transaction> filtered;
-    for (const auto& tx : txs) {
-      if (ledger::V(tx, *leader.utxo)) filtered.push_back(tx);
-    }
-    txs = std::move(filtered);
-  }
-  const Bytes wire_bytes = build_txlist(k, kind);
-  if (wire_bytes.empty()) return;
-  emit_txlist(k, kind, wire_bytes, now);
-}
 
 void Engine::on_txlist(NodeState& self, const net::Message& msg) {
   const auto list = wire::TxListMsg::deserialize(msg.payload());

@@ -12,6 +12,10 @@
 // (payload allocation counters, the signature-verdict cache) therefore
 // stays coherent within a job as long as per-job deltas are measured
 // inside the job itself.
+//
+// Inside one Engine, parallel_for serves a single stage: the selection
+// phase's PoW search (EngineOptions::engine_threads). Its results are
+// emitted on the engine thread in stage_order.
 #pragma once
 
 #include <algorithm>
@@ -107,17 +111,19 @@ inline std::atomic<bool>& stage_order_perturbed() {
 }
 
 /// Emit order for a two-stage (parallel compute, sequential emit)
-/// phase: the indices [0, n) in the canonical committee/node order the
-/// sequential engine uses. Every emit loop that follows a parallel
-/// compute stage must iterate in this order so message send order —
-/// and therefore the simulator's delay-RNG draw order — is independent
-/// of worker scheduling. Returns reversed order when the test hook is
-/// set.
+/// stage: the indices [0, n) in the canonical node order the sequential
+/// engine uses. An emit loop that follows a parallel compute stage must
+/// iterate in this order so message send order — and therefore the
+/// simulator's delay-RNG draw order — is independent of worker
+/// scheduling. When the test hook is set it stands in for a
+/// scheduling-dependent merge: the order is reversed and the result of
+/// index 0 is lost.
 inline std::vector<std::size_t> stage_order(std::size_t n) {
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
   if (stage_order_perturbed().load(std::memory_order_relaxed)) {
     std::reverse(order.begin(), order.end());
+    if (!order.empty()) order.pop_back();
   }
   return order;
 }

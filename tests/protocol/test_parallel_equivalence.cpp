@@ -1,11 +1,13 @@
-// Parallel/sequential equivalence gate for intra-engine shard
-// parallelism: the two-stage (parallel compute, sequential emit) phase
-// execution must be byte-identical to the sequential reference path —
-// RoundReports, trace files and SCENARIOS.json fragments alike — for
-// every engine-thread count. The non-vacuity twin perturbs the emit
-// merge order through support::stage_order_perturbed() and asserts the
-// comparison actually goes red, proving the gate can catch a
-// scheduling-dependent merge.
+// Parallel/sequential equivalence gate for the engine's one pooled
+// stage, the selection phase's PoW search (EngineOptions::engine_threads;
+// every other stage runs inline): RoundReports, trace files and
+// SCENARIOS.json fragments must be byte-identical to the sequential
+// reference path for every engine-thread count. The non-vacuity twin sets
+// support::stage_order_perturbed(), which reverses the PoW emit order
+// and loses one solver's result, and asserts the comparison actually
+// goes red, proving the gate can catch a scheduling-dependent merge.
+// Reversal alone changes no output: the PoW solutions only register
+// their senders, and every one lands inside the selection window.
 #include <gtest/gtest.h>
 
 #include <string>

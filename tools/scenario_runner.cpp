@@ -17,8 +17,8 @@
 // missing); it is a pure function of the matrix, so repeated runs are
 // byte-identical.
 //
-// --engine-threads N sets the intra-engine shard-parallelism worker
-// count on every scenario's EngineOptions (default 1 = sequential
+// --engine-threads N sets the PoW-search worker count
+// (EngineOptions::engine_threads) on every scenario (default 1 = sequential
 // reference path). The knob is execution-only: artifacts are
 // byte-identical for every N, which scripts/run_checks.sh verifies.
 //
