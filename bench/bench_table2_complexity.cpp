@@ -2,10 +2,13 @@
 // message-level engine, swept over network size, with a scaling
 // classification against the table's O(.) classes.
 //
-// The five configurations run concurrently on the support/parallel.hpp
-// pool (one deterministic single-threaded Engine per configuration).
+// The configurations run concurrently on the support/parallel.hpp pool
+// (one deterministic single-threaded Engine per configuration). The
+// paper-scale points m=32 and m=64 are measured a second time with the
+// §VIII-B extension (parallel sub-blocks) for its block-phase column.
 // Results land in bench/out/BENCH_table2_complexity.json (or argv[1]).
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/complexity.hpp"
@@ -20,6 +23,7 @@ namespace {
 
 struct Sweep {
   std::uint32_t m, c;
+  bool parallel_blocks = false;  ///< §VIII-B extension on
 };
 
 struct Sample {
@@ -51,6 +55,7 @@ Sample measure(const Sweep& sweep) {
   params.users = 16 * sweep.m;
   params.seed = 99;
   protocol::EngineOptions options;
+  options.extension_parallel_blocks = sweep.parallel_blocks;
   if (sweep.m >= kParallelFrom) options.engine_threads = kEngineThreads;
   bench::PointProbe probe;
   protocol::Engine engine(params, protocol::AdversaryConfig{}, options);
@@ -99,6 +104,16 @@ int main(int argc, char** argv) {
   const auto samples = support::parallel_sweep(
       sweeps.size(), [&](std::size_t i) { return measure(sweeps[i]); });
   const double total_ms = total.wall_ms();
+  // §VIII-B column: the paper-scale points again, with parallel blocks.
+  const std::vector<Sweep> viii_b = {{32, 8, true}, {64, 8, true}};
+  const auto viii_b_samples = support::parallel_sweep(
+      viii_b.size(), [&](std::size_t i) { return measure(viii_b[i]); });
+  auto baseline_of = [&](const Sweep& sweep) -> const Sample& {
+    for (std::size_t i = 0; i < sweeps.size(); ++i) {
+      if (sweeps[i].m == sweep.m && sweeps[i].c == sweep.c) return samples[i];
+    }
+    throw std::logic_error("no baseline point for a §VIII-B point");
+  };
 
   const net::Phase phases[] = {
       net::Phase::kCommitteeConfig, net::Phase::kSemiCommit,
@@ -181,13 +196,27 @@ int main(int argc, char** argv) {
   print_section(false);
   print_section(true);
 
+  const std::size_t block = static_cast<std::size_t>(net::Phase::kBlock);
+  std::printf("\n=== §VIII-B parallel blocks: block-phase msgs / bytes per "
+              "node (baseline -> parallel) ===\n");
+  for (std::size_t i = 0; i < viii_b.size(); ++i) {
+    const Sample& base = baseline_of(viii_b[i]);
+    for (std::size_t ri = 0; ri < 3; ++ri) {
+      std::printf("m=%-3u %-16s msgs %9.1f -> %9.1f   bytes %11.0f -> %11.0f\n",
+                  viii_b[i].m, role_names[ri],
+                  base.msgs.at(roles[ri])[block],
+                  viii_b_samples[i].msgs.at(roles[ri])[block],
+                  base.bytes.at(roles[ri])[block],
+                  viii_b_samples[i].bytes.at(roles[ri])[block]);
+    }
+  }
+
   std::printf("\nsweep wall-clock (parallel): %.1f ms\n", total_ms);
   std::printf(
-      "\nShape check: the fitted classes should match the paper's columns\n"
-      "for the dominant cells (config O(c)/O(c^2), intra O(c), referee\n"
-      "block O(mn), semi-commitment referee O(m^2)); message counts match\n"
-      "the per-message cells, byte volumes the per-volume cells — see\n"
-      "EXPERIMENTS.md for the per-cell discussion.\n");
+      "\nShape check: every fitted class that differs from the paper's is\n"
+      "explained, cell by cell, in the reconciliation table of\n"
+      "src/analysis/README.md; scripts/check_table2.py fails when the two\n"
+      "disagree.\n");
 
   support::JsonWriter json;
   json.begin_object();
@@ -219,6 +248,31 @@ int main(int argc, char** argv) {
     json.end_array();
     json.field("fitted", cell.fitted);
     json.field("paper", cell.expected);
+    json.end_object();
+  }
+  json.end_array();
+  json.key("parallel_blocks");
+  json.begin_array();
+  for (std::size_t i = 0; i < viii_b.size(); ++i) {
+    const Sample& base = baseline_of(viii_b[i]);
+    const Sample& ext = viii_b_samples[i];
+    json.begin_object();
+    json.field("phase", net::phase_name(net::Phase::kBlock));
+    json.field("m", viii_b[i].m);
+    json.field("c", viii_b[i].c);
+    json.field("n", ext.n);
+    json.key("roles");
+    json.begin_array();
+    for (std::size_t ri = 0; ri < 3; ++ri) {
+      json.begin_object();
+      json.field("role", role_names[ri]);
+      json.field("msgs_per_node", ext.msgs.at(roles[ri])[block]);
+      json.field("bytes_per_node", ext.bytes.at(roles[ri])[block]);
+      json.field("baseline_msgs_per_node", base.msgs.at(roles[ri])[block]);
+      json.field("baseline_bytes_per_node", base.bytes.at(roles[ri])[block]);
+      json.end_object();
+    }
+    json.end_array();
     json.end_object();
   }
   json.end_array();

@@ -58,6 +58,11 @@ for name in throughput_scalability table2_complexity; do
 done
 echo "m=32 and m=64 present in both sweep artifacts"
 
+echo "=== Table II fitted classes vs the reconciliation table ==="
+# A fitted class may only change together with its row in
+# src/analysis/README.md.
+python3 scripts/check_table2.py bench/out/BENCH_table2_complexity.json
+
 echo "=== hot-shard skew / rebalance section ==="
 # The sustained-load artifact must carry the skewed static-vs-rebalance
 # pair (src/epoch/rebalance.*) — both modes, so the hottest-shard

@@ -67,6 +67,8 @@ std::size_t InvariantChecker::check_round(const protocol::RoundReport& report) {
   }
 
   check_chain(report);
+  check_subblocks(engine_.released_subblocks(), engine_.last_block(), round,
+                  violations_);
   check_block_txs(engine_.last_block(), engine_.params().m, committed_ids_,
                   spent_, mirror_, round, violations_);
   // On a rebalance boundary round the engine migrated its stores to the
@@ -169,6 +171,34 @@ void InvariantChecker::check_block_txs(
       }
     }
     for (auto& store : mirror) store.apply(tx);
+  }
+}
+
+void InvariantChecker::check_subblocks(
+    const std::vector<protocol::SubBlock>& subblocks,
+    const ledger::Block& block, std::uint64_t round,
+    std::vector<Violation>& out) {
+  if (subblocks.empty()) return;
+  std::set<std::string> in_block;
+  std::unordered_set<ledger::OutPoint, ledger::OutPointHash> spent;
+  for (const auto& tx : block.txs) {
+    in_block.insert(tx_key(tx));
+    spent.insert(tx.inputs.begin(), tx.inputs.end());
+  }
+  for (const auto& sub : subblocks) {
+    for (const auto& tx : sub.txs) {
+      if (in_block.contains(tx_key(tx))) continue;
+      const bool lost_double_spend =
+          std::any_of(tx.inputs.begin(), tx.inputs.end(),
+                      [&](const ledger::OutPoint& in) {
+                        return spent.contains(in);
+                      });
+      if (lost_double_spend) continue;
+      out.push_back({"subblock-in-block", round,
+                     "committee " + std::to_string(sub.committee) +
+                         " sub-block tx " + hex_prefix(tx.id()) +
+                         " is not in the block"});
+    }
   }
 }
 

@@ -33,6 +33,10 @@
 //                                through the referees)
 //   honest-reputation-cliff      honest reputation never takes a conviction-
 //                                sized drop (vote scores are bounded by 1)
+//   subblock-in-block            every transaction of a released §VIII-B
+//                                sub-block is in B^r, unless B^r spends one
+//                                of its inputs (the block-level double-spend
+//                                guard kept the other spend)
 //
 // Fault-fabric invariants (partitions / crash-restart, src/net/faults.*):
 //   partition-no-straddle        a committee severed below referee quorum
@@ -138,6 +142,13 @@ class InvariantChecker {
                                   const std::vector<ledger::UtxoStore>& mirror,
                                   std::uint64_t round,
                                   std::vector<Violation>& out);
+
+  /// §VIII-B: members adopt a released sub-block before B^r exists, so
+  /// each of its transactions must reach B^r — or lose a double spend to
+  /// a B^r transaction, which the block-level guard resolves.
+  static void check_subblocks(const std::vector<protocol::SubBlock>& subblocks,
+                              const ledger::Block& block, std::uint64_t round,
+                              std::vector<Violation>& out);
 
   /// §IV-G flow conservation for one round.
   static void check_flow(const protocol::RoundFlow& flow,

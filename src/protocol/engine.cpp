@@ -798,6 +798,7 @@ void Engine::start_round_state() {
   recovery_log_.clear();
   pending_scores_.clear();
   convicted_leaders_.clear();
+  released_subblocks_.clear();
   registered_.clear();
   net_->stats().reset();
 
@@ -984,7 +985,8 @@ double Engine::storage_proxy(const NodeState& n) const {
   double bytes = 0.0;
   bytes += 16.0 * static_cast<double>(n.round.member_list.size());
   bytes += 32.0 * static_cast<double>(n.round.commitments.size());
-  n.round.lists.for_each([&](const std::vector<crypto::PublicKey>& list) {
+  n.round.lists.for_each([&](std::uint32_t,
+                             const std::vector<crypto::PublicKey>& list) {
     bytes += 8.0 * static_cast<double>(list.size());
   });
   bytes += 48.0 * static_cast<double>(n.utxo->size());

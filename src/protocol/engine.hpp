@@ -123,6 +123,12 @@ struct RoundFlow {
   std::uint64_t foreign = 0;    ///< result txs absent from every list
 };
 
+/// A §VIII-B sub-block as its permitted leader released it.
+struct SubBlock {
+  std::uint32_t committee = 0;
+  std::vector<ledger::Transaction> txs;
+};
+
 class Engine {
  public:
   Engine(Params params, AdversaryConfig adversary, EngineOptions options = {});
@@ -171,6 +177,17 @@ class Engine {
   /// The full block B^r of the last completed round (the chain itself
   /// only retains headers).
   const ledger::Block& last_block() const { return last_block_; }
+  /// The semi-commitment `id` holds for committee `k` in the current or
+  /// last completed round — accepted from SEMI_COM (a referee) or relayed
+  /// by the referees (a key member) — or nullptr.
+  const crypto::Digest* semicommitment(net::NodeId id, std::uint32_t k) const {
+    return nodes_[id].round.commitments.find(k);
+  }
+  /// Sub-blocks the permitted leaders released in the last completed
+  /// round (§VIII-B; empty unless extension_parallel_blocks is on).
+  const std::vector<SubBlock>& released_subblocks() const {
+    return released_subblocks_;
+  }
   /// Leaders convicted by the referee committee in the last round.
   const std::set<net::NodeId>& convicted_leaders() const {
     return convicted_leaders_;
@@ -304,7 +321,7 @@ class Engine {
 
  private:
   /// Per-committee slots indexed by committee id, for state that every
-  /// relayed semi-commitment ack writes: one index instead of a tree walk.
+  /// relayed semi-commitment writes: one index instead of a tree walk.
   template <typename T>
   class PerCommittee {
    public:
@@ -324,11 +341,11 @@ class Engine {
       for (const auto& slot : slots_) n += slot.has_value();
       return n;
     }
-    /// Stored values in ascending committee order.
+    /// (committee, value) pairs in ascending committee order.
     template <typename Fn>
     void for_each(Fn&& fn) const {
-      for (const auto& slot : slots_) {
-        if (slot) fn(*slot);
+      for (std::uint32_t k = 0; k < slots_.size(); ++k) {
+        if (slots_[k]) fn(k, *slots_[k]);
       }
     }
 
@@ -371,10 +388,13 @@ class Engine {
       std::map<std::uint64_t, consensus::LeaderInstance> lead;
       std::map<std::uint64_t, consensus::MemberInstance> member;
       std::map<std::uint64_t, consensus::QuorumCert> certs;
-      // Accepted semi-commitments and member lists, from SEMI_COM
-      // (referees) and the referees' relayed acks (key members).
+      // Accepted semi-commitments: from SEMI_COM (referees, which also
+      // keep the member lists) and the referees' relayed digests (key
+      // members). A referee relays what it accepted in one batch at the
+      // flush and anything accepted later on its own.
       PerCommittee<crypto::Digest> commitments;
       PerCommittee<std::vector<crypto::PublicKey>> lists;
+      bool semicommits_flushed = false;
       // Partial members: certified cross lists sent to their committee
       // (the 2*Gamma rule of Lemma 7), and every member: origins whose
       // cross-in consensus the leader engaged.
@@ -491,6 +511,9 @@ class Engine {
   void on_confirm(NodeState& self, const net::Message& msg);
   void on_semicommit(NodeState& self, const net::Message& msg, net::Time now);
   void on_semicommit_ack(NodeState& self, const net::Message& msg);
+  /// kBlockPermit (§VIII-B): the permitted leader broadcasts its
+  /// committee's sub-block.
+  void on_block_permit(NodeState& self);
   void on_txlist(NodeState& self, const net::Message& msg);
   void on_vote(NodeState& self, const net::Message& msg);
   void on_cross_txlist(NodeState& self, const net::Message& msg);
@@ -598,6 +621,10 @@ class Engine {
   /// over them and recovery's redo calls them for the new leader.
   /// Sign and send committee k's semi-commitment (Alg. 4).
   void leader_send_semicommit(NodeState& leader, std::uint32_t k);
+  /// A referee's relay of accepted semi-commitments to every key member
+  /// of every committee (Alg. 4), as one shared buffer.
+  void relay_semicommits(net::NodeId referee,
+                         const wire::SemiCommitBatch& batch);
   /// Multicast committee k's `kind` list, vote on it and schedule the
   /// tally; the §VIII-A pre-filter runs first for a cross list.
   void leader_start_list(std::uint32_t k, ListKind kind, net::Time now);
@@ -682,6 +709,7 @@ class Engine {
   ledger::Block last_block_;       // full body of the newest chain block
   RoundAssignment last_assign_;    // assignment the last round started with
   RoundFlow last_flow_;            // §IV-G conservation counters
+  std::vector<SubBlock> released_subblocks_;  // §VIII-B, this round
   // §IV-G Remaining TX List: valid transactions offered but not packed
   // this round are carried into the next round's lists.
   std::vector<ledger::Transaction> carryover_;
@@ -697,7 +725,7 @@ class Engine {
   // Serialized block awaiting / holding certification this round.
   Bytes block_payload_;
   // Decode-once cache for payload buffers fanned out to many receivers:
-  // consensus PROPOSE / ECHO, semi-commitment acks and released
+  // consensus PROPOSE / ECHO, semi-commitment batches and released
   // (sub-)blocks. Keyed by buffer address; each entry holds its payload,
   // so the address cannot be freed and reused by another buffer while the
   // key lives. handle() evicts an entry once the last pending delivery of
@@ -722,7 +750,7 @@ class Engine {
   };
   struct Fanout {
     net::PayloadPtr payload;
-    std::variant<ConsensusFanout, wire::SemiCommitAck, ReleasedBlock> decoded;
+    std::variant<ConsensusFanout, wire::SemiCommitBatch, ReleasedBlock> decoded;
   };
   std::unordered_map<const Bytes*, Fanout> fanout_;
   /// The cached decoding of `msg`'s buffer, or `decode(payload)` cached

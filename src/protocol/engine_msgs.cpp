@@ -63,6 +63,25 @@ void Engine::phase_semicommit(net::Time at) {
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     leader_send_semicommit(nodes_[committees_[k].current_leader], k);
   }
+  // Flush: each referee transmits the set of semi-commitments it accepted
+  // to every key member, one batch per (referee, key member) (Alg. 4), so
+  // a referee down still leaves |C_R| - 1 copies of each digest.
+  // Commitments accepted later are relayed on their own (on_semicommit).
+  const net::Time flush =
+      at + 0.75 * params_.semicommit_duration * params_.delays.delta;
+  net_->schedule(flush, [this](net::Time) {
+    for (net::NodeId id : assign_.referees) {
+      NodeState& referee = nodes_[id];
+      if (!referee.is_active(round_)) continue;
+      referee.round.semicommits_flushed = true;
+      wire::SemiCommitBatch batch;
+      referee.round.commitments.for_each(
+          [&](std::uint32_t k, const crypto::Digest& commitment) {
+            batch.entries.push_back({k, commitment});
+          });
+      if (!batch.entries.empty()) relay_semicommits(id, batch);
+    }
+  });
   // A silent leader is only impeachable once common members can
   // corroborate the silence (they never see SEMI_COM traffic), so the
   // timeout accusation for crashed leaders fires at the intra deadline.
@@ -277,25 +296,7 @@ void Engine::dispatch(NodeState& self, const net::Message& msg,
       case net::Tag::kSubBlock:
         on_block(self, msg);
         break;
-      case net::Tag::kBlockPermit: {
-        // §VIII-B: permitted leader broadcasts its committee's sub-block.
-        if (self.committee < 0) break;
-        const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
-        if (self.id != committees_[k].current_leader) break;
-        if (!committees_[k].intra_result) break;
-        const auto decision =
-            wire::IntraDecision::deserialize(*committees_[k].intra_result);
-        wire::BlockMsg sub;
-        sub.round = round_;
-        sub.txs = decision.txdec_set;
-        sub.randomness = next_randomness_;
-        const auto payload = net::make_payload(sub.serialize());
-        for (const auto& n : nodes_) {
-          if (n.id == self.id) continue;
-          net_->send_shared(self.id, n.id, net::Tag::kSubBlock, payload);
-        }
-        break;
-      }
+      case net::Tag::kBlockPermit: on_block_permit(self); break;
       case net::Tag::kUtxoHandoff:
       case net::Tag::kBeaconShare:
       case net::Tag::kPreCommQuery:
@@ -307,6 +308,28 @@ void Engine::dispatch(NodeState& self, const net::Message& msg,
   } catch (const std::exception&) {
     // Malformed payloads from adversarial senders are dropped silently;
     // honest code never produces them.
+  }
+}
+
+void Engine::on_block_permit(NodeState& self) {
+  if (self.committee < 0) return;
+  const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
+  if (self.id != committees_[k].current_leader) return;
+  // The sub-block holds exactly the results B^r takes from committee k:
+  // those a majority of referees acked, in block order.
+  wire::BlockMsg sub;
+  sub.round = round_;
+  for_each_acked_result(k, [&](std::uint32_t, bool,
+                               const std::vector<ledger::Transaction>& txs) {
+    sub.txs.insert(sub.txs.end(), txs.begin(), txs.end());
+  });
+  if (sub.txs.empty()) return;
+  sub.randomness = next_randomness_;
+  released_subblocks_.push_back({k, sub.txs});
+  const auto payload = net::make_payload(sub.serialize());
+  for (const auto& n : nodes_) {
+    if (n.id == self.id) continue;
+    net_->send_shared(self.id, n.id, net::Tag::kSubBlock, payload);
   }
 }
 
@@ -590,25 +613,8 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       announce_new_leader(self, seq::reselect_committee(sn));
       return;
     }
-    if (seq::is_semi_check(sn)) {
-      // Semi-commitment accepted by C_R: relay to all key members.
-      const std::uint32_t k = seq::semi_check_committee(sn);
-      wire::SemiCommitAck ack;
-      ack.committee = k;
-      const crypto::Digest* commitment = self.round.commitments.find(k);
-      const auto* members = self.round.lists.find(k);
-      if (commitment == nullptr || members == nullptr) return;
-      ack.commitment = *commitment;
-      ack.members = *members;
-      ack.cert = cert.serialize();
-      const auto payload = net::make_payload(ack.serialize());
-      for (std::uint32_t j = 0; j < params_.m; ++j) {
-        for (net::NodeId km : assign_.committees[j].key_members()) {
-          net_->send_shared(self.id, km, net::Tag::kSemiCommitAck, payload);
-        }
-      }
-      return;
-    }
+    // A certified SEMI_CHECK needs no relay: the referees' batches
+    // already carry every accepted digest to the key members.
     return;
   }
 

@@ -108,19 +108,11 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
     }
     self.round.commitments.set(k, commitment);
     self.round.lists.set(k, members);
-    // "They transmit the set of valid semi-commitments to all key
-    // members" (Alg. 4): every referee relays, so one crashed referee
-    // cannot starve the other committees of this commitment. This is
-    // the O(m^2) referee cost of Table II.
-    wire::SemiCommitAck ack;
-    ack.committee = k;
-    ack.commitment = commitment;
-    ack.members = members;
-    const auto ack_payload = net::make_payload(ack.serialize());
-    for (std::uint32_t j = 0; j < params_.m; ++j) {
-      for (net::NodeId km : assign_.committees[j].key_members()) {
-        net_->send_shared(self.id, km, net::Tag::kSemiCommitAck, ack_payload);
-      }
+    // Accepted before the flush, the commitment travels in this referee's
+    // batch (phase_semicommit); after it — a recovered leader's fresh
+    // commitment (§V-D) — it is relayed on its own right away.
+    if (self.round.semicommits_flushed) {
+      relay_semicommits(self.id, wire::SemiCommitBatch{{{k, commitment}}});
     }
     // The designated referee additionally drives the C_R agreement on
     // this commitment (each referee "is regarded as the leader", §IV-B).
@@ -158,12 +150,29 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
   }
 }
 
+void Engine::relay_semicommits(net::NodeId referee,
+                               const wire::SemiCommitBatch& batch) {
+  const auto payload = net::make_payload(batch.serialize());
+  for (const CommitteeInfo& committee : assign_.committees) {
+    for (net::NodeId km : committee.key_members()) {
+      net_->send_shared(referee, km, net::Tag::kSemiCommitAck, payload);
+    }
+  }
+}
+
 void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg) {
-  const auto& ack = decode_once<wire::SemiCommitAck>(
-      msg, &wire::SemiCommitAck::deserialize);
-  if (ack.committee >= params_.m) return;
-  self.round.commitments.set(ack.committee, ack.commitment);
-  self.round.lists.set(ack.committee, ack.members);
+  // Only current referee seats relay semi-commitments.
+  if (std::find(assign_.referees.begin(), assign_.referees.end(), msg.from) ==
+      assign_.referees.end()) {
+    return;
+  }
+  const auto& batch = decode_once<wire::SemiCommitBatch>(
+      msg, &wire::SemiCommitBatch::deserialize);
+  for (const wire::SemiCommitAck& ack : batch.entries) {
+    if (ack.committee < params_.m) {
+      self.round.commitments.set(ack.committee, ack.commitment);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

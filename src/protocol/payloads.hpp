@@ -71,20 +71,33 @@ struct SemiCommitMsg {
   }
 };
 
-/// Referee relay of an accepted semi-commitment to all key members.
+/// One accepted semi-commitment as the referees relay it: the committee
+/// and its digest H(S). Key members never need the list S itself — they
+/// check a cross-shard request's own member list against the digest.
 struct SemiCommitAck {
   std::uint32_t committee = 0;
   crypto::Digest commitment{};
-  std::vector<crypto::PublicKey> members;
-  Bytes cert;  ///< serialized QuorumCert from the C_R check
 
   template <class IO, class Self>
-  static void fields(IO& io, Self& s) {
-    io(s.committee, s.commitment, s.members, s.cert);
-  }
+  static void fields(IO& io, Self& s) { io(s.committee, s.commitment); }
+  bool operator==(const SemiCommitAck&) const = default;
   Bytes serialize() const { return encode(*this); }
   static SemiCommitAck deserialize(BytesView b) {
     return decode<SemiCommitAck>(b);
+  }
+};
+
+/// SEMI_COM_ACK: "the set of valid semi-commitments" a referee transmits
+/// to every key member (Alg. 4) — every commitment it accepted by the
+/// flush, or one accepted after it.
+struct SemiCommitBatch {
+  std::vector<SemiCommitAck> entries;
+
+  template <class IO, class Self>
+  static void fields(IO& io, Self& s) { io(s.entries); }
+  Bytes serialize() const { return encode(*this); }
+  static SemiCommitBatch deserialize(BytesView b) {
+    return decode<SemiCommitBatch>(b);
   }
 };
 

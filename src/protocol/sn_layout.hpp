@@ -71,14 +71,8 @@ constexpr std::uint64_t reselect(std::uint32_t k, std::uint32_t attempt) {
   return kReselectBase + static_cast<std::uint64_t>(k) * kSlot + attempt;
 }
 
-constexpr bool is_semi_check(std::uint64_t s) {
-  return s >= kSemiCheckBase && s < kReselectBase;
-}
 constexpr bool is_reselect(std::uint64_t s) {
   return s >= kReselectBase && s < kReselectEnd;
-}
-constexpr std::uint32_t semi_check_committee(std::uint64_t s) {
-  return static_cast<std::uint32_t>(s - kSemiCheckBase);
 }
 constexpr std::uint32_t reselect_committee(std::uint64_t s) {
   return static_cast<std::uint32_t>((s - kReselectBase) / kSlot);

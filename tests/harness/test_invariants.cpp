@@ -254,6 +254,51 @@ struct EpochFixture {
   }
 };
 
+TEST(InvariantChecker, ParallelBlockRunKeepsSubBlocksInsideTheBlock) {
+  protocol::EngineOptions options;
+  options.extension_parallel_blocks = true;
+  Engine engine(small_params(46), AdversaryConfig{}, options);
+  InvariantChecker checker(engine);
+  std::size_t released = 0;
+  for (int r = 0; r < 3; ++r) {
+    const auto report = engine.run_round();
+    EXPECT_EQ(checker.check_round(report), 0u) << "round " << report.round;
+    released += engine.released_subblocks().size();
+  }
+  // Otherwise the invariant was never armed.
+  EXPECT_GT(released, 0u);
+
+  // Inject a forged sub-block transaction into the last round's record.
+  auto forged = engine.released_subblocks();
+  ASSERT_FALSE(forged.empty());
+  ForgeFixture fx;
+  forged.front().txs.push_back(
+      make_spend(fx.owner, fx.funded, fx.receiver.pk, 90));
+  std::vector<Violation> out;
+  InvariantChecker::check_subblocks(forged, engine.last_block(),
+                                    engine.round() - 1, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].invariant, "subblock-in-block");
+}
+
+TEST(InvariantChecker, FlagsSubBlockTxOutsideTheBlock) {
+  ForgeFixture fx;
+  const auto kept = make_spend(fx.owner, fx.funded, fx.receiver.pk, 90);
+  // The losing half of a double spend against a block transaction.
+  const auto conflicting = make_spend(fx.owner, fx.funded, fx.receiver.pk, 80);
+  ledger::OutPoint other;
+  other.tx = crypto::sha256(bytes_of("unacked-result"));
+  const auto stray = make_spend(fx.owner, other, fx.receiver.pk, 10);
+  const auto block = ledger::Block::build(1, crypto::Digest{}, crypto::Digest{},
+                                          {kept});
+  std::vector<Violation> out;
+  InvariantChecker::check_subblocks({{0, {kept, conflicting}}}, block, 1, out);
+  EXPECT_TRUE(out.empty());
+  InvariantChecker::check_subblocks({{1, {stray}}}, block, 1, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].invariant, "subblock-in-block");
+}
+
 TEST(InvariantChecker, EpochBoundaryStaysGreenOnHonestRun) {
   EpochFixture fx(51);
   InvariantChecker checker(fx.manager.engine());

@@ -22,11 +22,11 @@ namespace cyc {
 namespace {
 
 constexpr const char* kHonestSmallDigest =
-    "29f43359e2913046c444cd1057f3300d605f46e7d2ddef70b790d47b69c3855c";
+    "ff7ff49bb99646d78ce574a55e823a0726284b2d38c26486feae0b09a2715d82";
 constexpr const char* kLossyWanDigest =
-    "5f8d454dd7a2522efd8a854d89c2b3fbef23087a44b96980d1d785d3c199f85c";
+    "df2041041185454e68bec2f3a35da15f7b9e2b86109146a3917eccb0b5133daf";
 constexpr const char* kForcedCorruptLeadersDigest =
-    "18a2c1c212ab9e2cc1d779705f8c10247b0f2c0b0bf74d9fcc3536cf8d9da732";
+    "ef336cdaa6908f9177ff41763d30170c77c52816be0ba0608c43d128734acdeb";
 
 std::string trace_digest(const obs::Observer& observer) {
   const std::string doc = observer.export_json();

@@ -1,6 +1,7 @@
 // Decode-once fan-out cache: each multicast PROPOSE / ECHO buffer is
 // decoded once however many members receive it, the cache drains with
-// the network, and a malformed buffer is dropped by every receiver.
+// the network, and a malformed buffer is dropped by every receiver. The
+// referees' semi-commitment batches ride the same cache.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -103,6 +104,51 @@ TEST(FanoutCache, MalformedEchoBufferIsDroppedByEveryReceiver) {
   EXPECT_EQ(forged_sends, 2 * receivers);
   EXPECT_EQ(wire::consensus_decodes() - decodes0, receivers + 1);
   EXPECT_EQ(sends(engine) - sends0, forged_sends);
+  EXPECT_EQ(engine.fanout_cache_size(), 0u);
+
+  // The protocol carries on.
+  EXPECT_GT(engine.run_round().txs_committed, 0u);
+  EXPECT_EQ(engine.fanout_cache_size(), 0u);
+}
+
+TEST(FanoutCache, ForgedSemiCommitBatchesAreDroppedSafely) {
+  Engine engine(params_for(3), AdversaryConfig{});
+  ASSERT_GT(engine.run_round().txs_committed, 0u);
+  const RoundAssignment& assign = engine.last_assignment();
+  const std::uint32_t m = engine.params().m;
+  std::vector<net::NodeId> key_members;
+  for (const CommitteeInfo& committee : assign.committees) {
+    for (net::NodeId km : committee.key_members()) key_members.push_back(km);
+  }
+  const net::NodeId km = key_members.front();
+  const crypto::Digest held = *engine.semicommitment(km, 0);
+  const crypto::Digest forged = crypto::sha256(bytes_of("forged"));
+
+  // From a referee seat: entries naming committees m and 2^32 - 1 are
+  // dropped without touching per-committee storage (the slot vector would
+  // otherwise grow to the forged index; ASan builds check the reads).
+  wire::SemiCommitBatch out_of_range;
+  out_of_range.entries = {{m, forged}, {0xFFFFFFFFu, forged}};
+  // A truncated batch buffer fails to decode for every receiver.
+  const Bytes truncated = Bytes{0, 0, 0, 2, 0};
+  // From a non-referee: ignored, even for an in-range committee.
+  wire::SemiCommitBatch impostor;
+  impostor.entries = {{0, forged}};
+
+  const net::NodeId referee = assign.referees.front();
+  engine.net_mut().multicast(referee, key_members, net::Tag::kSemiCommitAck,
+                             out_of_range.serialize());
+  engine.net_mut().multicast(referee, key_members, net::Tag::kSemiCommitAck,
+                             truncated);
+  engine.net_mut().multicast(assign.committees[1].leader, key_members,
+                             net::Tag::kSemiCommitAck, impostor.serialize());
+  engine.net_mut().run(engine.net().now() + 10.0);
+
+  for (net::NodeId id : key_members) {
+    EXPECT_EQ(engine.semicommitment(id, m), nullptr);
+    EXPECT_EQ(engine.semicommitment(id, 0xFFFFFFFFu), nullptr);
+  }
+  EXPECT_EQ(*engine.semicommitment(km, 0), held);
   EXPECT_EQ(engine.fanout_cache_size(), 0u);
 
   // The protocol carries on.

@@ -188,13 +188,18 @@ TEST(Payloads, SemiCommitAckRoundTrip) {
   SemiCommitAck a;
   a.committee = 1;
   a.commitment = crypto::sha256(bytes_of("c"));
-  a.members = {crypto::KeyPair::from_seed(120).pk};
-  a.cert = bytes_of("cert");
   const auto back = SemiCommitAck::deserialize(a.serialize());
   EXPECT_EQ(back.committee, 1u);
   EXPECT_EQ(back.commitment, a.commitment);
-  EXPECT_EQ(back.members, a.members);
-  EXPECT_EQ(back.cert, a.cert);
+}
+
+TEST(Payloads, SemiCommitBatchRoundTrip) {
+  SemiCommitBatch b;
+  b.entries = {{0, crypto::sha256(bytes_of("c0"))},
+               {3, crypto::sha256(bytes_of("c3"))}};
+  EXPECT_EQ(SemiCommitBatch::deserialize(b.serialize()).entries, b.entries);
+  EXPECT_TRUE(SemiCommitBatch::deserialize(SemiCommitBatch{}.serialize())
+                  .entries.empty());
 }
 
 // Forged element counts with no elements behind them must fail as
@@ -219,10 +224,19 @@ TEST(Payloads, MemberListCountMismatchThrows) {
 
 TEST(Payloads, PublicKeyListForgedCountThrowsOutOfRange) {
   Writer w;
+  w.u32(0);            // no node ids
+  w.u32(0xFFFFFFFFu);  // but "4 billion" keys
+  EXPECT_THROW(MemberListMsg::deserialize(w.out()), std::out_of_range);
+}
+
+TEST(Payloads, SemiCommitBatchForgedCountThrowsOutOfRange) {
+  // One real entry behind a count of 2^32 - 1: the decoder must fail on
+  // the missing second entry, not reserve for the claimed count.
+  Writer w;
+  w.u32(0xFFFFFFFFu);
   w.u32(0);
   w.bytes(crypto::digest_to_bytes(crypto::sha256(bytes_of("c"))));
-  w.u32(0xFFFFFFFFu);
-  EXPECT_THROW(SemiCommitAck::deserialize(w.out()), std::out_of_range);
+  EXPECT_THROW(SemiCommitBatch::deserialize(w.out()), std::out_of_range);
 }
 
 TEST(Payloads, TxVecForgedCountThrowsOutOfRange) {

@@ -244,10 +244,12 @@ TEST(WireGolden, ProtocolMessages) {
   SemiCommitAck ack;
   ack.committee = 2;
   ack.commitment = h("commitment");
-  ack.members = {key(4).pk, key(9).pk};
-  ack.cert = sample_cert().serialize();
   check_wire("SemiCommitAck", ack.serialize(), via<SemiCommitAck>(),
-             "d00a6f815bdabfcb95f425f201e6e039a3ffd05eb7f011882321c5c2e42677ab");
+             "7938c405456b3ff6649ff52833d9d23df3eeba2b6825a67e4af41676ca4a77b0");
+  SemiCommitBatch batch;
+  batch.entries = {ack, {5, h("other commitment")}};
+  check_wire("SemiCommitBatch", batch.serialize(), via<SemiCommitBatch>(),
+             "558270712d1dc5b67221c7ea9febcaef16e58c74d2c73d156d6015a53871776d");
 
   const std::vector<ledger::Transaction> txs = {sample_tx(70), sample_tx(71)};
   check_wire("tx vector", encode_tx_vec(txs),
