@@ -22,8 +22,6 @@ struct Row {
   double intra_committed = 0;
   double inter_msgs = 0;
   double latency = 0;
-  double wall_ms = 0;
-  std::uint64_t payload_bytes = 0;
   std::vector<net::Counter> phases;
 };
 
@@ -47,13 +45,7 @@ constexpr std::uint64_t kCommitteeSweepSeed = 13;
 
 Row measure(std::uint32_t m, double cross_fraction, std::uint64_t seed) {
   const protocol::Params params = params_for(m, cross_fraction, seed);
-  // Paper-scale committee counts run the PoW search on engine threads;
-  // the historical points keep the sequential reference path (protocol
-  // numbers are byte-identical either way).
-  protocol::EngineOptions options;
-  if (m >= 32) options.engine_threads = 4;
-  bench::PointProbe probe;
-  protocol::Engine engine(params, protocol::AdversaryConfig{}, options);
+  protocol::Engine engine(params, protocol::AdversaryConfig{});
   const auto report = engine.run_round();
   Row row;
   row.m = m;
@@ -67,8 +59,6 @@ Row measure(std::uint32_t m, double cross_fraction, std::uint64_t seed) {
             .msgs_sent *
         report.role_counts.at(role));
   }
-  row.wall_ms = probe.wall_ms();
-  row.payload_bytes = probe.payload_bytes();
   row.phases = bench::phase_totals(report);
   return row;
 }
@@ -83,8 +73,6 @@ void json_rows(support::JsonWriter& json, const std::vector<Row>& rows) {
     json.field("intra_committed", row.intra_committed);
     json.field("inter_msgs", row.inter_msgs);
     json.field("latency", row.latency);
-    json.field("wall_ms", row.wall_ms);
-    json.field("payload_bytes", row.payload_bytes);
     bench::write_phase_breakdown(json, row.phases);
     json.end_object();
   }
@@ -97,33 +85,29 @@ int main(int argc, char** argv) {
   const std::vector<double> fractions = {0.0, 0.2, 0.4, 0.6, 0.8};
   const std::vector<std::uint32_t> ms = {2, 4, 6, 8};
 
-  bench::PointProbe total;
   const auto frac_rows = support::parallel_sweep(
       fractions.size(),
       [&](std::size_t i) { return measure(4, fractions[i], kFracSweepSeed); });
   const auto m_rows = support::parallel_sweep(ms.size(), [&](std::size_t i) {
     return measure(ms[i], 0.3, kCommitteeSweepSeed);
   });
-  const double total_ms = total.wall_ms();
 
   std::printf("=== Cross-shard handling: sweep over cross fraction (m=4) ===\n");
-  std::printf("%-12s %-10s %-10s %-14s %-10s\n", "cross frac", "cross/rnd",
-              "intra/rnd", "inter msgs", "wall ms");
+  std::printf("%-12s %-10s %-10s %-14s\n", "cross frac", "cross/rnd",
+              "intra/rnd", "inter msgs");
   for (const auto& row : frac_rows) {
-    std::printf("%-12.1f %-10.0f %-10.0f %-14.0f %-10.1f\n",
-                row.cross_fraction, row.cross_committed, row.intra_committed,
-                row.inter_msgs, row.wall_ms);
+    std::printf("%-12.1f %-10.0f %-10.0f %-14.0f\n", row.cross_fraction,
+                row.cross_committed, row.intra_committed, row.inter_msgs);
   }
 
   std::printf("\n=== Sweep over committee count (cross fraction 0.3) ===\n");
-  std::printf("%-6s %-10s %-14s %-12s %-10s\n", "m", "cross/rnd", "inter msgs",
-              "latency", "wall ms");
+  std::printf("%-6s %-10s %-14s %-12s\n", "m", "cross/rnd", "inter msgs",
+              "latency");
   for (const auto& row : m_rows) {
-    std::printf("%-6u %-10.0f %-14.0f %-12.1f %-10.1f\n", row.m,
-                row.cross_committed, row.inter_msgs, row.latency, row.wall_ms);
+    std::printf("%-6u %-10.0f %-14.0f %-12.1f\n", row.m, row.cross_committed,
+                row.inter_msgs, row.latency);
   }
 
-  std::printf("\nsweep wall-clock (parallel): %.1f ms\n", total_ms);
   std::printf(
       "\nShape check: inter-committee traffic grows with the cross-shard\n"
       "fraction and with m (two Alg. 3 instances plus certified transfers\n"
@@ -150,7 +134,6 @@ int main(int argc, char** argv) {
   json_rows(json, frac_rows);
   json.key("committee_sweep");
   json_rows(json, m_rows);
-  json.field("sweep_wall_ms", total_ms);
   json.end_object();
   bench::write_artifact("crossshard", json, argc, argv);
   return 0;

@@ -11,10 +11,9 @@
 // up as mempool backlog, admission drops and rising tail latency.
 //
 // Sweep points are independent Engine instances on the support/parallel
-// pool; each simulator is single-threaded and deterministic per seed. The
-// JSON artifact deliberately contains **no wall-clock or allocation
-// fields** — every number is simulated-time or a counter, so a double run
-// produces byte-identical artifacts (scripts/run_benches.sh compares).
+// pool; each simulator is single-threaded and deterministic per seed.
+// Every number in the artifact is simulated time or a counter (the
+// contract in bench_util.hpp).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -77,7 +76,6 @@ struct Point {
   std::size_t latency_samples = 0;
   std::vector<std::size_t> final_occupancy;
   std::vector<net::Counter> phases;
-  double wall_ms = 0;  ///< stdout only, never serialized
 };
 
 Point measure(double load_factor) {
@@ -87,7 +85,6 @@ Point measure(double load_factor) {
       round_duration(params);
   params.arrival_rate = load_factor * capacity_rate;
 
-  bench::PointProbe probe;
   protocol::Engine engine(params, protocol::AdversaryConfig{});
   const auto report = engine.run(kRounds);
 
@@ -124,7 +121,6 @@ Point measure(double load_factor) {
                       ? p.goodput_per_round / p.offered_per_round
                       : 0.0;
   p.phases = bench::phase_totals(report);
-  p.wall_ms = probe.wall_ms();
   return p;
 }
 
@@ -169,7 +165,6 @@ struct SkewPoint {
   double overall_p99 = 0;
   std::uint64_t planned_moves = 0;
   std::uint64_t migrated_outputs = 0;
-  double wall_ms = 0;  ///< stdout only, never serialized
 };
 
 SkewPoint measure_skew(bool rebalance) {
@@ -177,7 +172,6 @@ SkewPoint measure_skew(bool rebalance) {
   params.rebalance = rebalance;
   params.rebalance_moves = kSkewMoves;
 
-  bench::PointProbe probe;
   epoch::EpochConfig config;
   config.epochs = kSkewEpochs;
   config.rounds_per_epoch = kSkewRoundsPerEpoch;
@@ -225,7 +219,6 @@ SkewPoint measure_skew(bool rebalance) {
       p.migrated_outputs += handoff.plan->migrated_outputs;
     }
   }
-  p.wall_ms = probe.wall_ms();
   return p;
 }
 
@@ -235,26 +228,23 @@ int main(int argc, char** argv) {
   const std::vector<double> factors(std::begin(kLoadFactors),
                                     std::end(kLoadFactors));
 
-  bench::PointProbe total;
   const auto points = support::parallel_sweep(
       factors.size(), [&](std::size_t i) { return measure(factors[i]); });
-  const double total_ms = total.wall_ms();
 
   const protocol::Params base = base_params();
   std::printf("=== Sustained load: latency and goodput vs offered load ===\n");
   std::printf("capacity: %u tx/round over a %.0f-unit round\n",
               base.m * base.txs_per_committee, round_duration(base));
-  std::printf("%-6s %-12s %-12s %-6s %-9s %-9s %-9s %-8s %-8s %-10s\n",
-              "load", "offered/rnd", "goodput/rnd", "util", "p50", "p99",
-              "p999", "dropped", "backlog", "wall ms");
+  std::printf("%-6s %-12s %-12s %-6s %-9s %-9s %-9s %-8s %-8s\n", "load",
+              "offered/rnd", "goodput/rnd", "util", "p50", "p99", "p999",
+              "dropped", "backlog");
   for (const auto& p : points) {
     std::printf(
-        "%-6.1f %-12.1f %-12.1f %-6.2f %-9.1f %-9.1f %-9.1f %-8llu %-8llu "
-        "%-10.1f\n",
+        "%-6.1f %-12.1f %-12.1f %-6.2f %-9.1f %-9.1f %-9.1f %-8llu %-8llu\n",
         p.load_factor, p.offered_per_round, p.goodput_per_round, p.utilization,
         p.p50, p.p99, p.p999,
         static_cast<unsigned long long>(p.mempool_dropped),
-        static_cast<unsigned long long>(p.final_backlog), p.wall_ms);
+        static_cast<unsigned long long>(p.final_backlog));
   }
 
   std::size_t saturated = 0;
@@ -263,7 +253,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\nsaturated points (utilization < 0.9): %zu of %zu\n", saturated,
               points.size());
-  std::printf("sweep wall-clock (parallel): %.1f ms\n", total_ms);
   std::printf(
       "Shape check: goodput tracks offered load below capacity, then\n"
       "plateaus at ~%u tx/round while tail latency and backlog grow.\n",
@@ -332,16 +321,16 @@ int main(int argc, char** argv) {
   std::printf("\n=== Hot-shard skew (zipf_s %.1f, load %.1fx): static vs "
               "rebalance ===\n",
               kSkewZipf, kSkewLoadFactor);
-  std::printf("%-10s %-9s %-14s %-12s %-12s %-9s %-7s %-10s\n", "mode",
-              "hottest", "hottest-drops", "hottest-p50", "hottest-p99",
-              "committed", "moves", "wall ms");
+  std::printf("%-10s %-9s %-14s %-12s %-12s %-9s %-7s\n", "mode", "hottest",
+              "hottest-drops", "hottest-p50", "hottest-p99", "committed",
+              "moves");
   for (const auto& p : skew_points) {
-    std::printf("%-10s %-9u %-14llu %-12.1f %-12.1f %-9llu %-7llu %-10.1f\n",
+    std::printf("%-10s %-9u %-14llu %-12.1f %-12.1f %-9llu %-7llu\n",
                 p.mode.c_str(), p.hottest_shard,
                 static_cast<unsigned long long>(p.hottest_dropped),
                 p.hottest_p50, p.hottest_p99,
                 static_cast<unsigned long long>(p.committed),
-                static_cast<unsigned long long>(p.planned_moves), p.wall_ms);
+                static_cast<unsigned long long>(p.planned_moves));
   }
 
   json.key("skew_rebalance");

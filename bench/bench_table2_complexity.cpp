@@ -30,16 +30,14 @@ struct Sample {
   double n, m, c;
   std::map<Role, std::vector<double>> msgs;   // per phase, per node of role
   std::map<Role, std::vector<double>> bytes;  // per phase, per node of role
-  double wall_ms = 0;
-  std::uint64_t payload_bytes = 0;
   std::vector<net::Counter> phases;
 };
 
 // Paper-scale configurations (m >= 32) run the PoW search on engine
-// threads; the historical points keep the sequential reference path
-// so their perf fields stay comparable across revisions. Protocol
-// numbers are byte-identical either way (the determinism contract
-// scripts/run_checks.sh enforces).
+// threads: its per-node nonce scan dominates their run, and they finish
+// last in the sweep. The small points run the sequential reference
+// path. Protocol numbers are byte-identical either way (the determinism
+// contract scripts/run_checks.sh enforces).
 constexpr std::uint32_t kParallelFrom = 32;
 constexpr unsigned kEngineThreads = 4;
 
@@ -57,7 +55,6 @@ Sample measure(const Sweep& sweep) {
   protocol::EngineOptions options;
   options.extension_parallel_blocks = sweep.parallel_blocks;
   if (sweep.m >= kParallelFrom) options.engine_threads = kEngineThreads;
-  bench::PointProbe probe;
   protocol::Engine engine(params, protocol::AdversaryConfig{}, options);
   const auto report = engine.run_round();
 
@@ -78,8 +75,6 @@ Sample measure(const Sweep& sweep) {
     sample.msgs[role] = per_node_msgs;
     sample.bytes[role] = per_node_bytes;
   }
-  sample.wall_ms = probe.wall_ms();
-  sample.payload_bytes = probe.payload_bytes();
   sample.phases = bench::phase_totals(report);
   return sample;
 }
@@ -100,10 +95,8 @@ int main(int argc, char** argv) {
   const std::vector<Sweep> sweeps = {{2, 8},  {4, 8},  {2, 16}, {4, 16},
                                      {6, 12}, {32, 8}, {64, 8}};
   std::printf("measuring %zu configurations (parallel)...\n", sweeps.size());
-  bench::PointProbe total;
   const auto samples = support::parallel_sweep(
       sweeps.size(), [&](std::size_t i) { return measure(sweeps[i]); });
-  const double total_ms = total.wall_ms();
   // §VIII-B column: the paper-scale points again, with parallel blocks.
   const std::vector<Sweep> viii_b = {{32, 8, true}, {64, 8, true}};
   const auto viii_b_samples = support::parallel_sweep(
@@ -211,7 +204,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nsweep wall-clock (parallel): %.1f ms\n", total_ms);
   std::printf(
       "\nShape check: every fitted class that differs from the paper's is\n"
       "explained, cell by cell, in the reconciliation table of\n"
@@ -228,8 +220,6 @@ int main(int argc, char** argv) {
     json.field("m", sweeps[i].m);
     json.field("c", sweeps[i].c);
     json.field("n", samples[i].n);
-    json.field("wall_ms", samples[i].wall_ms);
-    json.field("payload_bytes", samples[i].payload_bytes);
     bench::write_phase_breakdown(json, samples[i].phases);
     json.end_object();
   }
@@ -276,7 +266,6 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
-  json.field("sweep_wall_ms", total_ms);
   json.end_object();
   bench::write_artifact("table2_complexity", json, argc, argv);
   return 0;

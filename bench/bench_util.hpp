@@ -1,16 +1,17 @@
-// Shared helpers for the macro benchmarks: per-point instrumentation
-// (wall-clock + payload-allocation accounting) and the BENCH_*.json
-// artifact convention.
+// Shared helpers for the macro benchmarks: per-phase traffic totals and
+// the BENCH_*.json artifact convention.
 //
 // Artifact contract: every ported bench writes
 //   bench/out/BENCH_<name>.json   (or the path given as argv[1])
-// with its parameters and per-sweep-point metrics, so successive PRs can
-// diff performance on identical protocol numbers (committed/round and
-// msgs/node are deterministic per seed; wall-clock and allocation counts
-// are the perf trajectory).
+// with its parameters and per-sweep-point protocol numbers (committed
+// transactions, messages, bytes, simulated latencies). Every field is a
+// pure function of the code and the fixed seeds, so two runs of a bench
+// produce byte-identical artifacts and scripts/run_benches.sh gates on
+// exactly that. Host time is not a protocol number: the sweep points
+// share one pool, so a clock here would measure contention. Wall-clock
+// figures come from perfbench, which times one workload at a time.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -18,40 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "net/message.hpp"
 #include "net/stats.hpp"
 #include "protocol/report.hpp"
 #include "support/json.hpp"
 
 namespace cyc::bench {
-
-/// Wall-clock + thread-local payload-allocation deltas around one sweep
-/// point. Construct inside the sweep job (on the worker thread that runs
-/// the Engine) so the thread-local counters attribute correctly.
-class PointProbe {
- public:
-  PointProbe()
-      : start_(std::chrono::steady_clock::now()),
-        allocs0_(net::payload_allocations()),
-        bytes0_(net::payload_bytes_allocated()) {}
-
-  double wall_ms() const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-  std::uint64_t payload_allocs() const {
-    return net::payload_allocations() - allocs0_;
-  }
-  std::uint64_t payload_bytes() const {
-    return net::payload_bytes_allocated() - bytes0_;
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-  std::uint64_t allocs0_;
-  std::uint64_t bytes0_;
-};
 
 /// Accumulate one round's per-phase traffic, summed over roles (every
 /// node holds exactly one role per round, so the role sum covers each
@@ -81,8 +53,7 @@ inline std::vector<net::Counter> phase_totals(
 }
 
 /// Emit the "phases" breakdown section: one object per phase that saw
-/// traffic. Deterministic integers only — no wall-clock or allocation
-/// fields — so artifacts carrying it stay byte-comparable across runs.
+/// traffic.
 inline void write_phase_breakdown(support::JsonWriter& json,
                                   const std::vector<net::Counter>& totals) {
   json.key("phases");

@@ -3,46 +3,43 @@
 #
 # Writes two copies of each artifact:
 #   bench/out/BENCH_<name>.json   (working copy, gitignored territory)
-#   ./BENCH_<name>.json           (repo root, the tracked perf trajectory)
+#   ./BENCH_<name>.json           (repo root, the tracked trajectory)
 #
-# bench_sustained_load additionally runs twice and byte-compares the two
-# artifacts: its JSON carries no wall-clock or allocation fields, so any
-# diff is a determinism regression in the open-loop engine path.
+# Every artifact holds protocol numbers only (see bench/bench_util.hpp),
+# so each bench runs twice and the two artifacts must be byte-identical:
+# any diff is a determinism regression or a host-dependent field. To
+# compare the refreshed root artifacts with a git rev:
+#   git diff --exit-code REV -- 'BENCH_*.json'
 #
 # Usage: scripts/run_benches.sh [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-bench}"
+BENCHES="throughput_scalability crossshard table2_complexity epoch_transition sustained_load"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
-  bench_throughput_scalability bench_crossshard bench_table2_complexity \
-  bench_epoch_transition bench_sustained_load
+# shellcheck disable=SC2046
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target $(printf 'bench_%s ' $BENCHES)
 
 mkdir -p bench/out
-for name in throughput_scalability crossshard table2_complexity epoch_transition sustained_load; do
-  echo "=== bench_${name} ==="
-  "$BUILD_DIR/bench_${name}" "bench/out/BENCH_${name}.json"
-  cp "bench/out/BENCH_${name}.json" "BENCH_${name}.json"
-done
-
-echo "=== per-phase breakdown sections (deterministic integers only) ==="
-# The "phases" arrays must carry protocol counters only — a wall-clock
-# or allocation field there would break byte-comparability of the
-# artifacts that are double-run compared.
-for name in throughput_scalability crossshard table2_complexity epoch_transition sustained_load; do
+for name in $BENCHES; do
+  echo "=== bench_${name} (double-run byte-compare) ==="
   artifact="bench/out/BENCH_${name}.json"
+  "$BUILD_DIR/bench_${name}" "$artifact"
+  "$BUILD_DIR/bench_${name}" "bench/out/BENCH_${name}.rerun.json" > /dev/null
+  if ! cmp "$artifact" "bench/out/BENCH_${name}.rerun.json"; then
+    echo "error: BENCH_${name}.json differs between runs" >&2
+    exit 1
+  fi
+  rm -f "bench/out/BENCH_${name}.rerun.json"
   if ! grep -q '"phases":\[' "$artifact"; then
     echo "error: ${artifact} carries no per-phase breakdown" >&2
     exit 1
   fi
-  if grep -o '"phases":\[[^]]*\]' "$artifact" | grep -E 'wall|alloc|payload'; then
-    echo "error: non-deterministic field inside a phases section of ${artifact}" >&2
-    exit 1
-  fi
+  cp "$artifact" "BENCH_${name}.json"
 done
-echo "phase breakdowns present, wall-clock free"
+echo "all artifacts byte-identical across runs, phase breakdowns present"
 
 echo "=== paper-scale population points (m=32, m=64) ==="
 # Both artifacts must carry the paper-scale m=32 and m=64 points or the
@@ -66,7 +63,7 @@ python3 scripts/check_table2.py bench/out/BENCH_table2_complexity.json
 echo "=== hot-shard skew / rebalance section ==="
 # The sustained-load artifact must carry the skewed static-vs-rebalance
 # pair (src/epoch/rebalance.*) — both modes, so the hottest-shard
-# before/after comparison stays in the tracked perf trajectory.
+# before/after comparison stays in the tracked trajectory.
 artifact="bench/out/BENCH_sustained_load.json"
 if ! grep -q '"skew_rebalance":' "$artifact"; then
   echo "error: ${artifact} is missing the skew_rebalance section" >&2
@@ -79,17 +76,6 @@ for mode in static rebalance; do
   fi
 done
 echo "skew_rebalance section present with both modes"
-
-echo "=== bench_sustained_load (double-run byte-compare) ==="
-"$BUILD_DIR/bench_sustained_load" "bench/out/BENCH_sustained_load.rerun.json" \
-  > /dev/null
-if ! cmp "bench/out/BENCH_sustained_load.json" \
-         "bench/out/BENCH_sustained_load.rerun.json"; then
-  echo "error: BENCH_sustained_load.json differs between runs" >&2
-  exit 1
-fi
-rm -f "bench/out/BENCH_sustained_load.rerun.json"
-echo "byte-identical across runs"
 
 echo
 echo "Artifacts:"

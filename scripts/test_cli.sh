@@ -85,8 +85,6 @@ expect 2 "cannot read" "scenario_runner --spec missing file" \
   "$SR" --spec "$TMP/no-such-spec.json"
 expect 2 "is a directory" "scenario_runner --spec directory" \
   "$SR" --spec "$TMP"
-expect 2 "requires --trace" "scenario_runner --trace-wall without --trace" \
-  "$SR" --trace-wall
 
 echo
 echo "=== accepted paths (exit 0) ==="

@@ -177,7 +177,6 @@ MatrixResult run_matrix(const std::vector<ScenarioSpec>& scenarios,
         // One observer and one file per point: the artifact set does not
         // depend on which worker ran which job.
         obs::Observer observer(trace->capacity);
-        if (trace->wall_clock) observer.trace.enable_wall_clock();
         ScenarioOutcome outcome =
             run_scenario(*jobs[i].spec, jobs[i].seed, &observer);
         obs::write_trace_file(

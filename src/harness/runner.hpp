@@ -24,11 +24,10 @@ namespace cyc::harness {
 /// (scenario, seed) job records a simulated-time trace + metrics registry
 /// and writes `<dir>/<sanitized-scenario>-s<seed>.trace.json`. Traces are
 /// pure functions of (spec, seed): byte-identical across runs and thread
-/// counts — unless `wall_clock` is set, which attaches real elapsed time
-/// for profiling and must stay off determinism-compared paths.
+/// counts. They carry simulated time only; wall-clock profiles come from
+/// perfbench, which times one workload at a time.
 struct TraceOptions {
   std::string dir;
-  bool wall_clock = false;
   std::size_t capacity = obs::Tracer::kDefaultCapacity;
 };
 

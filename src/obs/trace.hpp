@@ -58,7 +58,6 @@ class Tracer {
   /// subsequent event as a "wall_us" arg. Off by default; never enable
   /// on a path whose artifact is byte-compared.
   void enable_wall_clock();
-  bool wall_clock_enabled() const { return wall_clock_; }
 
   /// Human-readable track label (Chrome thread_name metadata).
   void set_track_name(std::uint32_t track, std::string name);

@@ -1,5 +1,8 @@
-// Engine part 1: construction, round scheduling, finalization, selection.
-// Message handlers and recovery live in engine_msgs.cpp.
+// Engine part 1: construction, observability hooks, role assignment,
+// round scheduling, finalization and selection. Phase drivers and the
+// Alg. 2 / Alg. 3 handlers live in engine_msgs.cpp; leader duties,
+// semi-commitment, voting, cross-shard flows, crash catch-up, reputation
+// and the recovery procedure (Alg. 6) in engine_msgs2.cpp.
 #include "protocol/engine.hpp"
 
 #include <algorithm>

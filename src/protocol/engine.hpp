@@ -297,10 +297,6 @@ class Engine {
                 std::uint64_t until_round);
   /// Heal every partition still open at `round`; returns how many closed.
   std::uint64_t heal(std::uint64_t round);
-  /// Catch-up attempts resolved during the last completed round.
-  const std::vector<CatchUpRecord>& catchup_log() const {
-    return catchup_log_;
-  }
 
   /// Epoch-boundary entry point: install a new membership set and re-draw
   /// every role from the epoch randomness, keeping all ledger state.
@@ -535,9 +531,6 @@ class Engine {
 
   // ---- helpers ----
   NodeState& node(net::NodeId id) { return nodes_[id]; }
-  const CommitteeInfo& committee_info(std::uint32_t k) const {
-    return assign_.committees[k];
-  }
   std::vector<net::NodeId> committee_members(std::uint32_t k) const;
   std::vector<crypto::PublicKey> committee_pks(std::uint32_t k) const;
   net::NodeId node_of_pk(const crypto::PublicKey& pk) const;

@@ -1,5 +1,6 @@
-// Engine part 2: phase drivers, message handlers, Algorithm 3 plumbing,
-// leader duties and the recovery procedure (Alg. 6).
+// Engine part 2: phase drivers, the message dispatcher, block release,
+// committee configuration (Alg. 2), Algorithm 3 plumbing and what each
+// certificate triggers.
 #include <algorithm>
 
 #include "protocol/engine.hpp"
@@ -363,6 +364,8 @@ void Engine::on_block(NodeState& self, const net::Message& msg) {
 void Engine::on_config(NodeState& self, const net::Message& msg) {
   if (self.role != Role::kLeader && self.role != Role::kPartial) return;
   const auto intro = wire::Intro::deserialize(msg.payload());
+  // The reply goes to the sender itself, never to an address it names.
+  if (intro.node != msg.from) return;
   if (intro.ticket.committee != static_cast<std::uint32_t>(self.committee)) {
     return;
   }
@@ -384,6 +387,19 @@ void Engine::on_config(NodeState& self, const net::Message& msg) {
 }
 
 void Engine::on_member_list(NodeState& self, const net::Message& msg) {
+  // A list only ever answers this node's own CONFIG, which a round-start
+  // common member sends to its committee's round-start key members.
+  if (self.committee < 0) return;
+  const CommitteeInfo& committee = assign_.committees[self.committee];
+  const auto& commons = committee.commons;
+  if (std::find(commons.begin(), commons.end(), self.id) == commons.end()) {
+    return;
+  }
+  if (msg.from != committee.leader &&
+      std::find(committee.partial.begin(), committee.partial.end(),
+                msg.from) == committee.partial.end()) {
+    return;
+  }
   const auto list = wire::MemberListMsg::deserialize(msg.payload());
   std::vector<net::NodeId> fresh;
   for (std::size_t i = 0; i < list.pks.size(); ++i) {

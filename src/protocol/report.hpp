@@ -112,11 +112,6 @@ struct RunReport {
     for (const auto& r : rounds) total += r.txs_committed;
     return total;
   }
-  std::size_t total_recoveries() const {
-    std::size_t total = 0;
-    for (const auto& r : rounds) total += r.recoveries;
-    return total;
-  }
   std::size_t total_invalid_committed() const {
     std::size_t total = 0;
     for (const auto& r : rounds) total += r.invalid_committed;

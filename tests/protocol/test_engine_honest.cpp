@@ -235,6 +235,43 @@ TEST(EngineHonest, ForgedMemberListCountMismatch) {
   EXPECT_FALSE(next.block_void);
 }
 
+TEST(EngineHonest, ForgedMemberListIsIgnored) {
+  // Alg. 2: a MEM_LIST only ever answers a common member's CONFIG and
+  // comes from a round-start key member. A common member that sends its
+  // own leader a list of every member of the other committees must not
+  // grow the leader's S: the referees certify committee 0's result
+  // against S, so a larger S would leave the committee without a quorum.
+  Engine honest(small_params(), AdversaryConfig{});
+  const RoundReport expected = honest.run_round();
+
+  Engine engine(small_params(), AdversaryConfig{});
+  const RoundAssignment& assign = engine.assignment();
+  ASSERT_GE(assign.committees.size(), 3u);
+  const net::NodeId leader = assign.committees[0].leader;
+  const net::NodeId sender = assign.committees[0].commons.front();
+  wire::MemberListMsg forged;
+  for (std::uint32_t k = 1; k <= 2; ++k) {
+    const CommitteeInfo& committee = assign.committees[k];
+    std::vector<net::NodeId> members = committee.key_members();
+    members.insert(members.end(), committee.commons.begin(),
+                   committee.commons.end());
+    for (net::NodeId id : members) {
+      forged.nodes.push_back(id);
+      forged.pks.push_back(engine.public_key(id));
+    }
+  }
+  engine.net_mut().schedule(0.5, [&](net::Time) {
+    engine.net_mut().send(sender, leader, net::Tag::kMemberList,
+                          forged.serialize());
+  });
+  const RoundReport report = engine.run_round();
+
+  ASSERT_EQ(report.committees.size(), expected.committees.size());
+  EXPECT_TRUE(report.committees[0].produced_output);
+  EXPECT_EQ(report.txs_committed, expected.txs_committed);
+  EXPECT_EQ(report.recoveries, 0u);
+}
+
 TEST(EngineHonest, ThroughputScalesWithCommittees) {
   // §III-D Scalability: more committees -> more committed transactions
   // per round (quasi-linear growth).

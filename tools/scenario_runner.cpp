@@ -3,7 +3,6 @@
 //
 //   scenario_runner [--out FILE] [--spec FILE] [--threads N]
 //                   [--engine-threads N] [--print] [--trace DIR]
-//                   [--trace-wall]
 //
 // With no --spec, runs the built-in bounded default matrix (3 adversary
 // mixes x 2 delay regimes x 2 cross-shard fractions x 2 capacity skews
@@ -25,9 +24,9 @@
 // --trace DIR additionally writes one Chrome trace_event JSON file per
 // (scenario, seed) point into DIR (created if missing) — simulated-time
 // spans + metrics, loadable in Perfetto, themselves byte-identical
-// across runs and thread counts. --trace-wall (requires --trace)
-// attaches wall-clock args for profiling; such traces are excluded from
-// determinism comparisons.
+// across runs and thread counts. They carry no wall-clock time: the
+// matrix runs its points concurrently, so host time here would measure
+// contention. Wall-clock phase profiles come from perfbench (--trace 1).
 //
 // Exit status: 0 when every invariant held on every point, 1 on any
 // violation, 2 on usage / input errors.
@@ -52,8 +51,7 @@ constexpr const char* kTool = "scenario_runner";
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--out FILE] [--spec FILE] [--threads N]"
-               " [--engine-threads N] [--print] [--trace DIR]"
-               " [--trace-wall]\n",
+               " [--engine-threads N] [--print] [--trace DIR]\n",
                argv0);
   return 2;
 }
@@ -67,7 +65,6 @@ int main(int argc, char** argv) {
   std::uint64_t engine_threads = 1;
   bool print_artifact = false;
   std::string trace_dir;
-  bool trace_wall = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -96,8 +93,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_dir = argv[++i];
       if (!cli::ensure_output_dir(kTool, "--trace", trace_dir)) return 2;
-    } else if (arg == "--trace-wall") {
-      trace_wall = true;
     } else {
       return usage(argv[0]);
     }
@@ -147,16 +142,10 @@ int main(int argc, char** argv) {
     spec.options.engine_threads = static_cast<unsigned>(engine_threads);
   }
 
-  if (trace_wall && trace_dir.empty()) {
-    std::fprintf(stderr, "scenario_runner: --trace-wall requires --trace\n");
-    return 2;
-  }
+  // The --trace directory was validated and created up front by
+  // cli::ensure_output_dir.
   harness::TraceOptions trace_options;
-  if (!trace_dir.empty()) {
-    // Validated and created up front by cli::ensure_output_dir.
-    trace_options.dir = trace_dir;
-    trace_options.wall_clock = trace_wall;
-  }
+  trace_options.dir = trace_dir;
 
   const harness::MatrixResult result = harness::run_matrix(
       scenarios, threads, trace_dir.empty() ? nullptr : &trace_options);
