@@ -69,15 +69,14 @@ std::size_t InvariantChecker::check_round(const protocol::RoundReport& report) {
   check_chain(report);
   check_subblocks(engine_.released_subblocks(), engine_.last_block(), round,
                   violations_);
-  check_block_txs(engine_.last_block(), engine_.params().m, committed_ids_,
-                  spent_, mirror_, round, violations_);
+  check_block_txs(engine_.last_block(), mirror_map_, committed_ids_, spent_,
+                  mirror_, round, violations_);
   // On a rebalance boundary round the engine migrated its stores to the
   // successor map right after this round's block, so the mirror (still on
   // the old map) legitimately lags. The digest comparison is deferred to
   // check_epoch_boundary, which replays the recorded plan's migration on
   // the mirror first.
   const bool mirror_behind =
-      engine_.shard_map() &&
       engine_.shard_map()->version() != mirror_map_.version();
   if (!mirror_behind) {
     check_state_digests(engine_.shard_state(), mirror_, round, violations_);
@@ -136,7 +135,7 @@ void InvariantChecker::check_chain(const protocol::RoundReport& report) {
 }
 
 void InvariantChecker::check_block_txs(
-    const ledger::Block& block, std::uint32_t m,
+    const ledger::Block& block, const ledger::ShardMap& map,
     std::set<std::string>& committed_ids,
     std::unordered_set<ledger::OutPoint, ledger::OutPointHash>& spent,
     std::vector<ledger::UtxoStore>& mirror, std::uint64_t round,
@@ -151,12 +150,7 @@ void InvariantChecker::check_block_txs(
       out.push_back({"tx-signature", round,
                      "tx " + hex_prefix(id) + " has an invalid signature"});
     }
-    // Route through the epoch's account→shard map when the mirror carries
-    // one (post-rebalance the static hash no longer matches the homes).
-    const std::uint32_t shard =
-        (!mirror.empty() && mirror.front().shard_map())
-            ? ledger::input_shard(tx, *mirror.front().shard_map())
-            : tx.input_shard(m);
+    const ledger::ShardId shard = ledger::input_shard(tx, map);
     for (const auto& in : tx.inputs) {
       if (!spent.insert(in).second) {
         out.push_back({"double-spend", round,
@@ -333,21 +327,22 @@ std::size_t InvariantChecker::check_epoch_boundary(
           "engine installed a shard map that differs from the plan's "
           "map_digest");
     }
-    // The workload's cached per-user assignment must agree with the
-    // installed map — a generator still routing off a stale cache would
+    // The workload's per-shard user buckets must match the installed map
+    // — a generator drawing counterparties from stale buckets would
     // silently undo the re-draw.
-    std::size_t stale = 0;
+    const ledger::ShardMap& map = *engine_.shard_map();
+    std::vector<std::vector<std::size_t>> expect(map.shards());
     for (std::uint32_t u = 0; u < wl.config().users; ++u) {
-      if (wl.cached_shard_of_user(u) !=
-          engine_.shard_map()->shard(wl.user_pk(u))) {
-        stale += 1;
-      }
+      expect[map.shard(wl.user_pk(u))].push_back(u);
+    }
+    std::size_t stale = 0;
+    for (ledger::ShardId s = 0; s < map.shards(); ++s) {
+      if (wl.shard_users(s) != expect[s]) stale += 1;
     }
     if (stale != 0) {
       add("epoch-rebalance-mapping", round,
           std::to_string(stale) +
-              " workload users cache a shard assignment that diverges "
-              "from the installed map");
+              " workload shard buckets diverge from the installed map");
     }
   }
   return violations_.size() - before;

@@ -74,8 +74,8 @@
 //                                enabled boundary always records one)
 //   epoch-rebalance-mapping      move sources match the pre-boundary map,
 //                                the engine installed exactly the map the
-//                                plan digests, and the workload's cached
-//                                shard assignments agree with it
+//                                plan digests, and the workload's
+//                                per-shard user buckets agree with it
 //   epoch-rebalance-tx-preservation replaying the migration on the mirror
 //                                moves the claimed number of outputs,
 //                                conserves value, and strands no entry
@@ -128,9 +128,10 @@ class InvariantChecker {
 
   /// Exactly-once + double-spend + signature + spend-existence checks for
   /// one block, against caller-owned cross-round state. `mirror` is the
-  /// pre-block shard state; the block is applied to it on the way.
+  /// pre-block shard state under `map`; the block is applied to it on the
+  /// way.
   static void check_block_txs(
-      const ledger::Block& block, std::uint32_t m,
+      const ledger::Block& block, const ledger::ShardMap& map,
       std::set<std::string>& committed_ids,
       std::unordered_set<ledger::OutPoint, ledger::OutPointHash>& spent,
       std::vector<ledger::UtxoStore>& mirror, std::uint64_t round,

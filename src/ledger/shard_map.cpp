@@ -11,6 +11,10 @@ namespace cyc::ledger {
 ShardId ShardMap::shard_key(std::uint64_t account) const {
   auto it = overrides_.find(account);
   if (it != overrides_.end()) return it->second;
+  return hashed_shard(account);
+}
+
+ShardId ShardMap::hashed_shard(std::uint64_t account) const {
   const crypto::Digest d =
       crypto::sha256_concat({bytes_of("cyc.shard"), be64(account)});
   return static_cast<ShardId>(crypto::digest_prefix_u64(d) % m_);
@@ -25,9 +29,7 @@ ShardMap ShardMap::apply(const std::vector<AccountMove>& moves) const {
     }
     // Canonical form: an override equal to the hash default is no
     // override at all.
-    ShardMap hash_only;
-    hash_only.m_ = m_;
-    if (hash_only.shard_key(mv.account) == mv.to) {
+    if (hashed_shard(mv.account) == mv.to) {
       next.overrides_.erase(mv.account);
     } else {
       next.overrides_[mv.account] = mv.to;

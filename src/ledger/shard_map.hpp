@@ -1,15 +1,15 @@
 // Epoch-scoped account→shard mapping (adaptive sharding, §IV-F re-draw).
 //
-// The seed protocol shards accounts by a static hash (`shard_of`), which
-// under Zipf-skewed open-loop traffic pins the hottest shard's mempool at
-// capacity while cold shards idle. The ShardMap makes the assignment a
-// queryable epoch-scoped object: it answers exactly like `shard_of` until
-// a rebalance installs per-account overrides, so threading it through
-// routing, validation, and the workload generator is byte-inert while the
-// feature is off. Maps are immutable once built — an epoch boundary
-// constructs the successor with `apply(moves)` and swaps the shared
-// pointer, so concurrent readers (engine shard threads, checker mirror)
-// never observe a half-applied re-map.
+// The ShardMap is the one authority that maps an account to a shard: the
+// engine, every UTXO store, the validator, the workload generator and
+// the invariant checker all ask it. Without overrides it answers with the
+// static hash H("cyc.shard" ‖ y) mod m of §III; a rebalance installs
+// per-account overrides so hot accounts under Zipf-skewed open-loop
+// traffic stop pinning one shard's mempool at capacity. Maps are
+// immutable once built — an epoch boundary constructs the successor with
+// `apply(moves)` and swaps the shared pointer, so concurrent readers
+// (engine shard threads, checker mirror) never observe a half-applied
+// re-map.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,8 @@ namespace cyc::ledger {
 class UtxoStore;
 
 /// One account migration in a rebalance plan. `account` is the public
-/// key's y coordinate — the same value the static hash shards by, and
-/// the canonical account identity everywhere in the ledger layer.
+/// key's y coordinate — the value the hash shards by, and the canonical
+/// account identity everywhere in the ledger layer.
 struct AccountMove {
   std::uint64_t account = 0;
   ShardId from = 0;
@@ -48,11 +48,11 @@ class ShardMap {
   /// epoch (0 = never rebalanced).
   std::uint64_t version() const { return version_; }
 
-  /// True while the map still answers exactly like the static hash.
+  /// True while the map answers with the hash alone (no overrides).
   bool identity() const { return overrides_.empty(); }
 
   /// Shard of an account key: the override when one is installed, else
-  /// the same hash `shard_of` uses.
+  /// H("cyc.shard" ‖ account) mod m.
   ShardId shard_key(std::uint64_t account) const;
   ShardId shard(const crypto::PublicKey& pk) const { return shard_key(pk.y); }
 
@@ -72,14 +72,17 @@ class ShardMap {
   bool operator==(const ShardMap&) const = default;
 
  private:
+  /// The static hash: every account's shard absent an override.
+  ShardId hashed_shard(std::uint64_t account) const;
+
   std::uint32_t m_ = 1;
   std::uint64_t version_ = 0;
   std::map<std::uint64_t, ShardId> overrides_;
 };
 
-/// Map-aware routing: these mirror Transaction::input_shard /
-/// output_shards / is_intra_shard but consult the epoch's map, so the
-/// engine, validator and checker can never disagree with the generator.
+/// Transaction routing under the epoch's map — the only routing API, so
+/// the engine, validator and checker can never disagree with the
+/// generator.
 ShardId input_shard(const Transaction& tx, const ShardMap& map);
 std::set<ShardId> output_shards(const Transaction& tx, const ShardMap& map);
 bool is_intra_shard(const Transaction& tx, const ShardMap& map);

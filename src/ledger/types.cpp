@@ -4,12 +4,6 @@
 
 namespace cyc::ledger {
 
-ShardId shard_of(const crypto::PublicKey& pk, std::uint32_t m) {
-  const crypto::Digest d =
-      crypto::sha256_concat({bytes_of("cyc.shard"), be64(pk.y)});
-  return static_cast<ShardId>(crypto::digest_prefix_u64(d) % m);
-}
-
 Bytes Transaction::body_bytes() const {
   Writer w;
   w.u32(static_cast<std::uint32_t>(inputs.size()));
@@ -63,24 +57,6 @@ Transaction Transaction::deserialize(BytesView b) {
 }
 
 TxId Transaction::id() const { return crypto::sha256(body_bytes()); }
-
-std::set<ShardId> Transaction::output_shards(std::uint32_t m) const {
-  std::set<ShardId> shards;
-  for (const auto& out : outputs) shards.insert(shard_of(out.owner, m));
-  return shards;
-}
-
-ShardId Transaction::input_shard(std::uint32_t m) const {
-  return shard_of(spender, m);
-}
-
-bool Transaction::is_intra_shard(std::uint32_t m) const {
-  const ShardId home = input_shard(m);
-  for (const auto& out : outputs) {
-    if (shard_of(out.owner, m) != home) return false;
-  }
-  return true;
-}
 
 void sign_tx(Transaction& tx, const crypto::SecretKey& sk) {
   tx.sig = crypto::sign(sk, tx.body_bytes());

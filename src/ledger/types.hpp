@@ -1,14 +1,14 @@
 // Transaction and UTXO types (problem definition, §III-D).
 //
-// Users are partitioned into m shards by the hash of their public key;
-// the committee in charge of a shard maintains that shard's UTXO set. A
+// Users are partitioned into m shards by the hash of their public key
+// (`ShardMap`, shard_map.hpp, is the one place that computes it); the
+// committee in charge of a shard maintains that shard's UTXO set. A
 // transaction is *intra-shard* when all of its inputs and outputs touch a
 // single shard, and *cross-shard* otherwise.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "crypto/schnorr.hpp"
@@ -20,9 +20,6 @@ namespace cyc::ledger {
 using Amount = std::uint64_t;
 using ShardId = std::uint32_t;
 using TxId = crypto::Digest;
-
-/// Shard a public key belongs to: H(pk) mod m.
-ShardId shard_of(const crypto::PublicKey& pk, std::uint32_t m);
 
 struct OutPoint {
   TxId tx{};
@@ -67,15 +64,6 @@ struct Transaction {
 
   /// Transaction id = H(body).
   TxId id() const;
-
-  /// All shards the outputs touch, for a network of m shards.
-  std::set<ShardId> output_shards(std::uint32_t m) const;
-
-  /// Shard of the spender (where the inputs live).
-  ShardId input_shard(std::uint32_t m) const;
-
-  /// True iff all inputs and outputs live in one shard.
-  bool is_intra_shard(std::uint32_t m) const;
 
   bool operator==(const Transaction&) const = default;
 };

@@ -11,6 +11,10 @@
 // insertion order — exactly the set semantics the end-of-round UTXO list
 // consensus needs. `full_digest()` recomputes the same value from
 // scratch and stays as the debug cross-check.
+//
+// A store always holds the epoch's `ShardMap`: it decides which owners
+// belong here. Rebalancing swaps the map (`attach_map`) while migrating
+// the re-homed entries (`migrate_stores`).
 #pragma once
 
 #include <cstdint>
@@ -26,24 +30,23 @@ namespace cyc::ledger {
 
 class UtxoStore {
  public:
-  UtxoStore() = default;
-  UtxoStore(ShardId shard, std::uint32_t m) : shard_(shard), m_(m) {}
+  /// The store of `shard` under `map` (non-null).
+  UtxoStore(ShardId shard, std::shared_ptr<const ShardMap> map)
+      : shard_(shard), map_(std::move(map)) {}
 
   ShardId shard() const { return shard_; }
   std::size_t size() const { return utxos_.size(); }
 
-  /// Install the epoch's account→shard map: membership checks in add()
-  /// and apply() consult it instead of the static hash. Without a map
-  /// (or with an identity map) behaviour is byte-identical to the seed.
+  /// Swap in the successor epoch's map (non-null): membership checks in
+  /// add() and apply() consult it from now on.
   void attach_map(std::shared_ptr<const ShardMap> map) {
     map_ = std::move(map);
   }
   const std::shared_ptr<const ShardMap>& shard_map() const { return map_; }
 
-  /// Home shard of an owner under the attached map (static hash when no
-  /// map is attached).
+  /// Home shard of an owner under the attached map.
   ShardId owner_shard(const crypto::PublicKey& pk) const {
-    return map_ ? map_->shard(pk) : shard_of(pk, m_);
+    return map_->shard(pk);
   }
 
   /// Look up an unspent output.
@@ -84,8 +87,7 @@ class UtxoStore {
   void fold(const crypto::Digest& d);  // XOR into the accumulator
 
   ShardId shard_ = 0;
-  std::uint32_t m_ = 1;
-  std::shared_ptr<const ShardMap> map_;  ///< null until an epoch attaches one
+  std::shared_ptr<const ShardMap> map_;
   std::unordered_map<OutPoint, TxOut, OutPointHash> utxos_;
   crypto::Digest acc_{};  ///< XOR of entry digests of the current content
 };

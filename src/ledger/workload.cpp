@@ -11,46 +11,37 @@ std::string key_of(const TxId& id) {
 }
 }  // namespace
 
-WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, std::uint64_t seed)
+WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, std::uint64_t seed,
+                                     std::shared_ptr<const ShardMap> map)
     : config_(config), rng_(rng::Stream(seed).fork("workload")) {
   if (config_.shards == 0 || config_.users == 0) {
     throw std::invalid_argument("workload: shards and users must be > 0");
   }
-  shard_users_.resize(config_.shards);
   users_.reserve(config_.users);
   users_by_key_.reserve(config_.users);
   for (std::uint32_t u = 0; u < config_.users; ++u) {
     rng::Stream key_rng = rng_.fork(u);
     users_.push_back(crypto::KeyPair::generate(key_rng));
     users_by_key_.emplace_back(users_.back().pk.y, u);
-    const ShardId shard = shard_of(users_.back().pk, config_.shards);
-    user_shard_.push_back(shard);
-    shard_users_[shard].push_back(u);
   }
   std::sort(users_by_key_.begin(), users_by_key_.end());
-  // Some shard could be empty with few users; re-home one user if so to
-  // keep the generator able to target every shard.
-  for (ShardId s = 0; s < config_.shards; ++s) {
-    if (shard_users_[s].empty()) {
-      throw std::invalid_argument(
-          "workload: a shard has no users; increase users count");
-    }
-  }
+  install_shard_map(std::move(map));
 
   genesis_.reserve(config_.shards);
   for (ShardId s = 0; s < config_.shards; ++s) {
-    genesis_.emplace_back(s, config_.shards);
+    genesis_.emplace_back(s, map_);
   }
   pool_.resize(config_.users);
 
   // Genesis grants: synthetic coinbase outpoints, one per user per slot.
   for (std::uint32_t u = 0; u < config_.users; ++u) {
+    UtxoStore& home = genesis_[shard_of_user(u)];
     for (std::uint32_t k = 0; k < config_.outputs_per_user; ++k) {
       const crypto::Digest d = crypto::sha256_concat(
           {bytes_of("cyc.genesis"), be64(u), be64(k)});
       const OutPoint op{d, 0};
       const TxOut out{users_[u].pk, config_.initial_amount};
-      genesis_[user_shard_[u]].add(op, out);
+      home.add(op, out);
       pool_[u].push_back(Spendable{op, config_.initial_amount, u});
     }
   }
@@ -63,11 +54,9 @@ void WorkloadGenerator::install_shard_map(
         "workload: shard map does not match the configured shard count");
   }
   map_ = std::move(map);
-  for (auto& bucket : shard_users_) bucket.clear();
+  shard_users_.assign(config_.shards, {});
   for (std::uint32_t u = 0; u < config_.users; ++u) {
-    const ShardId shard = map_->shard(users_[u].pk);
-    user_shard_[u] = shard;
-    shard_users_[shard].push_back(u);
+    shard_users_[shard_of_user(u)].push_back(u);
   }
   for (ShardId s = 0; s < config_.shards; ++s) {
     if (shard_users_[s].empty()) {

@@ -8,6 +8,11 @@
 // so the pool stays consistent. Invalid transactions of three kinds can
 // be injected to exercise the authentication function V and the voting /
 // reputation machinery.
+//
+// The generator routes every user through the epoch's `ShardMap`, which
+// it holds from construction (the engine passes its own; standalone use
+// passes `ShardMap(m)`). Its one derived copy is the per-shard user
+// buckets, rebuilt whenever a rebalance installs a successor map.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +50,13 @@ struct WorkloadConfig {
 
 class WorkloadGenerator {
  public:
-  WorkloadGenerator(WorkloadConfig config, std::uint64_t seed);
+  /// Throws std::invalid_argument under the same conditions as
+  /// install_shard_map.
+  WorkloadGenerator(WorkloadConfig config, std::uint64_t seed,
+                    std::shared_ptr<const ShardMap> map);
 
-  /// Genesis UTXO stores, one per shard, reflecting the initial grants.
+  /// Genesis UTXO stores, one per shard, reflecting the initial grants
+  /// and holding the construction-time map.
   const std::vector<UtxoStore>& genesis() const { return genesis_; }
 
   /// Generate up to `count` transactions (fewer if the spendable pool
@@ -77,36 +86,27 @@ class WorkloadGenerator {
 
   /// Install the epoch's account→shard map: every shard lookup routes
   /// through it from now on, and the per-shard user buckets are rebuilt
-  /// to match. Throws if the map's shard count disagrees with the
-  /// config, or if the re-map would leave a shard with no users (the
-  /// planner never emits such a plan).
+  /// to match. Throws if the map is null or its shard count disagrees
+  /// with the config, or if the map would leave a shard with no users
+  /// (the planner never emits such a plan).
   void install_shard_map(std::shared_ptr<const ShardMap> map);
   const std::shared_ptr<const ShardMap>& shard_map() const { return map_; }
 
-  /// Home shard of `user` (arrival sources route by spender shard).
-  /// Routes through the installed epoch map so the generator can never
-  /// disagree with the engine; without a map it falls back to the
-  /// construction-time hash cache.
+  /// Home shard of `user` under the installed map (arrival sources route
+  /// by spender shard).
   ShardId shard_of_user(std::size_t user) const {
-    return map_ ? map_->shard(users_[user].pk) : user_shard_[user];
+    return map_->shard(users_[user].pk);
   }
 
-  /// The construction-/install-time cache behind the per-shard user
-  /// buckets. The invariant checker cross-checks it against the epoch
-  /// map; it is not a routing source.
-  ShardId cached_shard_of_user(std::size_t user) const {
-    return user_shard_[user];
+  /// Users homed on `shard`, in index order — the bucket the generator
+  /// draws same-/other-shard counterparties from. The invariant checker
+  /// cross-checks it against the engine's map.
+  const std::vector<std::size_t>& shard_users(ShardId shard) const {
+    return shard_users_[shard];
   }
 
   const crypto::PublicKey& user_pk(std::size_t user) const {
     return users_[user].pk;
-  }
-
-  /// TEST-ONLY: corrupt the cached shard of `user` without touching the
-  /// map — forges the cache/map desync the `epoch-rebalance-mapping`
-  /// invariant must flag.
-  void force_cached_shard(std::size_t user, ShardId shard) {
-    user_shard_[user] = shard;
   }
 
   /// Report that `tx` was committed: its outputs become spendable.
@@ -138,13 +138,12 @@ class WorkloadGenerator {
 
   WorkloadConfig config_;
   rng::Stream rng_;
-  std::shared_ptr<const ShardMap> map_;  ///< epoch map; null until installed
+  std::shared_ptr<const ShardMap> map_;  ///< the epoch's map
   std::vector<crypto::KeyPair> users_;
   // (pk.y, user) sorted by key, users in index order within a key: routes
   // a committed output to the first user holding its owner key without
   // scanning every user.
   std::vector<std::pair<std::uint64_t, std::size_t>> users_by_key_;
-  std::vector<ShardId> user_shard_;
   std::vector<std::vector<std::size_t>> shard_users_;
   std::vector<UtxoStore> genesis_;
   // Spendable pool per user (confirmed, unspent).

@@ -87,16 +87,12 @@ Engine::Engine(Params params, AdversaryConfig adversary, EngineOptions options)
   wl.users = params_.users ? params_.users : 16 * params_.m;
   wl.cross_shard_fraction = params_.cross_shard_fraction;
   wl.invalid_fraction = params_.invalid_fraction;
-  workload_ = std::make_unique<ledger::WorkloadGenerator>(
-      wl, rng_.fork("workload").seed());
-  shard_state_ = workload_->genesis();
-
-  // Epoch-scoped account→shard map, identity at genesis: it answers
-  // exactly like the static `shard_of` hash until a rebalance installs
-  // overrides, so routing through it is byte-inert with the feature off.
+  // The epoch's account→shard map, without overrides until a rebalance
+  // installs some; the generator and every store share it.
   shard_map_ = std::make_shared<const ledger::ShardMap>(params_.m);
-  workload_->install_shard_map(shard_map_);
-  for (auto& store : shard_state_) store.attach_map(shard_map_);
+  workload_ = std::make_unique<ledger::WorkloadGenerator>(
+      wl, rng_.fork("workload").seed(), shard_map_);
+  shard_state_ = workload_->genesis();
 
   if (open_loop()) {
     if (params_.mempool_cap == 0) {
@@ -759,8 +755,7 @@ void Engine::start_round_state() {
   for (const auto& shard : shard_state_) {
     views.push_back(std::make_shared<const ledger::UtxoStore>(shard));
   }
-  auto outside = std::make_shared<ledger::UtxoStore>(0, params_.m);
-  outside->attach_map(shard_map_);
+  auto outside = std::make_shared<ledger::UtxoStore>(0, shard_map_);
   for (auto& n : nodes_) {
     n.utxo = n.committee >= 0 ? views[static_cast<std::size_t>(n.committee)]
                               : outside;

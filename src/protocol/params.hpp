@@ -62,9 +62,9 @@ struct Params {
   /// Load-aware epoch re-draw (src/epoch/rebalance.*): at each epoch
   /// boundary a deterministic planner moves the hottest accounts off
   /// overloaded shards, gated by the exact-hypergeometric fair-draw
-  /// constraint. Off keeps every artifact byte-identical to the static
-  /// `shard_of` sharding (the engine then accumulates no load window and
-  /// the handoff carries no plan).
+  /// constraint. Off keeps the map free of overrides, so every account
+  /// stays on its hash shard (the engine then accumulates no load window
+  /// and the handoff carries no plan).
   bool rebalance = false;
   std::uint32_t rebalance_moves = 4;  ///< max account moves per boundary
   /// Advisory committee split/merge budget: max |m_after - m_before| the

@@ -43,7 +43,7 @@ crypto::KeyPair keypair_in_shard(ledger::ShardId shard, std::uint32_t m,
                                  std::uint64_t salt = 0) {
   for (std::uint64_t seed = 1 + salt * 1000; ; ++seed) {
     crypto::KeyPair kp = crypto::KeyPair::from_seed(seed);
-    if (ledger::shard_of(kp.pk, m) == shard) return kp;
+    if (ledger::ShardMap(m).shard(kp.pk) == shard) return kp;
   }
 }
 
@@ -112,9 +112,10 @@ TEST(InvariantChecker, FlagsDroppedOutputInShardView) {
 }
 
 TEST(InvariantChecker, StaticDigestCheckSeesDivergence) {
+  const auto map = std::make_shared<const ledger::ShardMap>(2);
   std::vector<ledger::UtxoStore> state, mirror;
-  state.emplace_back(0, 2);
-  mirror.emplace_back(0, 2);
+  state.emplace_back(0, map);
+  mirror.emplace_back(0, map);
   const auto kp = keypair_in_shard(0, 2);
   ledger::OutPoint op;
   op.tx = crypto::sha256(bytes_of("op"));
@@ -140,7 +141,8 @@ ledger::Transaction make_spend(const crypto::KeyPair& owner,
 }
 
 struct ForgeFixture {
-  std::uint32_t m = 2;
+  std::shared_ptr<const ledger::ShardMap> map =
+      std::make_shared<const ledger::ShardMap>(2);
   crypto::KeyPair owner = keypair_in_shard(0, 2);
   crypto::KeyPair receiver = keypair_in_shard(1, 2, 1);
   ledger::OutPoint funded;
@@ -151,8 +153,8 @@ struct ForgeFixture {
   ForgeFixture() {
     funded.tx = crypto::sha256(bytes_of("genesis-grant"));
     funded.index = 0;
-    mirror.emplace_back(0, m);
-    mirror.emplace_back(1, m);
+    mirror.emplace_back(0, map);
+    mirror.emplace_back(1, map);
     EXPECT_TRUE(mirror[0].add(funded, {owner.pk, 100}));
   }
 };
@@ -165,7 +167,7 @@ TEST(InvariantChecker, FlagsForgedDoubleSpendBlock) {
   const auto block = ledger::Block::build(1, crypto::Digest{}, crypto::Digest{},
                                           {tx1, tx2});
   std::vector<Violation> out;
-  InvariantChecker::check_block_txs(block, fx.m, fx.committed_ids, fx.spent,
+  InvariantChecker::check_block_txs(block, *fx.map, fx.committed_ids, fx.spent,
                                     fx.mirror, 1, out);
   EXPECT_TRUE(has_invariant(out, "double-spend"));
 }
@@ -178,10 +180,10 @@ TEST(InvariantChecker, FlagsTxCommittedTwiceAcrossBlocks) {
   const auto b2 = ledger::Block::build(2, b1.header.hash(), crypto::Digest{},
                                        {tx});
   std::vector<Violation> out;
-  InvariantChecker::check_block_txs(b1, fx.m, fx.committed_ids, fx.spent,
+  InvariantChecker::check_block_txs(b1, *fx.map, fx.committed_ids, fx.spent,
                                     fx.mirror, 1, out);
   EXPECT_TRUE(out.empty());
-  InvariantChecker::check_block_txs(b2, fx.m, fx.committed_ids, fx.spent,
+  InvariantChecker::check_block_txs(b2, *fx.map, fx.committed_ids, fx.spent,
                                     fx.mirror, 2, out);
   EXPECT_TRUE(has_invariant(out, "block-exactly-once"));
   EXPECT_TRUE(has_invariant(out, "double-spend"));
@@ -197,7 +199,7 @@ TEST(InvariantChecker, FlagsTamperedSignatureAndUnknownInput) {
   const auto block = ledger::Block::build(1, crypto::Digest{}, crypto::Digest{},
                                           {tx, tx2});
   std::vector<Violation> out;
-  InvariantChecker::check_block_txs(block, fx.m, fx.committed_ids, fx.spent,
+  InvariantChecker::check_block_txs(block, *fx.map, fx.committed_ids, fx.spent,
                                     fx.mirror, 1, out);
   EXPECT_TRUE(has_invariant(out, "tx-signature"));
   EXPECT_TRUE(has_invariant(out, "spend-of-missing-output"));
@@ -622,23 +624,27 @@ TEST(InvariantChecker, FlagsMissingRebalancePlan) {
 }
 
 TEST(InvariantChecker, FlagsWorkloadRoutingOffAStaleCachedMap) {
-  // Satellite check: a generator whose cached per-user assignment
-  // diverges from the installed map would silently undo the re-draw.
+  // A generator whose per-shard user buckets diverge from the installed
+  // map would silently undo the re-draw. Forge user 0's bucket: hand the
+  // generator a map that differs from the engine's in that user alone.
   // Same seed as the green test, so any violation below is the forgery.
   RebalanceFixture fx(61);
   InvariantChecker checker(fx.manager.engine());
   const auto handoff = fx.cross_boundary(checker);
   ASSERT_TRUE(handoff.plan.has_value());
   auto& engine = fx.manager.engine();
-  const ledger::ShardId truth =
-      engine.shard_map()->shard(engine.workload().user_pk(0));
-  engine.workload_mut().force_cached_shard(
-      0, (truth + 1) % engine.params().m);
+  const std::uint64_t key = engine.workload().user_pk(0).y;
+  const ledger::ShardId truth = engine.shard_map()->shard_key(key);
+  const ledger::ShardId forged_home = (truth + 1) % engine.params().m;
+  engine.workload_mut().install_shard_map(
+      std::make_shared<const ledger::ShardMap>(
+          engine.shard_map()->apply({{key, truth, forged_home}})));
+  ASSERT_EQ(engine.workload().shard_of_user(0), forged_home);
   EXPECT_GT(checker.check_epoch_boundary(handoff), 0u);
   EXPECT_TRUE(has_invariant(checker.violations(), "epoch-rebalance-mapping"));
   for (const auto& v : checker.violations()) {
     EXPECT_EQ(v.invariant, "epoch-rebalance-mapping")
-        << "only the stale-cache audit should fire: " << v.detail;
+        << "only the bucket audit should fire: " << v.detail;
   }
 }
 
@@ -771,8 +777,7 @@ TEST(InvariantChecker, FlagsForgedMigrationRecord) {
   auto identity = std::make_shared<const ledger::ShardMap>(kShards);
   std::vector<ledger::UtxoStore> mirror;
   for (std::uint32_t k = 0; k < kShards; ++k) {
-    mirror.emplace_back(k, kShards);
-    mirror.back().attach_map(identity);
+    mirror.emplace_back(k, identity);
   }
   auto out_point = [](std::uint64_t i) {
     ledger::OutPoint op;

@@ -18,6 +18,11 @@ WorkloadConfig base_config() {
   return cfg;
 }
 
+/// The map a standalone generator routes by: the hash, no overrides.
+std::shared_ptr<const ShardMap> map_for(const WorkloadConfig& cfg) {
+  return std::make_shared<const ShardMap>(cfg.shards);
+}
+
 TEST(Zipf, RejectsDegenerateArguments) {
   EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
   EXPECT_THROW(ZipfSampler(8, -0.5), std::invalid_argument);
@@ -66,14 +71,14 @@ TEST(Zipf, SamplesStayInRange) {
 }
 
 TEST(OpenLoop, RequiresPositiveRate) {
-  WorkloadGenerator gen(base_config(), 1);
+  WorkloadGenerator gen(base_config(), 1, map_for(base_config()));
   OpenLoopConfig cfg;
   cfg.arrival_rate = 0.0;
   EXPECT_THROW(OpenLoopSource(cfg, gen, 1), std::invalid_argument);
 }
 
 TEST(OpenLoop, PoissonRateRoughlyRespected) {
-  WorkloadGenerator gen(base_config(), 2);
+  WorkloadGenerator gen(base_config(), 2, map_for(base_config()));
   OpenLoopConfig cfg;
   cfg.arrival_rate = 0.5;
   cfg.invalid_fraction = 0.0;
@@ -95,8 +100,8 @@ TEST(OpenLoop, PoissonRateRoughlyRespected) {
 }
 
 TEST(OpenLoop, WindowSlicingDoesNotChangeTheStream) {
-  WorkloadGenerator gen_a(base_config(), 3);
-  WorkloadGenerator gen_b(base_config(), 3);
+  WorkloadGenerator gen_a(base_config(), 3, map_for(base_config()));
+  WorkloadGenerator gen_b(base_config(), 3, map_for(base_config()));
   OpenLoopConfig cfg;
   cfg.arrival_rate = 0.4;
   OpenLoopSource one(cfg, gen_a, 11);
@@ -120,7 +125,7 @@ TEST(OpenLoop, ExhaustionCountsLostArrivals) {
   cfg.shards = 2;
   cfg.users = 6;
   cfg.outputs_per_user = 1;
-  WorkloadGenerator gen(cfg, 4);
+  WorkloadGenerator gen(cfg, 4, map_for(cfg));
   OpenLoopConfig ol;
   ol.arrival_rate = 1.0;
   ol.cross_shard_fraction = 0.0;
@@ -140,7 +145,7 @@ TEST(OpenLoop, ZipfSkewConcentratesShardLoad) {
   // hot account instead of falling back.
   auto cfg = base_config();
   cfg.cross_shard_fraction = 0.0;
-  WorkloadGenerator gen(cfg, 6);
+  WorkloadGenerator gen(cfg, 6, map_for(cfg));
   OpenLoopConfig ol;
   ol.arrival_rate = 0.5;
   ol.cross_shard_fraction = 0.0;
@@ -149,7 +154,7 @@ TEST(OpenLoop, ZipfSkewConcentratesShardLoad) {
   std::map<ShardId, int> per_shard;
   for (int window = 1; window <= 10; ++window) {
     for (auto& a : source.arrivals_until(20.0 * window)) {
-      per_shard[a.tx.input_shard(cfg.shards)] += 1;
+      per_shard[input_shard(a.tx, *gen.shard_map())] += 1;
       gen.mark_committed(a.tx);
     }
   }

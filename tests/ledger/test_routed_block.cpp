@@ -31,16 +31,12 @@ std::vector<crypto::PublicKey> make_accounts(rng::Stream& rng) {
   return accounts;
 }
 
-/// Four genesis outputs per account, stored under `map` (or under the
-/// static hash when `map` is null).
+/// Four genesis outputs per account, stored under `map`.
 Ledger make_ledger(std::vector<crypto::PublicKey> accounts, rng::Stream& rng,
                    const std::shared_ptr<const ShardMap>& map) {
   Ledger l;
   l.accounts = std::move(accounts);
-  for (std::uint32_t s = 0; s < kM; ++s) {
-    l.stores.emplace_back(s, kM);
-    if (map) l.stores.back().attach_map(map);
-  }
+  for (std::uint32_t s = 0; s < kM; ++s) l.stores.emplace_back(s, map);
   for (std::uint64_t a = 0; a < l.accounts.size(); ++a) {
     for (std::uint32_t k = 0; k < 4; ++k) {
       const OutPoint op{crypto::sha256(concat({be64(a), be64(k)})), k};
@@ -58,7 +54,7 @@ std::shared_ptr<const ShardMap> rebalanced(
     const std::vector<crypto::PublicKey>& accounts) {
   std::vector<AccountMove> moves;
   for (std::size_t a = 0; a < accounts.size(); a += 3) {
-    const ShardId from = shard_of(accounts[a], kM);
+    const ShardId from = ShardMap(kM).shard(accounts[a]);
     moves.push_back({accounts[a].y, from,
                      static_cast<ShardId>((from + 1 + a % 3) % kM)});
   }
@@ -107,7 +103,7 @@ void expect_same(const UtxoStore& a, const UtxoStore& b) {
   EXPECT_EQ(a.outpoints(), b.outpoints());
 }
 
-enum class MapKind { kIdentity, kUnattached, kRebalanced };
+enum class MapKind { kIdentity, kRebalanced };
 
 void check_property(MapKind kind, std::uint64_t seed) {
   for (std::uint64_t trial = 0; trial < 8; ++trial) {
@@ -119,10 +115,7 @@ void check_property(MapKind kind, std::uint64_t seed) {
     if (kind == MapKind::kRebalanced) {
       ASSERT_FALSE(map->identity());
     }
-    // An unattached store routes by the static hash, which the identity
-    // map reproduces exactly.
-    Ledger l = make_ledger(std::move(accounts), rng,
-                           kind == MapKind::kUnattached ? nullptr : map);
+    Ledger l = make_ledger(std::move(accounts), rng, map);
     const std::vector<Transaction> txs = make_block(rng, l);
     const RoutedBlock routed(txs, *map);
     ASSERT_EQ(routed.txs(), txs);
@@ -151,10 +144,6 @@ void check_property(MapKind kind, std::uint64_t seed) {
 
 TEST(RoutedBlock, SliceApplyMatchesFullApplyUnderIdentityMap) {
   check_property(MapKind::kIdentity, 1);
-}
-
-TEST(RoutedBlock, SliceApplyMatchesFullApplyWithoutAttachedMap) {
-  check_property(MapKind::kUnattached, 2);
 }
 
 TEST(RoutedBlock, SliceApplyMatchesFullApplyUnderRebalancedMap) {

@@ -20,9 +20,10 @@ struct Fixture {
     }
   }
   const crypto::KeyPair& in_shard(ShardId s, std::size_t skip = 0) const {
+    const ShardMap map(kShards);
     std::size_t found = 0;
     for (const auto& u : users) {
-      if (shard_of(u.pk, kShards) == s) {
+      if (map.shard(u.pk) == s) {
         if (found == skip) return u;
         ++found;
       }
@@ -36,12 +37,32 @@ OutPoint op(int i) {
 }
 
 TEST(ShardMap, IdentityMatchesStaticHash) {
-  Fixture f;
-  const ShardMap map(kShards);
-  EXPECT_TRUE(map.identity());
-  EXPECT_EQ(map.version(), 0u);
-  for (const auto& u : f.users) {
-    EXPECT_EQ(map.shard(u.pk), shard_of(u.pk, kShards));
+  EXPECT_TRUE(ShardMap(kShards).identity());
+  EXPECT_EQ(ShardMap(kShards).version(), 0u);
+  // H("cyc.shard" ‖ be64(k)) mod m, recorded from the standalone hash
+  // function that routed accounts before ShardMap became the only
+  // authority: every shard assignment, and so every artifact, hangs on
+  // these values.
+  struct Pin {
+    std::uint64_t key;
+    std::uint32_t m;
+    ShardId shard;
+  };
+  const Pin pins[] = {
+      {0x0ull, 1, 0},
+      {0x1ull, 2, 0},
+      {0x2ull, 3, 1},
+      {0x2aull, 4, 1},
+      {0xf4243ull, 7, 2},
+      {0xdeadbeefull, 8, 6},
+      {0x123456789abcdefull, 16, 0},
+      {0xffffffffffffffffull, 64, 21},
+      {0x76adf1ull, 5, 0},
+      {0x7a69ull, 32, 18},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(ShardMap(pin.m).shard_key(pin.key), pin.shard)
+        << "key " << pin.key << ", m " << pin.m;
   }
 }
 
@@ -57,7 +78,7 @@ TEST(ShardMap, ApplyOverridesAndBumpsVersion) {
   // Everyone else keeps the hash assignment.
   for (const auto& u : f.users) {
     if (u.pk.y == user.pk.y) continue;
-    EXPECT_EQ(next.shard(u.pk), shard_of(u.pk, kShards));
+    EXPECT_EQ(next.shard(u.pk), map.shard(u.pk));
   }
   // The original map is unchanged (apply is functional).
   EXPECT_EQ(map.shard(user.pk), 0u);
@@ -117,12 +138,11 @@ TEST(ShardMap, FreeRoutingHelpersFollowTheMap) {
 
 TEST(ShardMap, MigrateStoresMovesExactlyTheRehomedOutputs) {
   Fixture f;
+  auto identity = std::make_shared<const ShardMap>(kShards);
   std::vector<UtxoStore> stores;
   for (std::uint32_t k = 0; k < kShards; ++k) {
-    stores.emplace_back(k, kShards);
+    stores.emplace_back(k, identity);
   }
-  auto identity = std::make_shared<const ShardMap>(kShards);
-  for (auto& store : stores) store.attach_map(identity);
 
   const auto& mover = f.in_shard(0);
   const auto& stayer = f.in_shard(0, 1);
@@ -159,12 +179,11 @@ TEST(ShardMap, MigrateStoresMovesExactlyTheRehomedOutputs) {
 
 TEST(ShardMap, MigrateStoresIsIdempotentForUnmovedAccounts) {
   Fixture f;
+  auto identity = std::make_shared<const ShardMap>(kShards);
   std::vector<UtxoStore> stores;
   for (std::uint32_t k = 0; k < kShards; ++k) {
-    stores.emplace_back(k, kShards);
+    stores.emplace_back(k, identity);
   }
-  auto identity = std::make_shared<const ShardMap>(kShards);
-  for (auto& store : stores) store.attach_map(identity);
   const auto& user = f.in_shard(2);
   ASSERT_TRUE(stores[2].add(op(7), TxOut{user.pk, 10}));
   // A move that lands back on the hash home re-homes nothing.

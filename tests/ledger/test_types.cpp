@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ledger/shard_map.hpp"
+
 #include "support/serde.hpp"
 
 #include <stdexcept>
@@ -25,15 +27,17 @@ Transaction simple_tx(const crypto::KeyPair& from, const crypto::KeyPair& to,
 
 TEST(TxTypes, ShardOfIsStable) {
   const auto u = user(1);
-  EXPECT_EQ(shard_of(u.pk, 8), shard_of(u.pk, 8));
-  EXPECT_LT(shard_of(u.pk, 8), 8u);
+  const ShardMap map(8);
+  EXPECT_EQ(map.shard(u.pk), map.shard(u.pk));
+  EXPECT_LT(map.shard(u.pk), 8u);
 }
 
 TEST(TxTypes, ShardDistributionRoughlyUniform) {
   const std::uint32_t m = 4;
+  const ShardMap map(m);
   std::vector<int> counts(m, 0);
   for (std::uint64_t i = 0; i < 400; ++i) {
-    counts[shard_of(user(i + 100).pk, m)] += 1;
+    counts[map.shard(user(i + 100).pk)] += 1;
   }
   for (int c : counts) {
     EXPECT_GT(c, 60);
@@ -86,29 +90,29 @@ TEST(TxTypes, WrongSignerFails) {
 }
 
 TEST(TxTypes, IntraVsCrossShard) {
-  const std::uint32_t m = 4;
+  const ShardMap map(4);
   // Find two users in the same shard and one in a different shard.
   std::vector<crypto::KeyPair> users;
   for (std::uint64_t i = 0; i < 64; ++i) users.push_back(user(i + 200));
-  const ShardId home = shard_of(users[0].pk, m);
+  const ShardId home = map.shard(users[0].pk);
   const crypto::KeyPair* same = nullptr;
   const crypto::KeyPair* other = nullptr;
   for (std::size_t i = 1; i < users.size(); ++i) {
-    if (shard_of(users[i].pk, m) == home && !same) same = &users[i];
-    if (shard_of(users[i].pk, m) != home && !other) other = &users[i];
+    if (map.shard(users[i].pk) == home && !same) same = &users[i];
+    if (map.shard(users[i].pk) != home && !other) other = &users[i];
   }
   ASSERT_NE(same, nullptr);
   ASSERT_NE(other, nullptr);
 
   const Transaction intra = simple_tx(users[0], *same, 5);
-  EXPECT_TRUE(intra.is_intra_shard(m));
-  EXPECT_EQ(intra.input_shard(m), home);
-  EXPECT_EQ(intra.output_shards(m), std::set<ShardId>{home});
+  EXPECT_TRUE(is_intra_shard(intra, map));
+  EXPECT_EQ(input_shard(intra, map), home);
+  EXPECT_EQ(output_shards(intra, map), std::set<ShardId>{home});
 
   const Transaction cross = simple_tx(users[0], *other, 5);
-  EXPECT_FALSE(cross.is_intra_shard(m));
-  EXPECT_EQ(cross.output_shards(m),
-            std::set<ShardId>{shard_of(other->pk, m)});
+  EXPECT_FALSE(is_intra_shard(cross, map));
+  EXPECT_EQ(output_shards(cross, map),
+            std::set<ShardId>{map.shard(other->pk)});
 }
 
 TEST(TxTypes, OutPointOrdering) {

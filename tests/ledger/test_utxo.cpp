@@ -7,6 +7,8 @@ namespace {
 
 struct Fixture {
   static constexpr std::uint32_t kShards = 4;
+  std::shared_ptr<const ShardMap> map =
+      std::make_shared<const ShardMap>(kShards);
   std::vector<crypto::KeyPair> users;
   Fixture() {
     for (std::uint64_t i = 0; i < 64; ++i) {
@@ -16,7 +18,7 @@ struct Fixture {
   const crypto::KeyPair& in_shard(ShardId s, std::size_t skip = 0) const {
     std::size_t found = 0;
     for (const auto& u : users) {
-      if (shard_of(u.pk, kShards) == s) {
+      if (map->shard(u.pk) == s) {
         if (found == skip) return u;
         ++found;
       }
@@ -31,7 +33,7 @@ OutPoint op(int i) {
 
 TEST(Utxo, AddGetSpend) {
   Fixture f;
-  UtxoStore store(0, Fixture::kShards);
+  UtxoStore store(0, f.map);
   const auto& owner = f.in_shard(0);
   EXPECT_TRUE(store.add(op(1), TxOut{owner.pk, 100}));
   EXPECT_TRUE(store.contains(op(1)));
@@ -45,7 +47,7 @@ TEST(Utxo, AddGetSpend) {
 
 TEST(Utxo, RejectsForeignShardOutputs) {
   Fixture f;
-  UtxoStore store(0, Fixture::kShards);
+  UtxoStore store(0, f.map);
   const auto& foreign = f.in_shard(1);
   EXPECT_FALSE(store.add(op(2), TxOut{foreign.pk, 10}));
   EXPECT_EQ(store.size(), 0u);
@@ -53,7 +55,7 @@ TEST(Utxo, RejectsForeignShardOutputs) {
 
 TEST(Utxo, TotalValue) {
   Fixture f;
-  UtxoStore store(2, Fixture::kShards);
+  UtxoStore store(2, f.map);
   const auto& owner = f.in_shard(2);
   store.add(op(3), TxOut{owner.pk, 100});
   store.add(op(4), TxOut{owner.pk, 50});
@@ -64,7 +66,7 @@ TEST(Utxo, ApplySpendsAndAdds) {
   Fixture f;
   const auto& alice = f.in_shard(0);
   const auto& bob = f.in_shard(0, 1);
-  UtxoStore store(0, Fixture::kShards);
+  UtxoStore store(0, f.map);
   store.add(op(5), TxOut{alice.pk, 100});
 
   Transaction tx;
@@ -83,8 +85,8 @@ TEST(Utxo, ApplyCrossShardOnlyTouchesOwnSide) {
   Fixture f;
   const auto& alice = f.in_shard(0);
   const auto& carol = f.in_shard(1);
-  UtxoStore store0(0, Fixture::kShards);
-  UtxoStore store1(1, Fixture::kShards);
+  UtxoStore store0(0, f.map);
+  UtxoStore store1(1, f.map);
   store0.add(op(6), TxOut{alice.pk, 100});
 
   Transaction tx;
@@ -103,7 +105,7 @@ TEST(Utxo, ApplyCrossShardOnlyTouchesOwnSide) {
 TEST(Utxo, DigestReflectsContent) {
   Fixture f;
   const auto& owner = f.in_shard(3);
-  UtxoStore a(3, Fixture::kShards), b(3, Fixture::kShards);
+  UtxoStore a(3, f.map), b(3, f.map);
   EXPECT_EQ(a.digest(), b.digest());
   a.add(op(7), TxOut{owner.pk, 10});
   EXPECT_NE(a.digest(), b.digest());
@@ -114,7 +116,7 @@ TEST(Utxo, DigestReflectsContent) {
 TEST(Utxo, DigestOrderIndependent) {
   Fixture f;
   const auto& owner = f.in_shard(1);
-  UtxoStore a(1, Fixture::kShards), b(1, Fixture::kShards);
+  UtxoStore a(1, f.map), b(1, f.map);
   a.add(op(8), TxOut{owner.pk, 1});
   a.add(op(9), TxOut{owner.pk, 2});
   b.add(op(9), TxOut{owner.pk, 2});
@@ -125,7 +127,7 @@ TEST(Utxo, DigestOrderIndependent) {
 TEST(Utxo, OutpointsSorted) {
   Fixture f;
   const auto& owner = f.in_shard(0);
-  UtxoStore store(0, Fixture::kShards);
+  UtxoStore store(0, f.map);
   for (int i = 20; i > 10; --i) store.add(op(i), TxOut{owner.pk, 1});
   const auto ops = store.outpoints();
   EXPECT_TRUE(std::is_sorted(ops.begin(), ops.end()));

@@ -9,14 +9,14 @@
 namespace cyc::ledger {
 namespace {
 
-constexpr std::uint32_t kM = 4;
 constexpr ShardId kShard = 1;
+const auto kMap = std::make_shared<const ShardMap>(4);
 
 crypto::PublicKey owner_in_shard(rng::Stream& rng) {
   // Rejection-sample a key whose shard is kShard.
   for (;;) {
     crypto::PublicKey pk{rng.next() % crypto::kP};
-    if (pk.y != 0 && shard_of(pk, kM) == kShard) return pk;
+    if (pk.y != 0 && kMap->shard(pk) == kShard) return pk;
   }
 }
 
@@ -28,7 +28,7 @@ OutPoint op_from(std::uint64_t i) {
 }
 
 TEST(UtxoDigest, IncrementalMatchesFullRecompute) {
-  UtxoStore store(kShard, kM);
+  UtxoStore store(kShard, kMap);
   EXPECT_EQ(store.digest(), store.full_digest());
   rng::Stream rng(42);
   for (std::uint64_t i = 0; i < 32; ++i) {
@@ -47,7 +47,7 @@ TEST(UtxoDigest, OrderIndependent) {
   for (std::uint64_t i = 0; i < 16; ++i) {
     entries.emplace_back(op_from(i), TxOut{owner_in_shard(rng), 100 + i});
   }
-  UtxoStore forward(kShard, kM), backward(kShard, kM);
+  UtxoStore forward(kShard, kMap), backward(kShard, kMap);
   for (const auto& [op, out] : entries) forward.add(op, out);
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     backward.add(it->first, it->second);
@@ -58,13 +58,13 @@ TEST(UtxoDigest, OrderIndependent) {
 TEST(UtxoDigest, ContentSensitive) {
   rng::Stream rng(11);
   const auto owner = owner_in_shard(rng);
-  UtxoStore a(kShard, kM), b(kShard, kM);
+  UtxoStore a(kShard, kMap), b(kShard, kMap);
   a.add(op_from(1), TxOut{owner, 5});
   b.add(op_from(1), TxOut{owner, 6});  // different amount
   EXPECT_NE(a.digest(), b.digest());
 
   // Removing the entry restores the empty digest.
-  UtxoStore empty(kShard, kM);
+  UtxoStore empty(kShard, kMap);
   a.spend(op_from(1));
   EXPECT_EQ(a.digest(), empty.digest());
   // ...but an empty store and a never-touched store agree trivially;
@@ -76,12 +76,12 @@ TEST(UtxoDigest, OverwriteKeepsAccumulatorCoherent) {
   rng::Stream rng(13);
   const auto owner = owner_in_shard(rng);
   const auto other = owner_in_shard(rng);
-  UtxoStore store(kShard, kM);
+  UtxoStore store(kShard, kMap);
   store.add(op_from(2), TxOut{owner, 50});
   store.add(op_from(2), TxOut{other, 70});  // replace same outpoint
   EXPECT_EQ(store.digest(), store.full_digest());
 
-  UtxoStore direct(kShard, kM);
+  UtxoStore direct(kShard, kMap);
   direct.add(op_from(2), TxOut{other, 70});
   EXPECT_EQ(store.digest(), direct.digest());
 
@@ -95,7 +95,7 @@ TEST(UtxoDigest, OverwriteKeepsAccumulatorCoherent) {
 TEST(UtxoDigest, RandomizedAddSpendSequences) {
   rng::Stream rng(12345);
   for (int trial = 0; trial < 10; ++trial) {
-    UtxoStore store(kShard, kM);
+    UtxoStore store(kShard, kMap);
     std::vector<OutPoint> live;
     for (int step = 0; step < 200; ++step) {
       if (live.empty() || rng.chance(0.6)) {

@@ -9,7 +9,7 @@ constexpr std::uint32_t kShards = 4;
 
 struct Env {
   std::vector<crypto::KeyPair> users;
-  UtxoStore store{0, kShards};
+  UtxoStore store{0, std::make_shared<const ShardMap>(kShards)};
   crypto::KeyPair alice, bob;
 
   Env() {
@@ -18,7 +18,7 @@ struct Env {
     }
     bool have_alice = false;
     for (const auto& u : users) {
-      if (shard_of(u.pk, kShards) == 0) {
+      if (store.owner_shard(u.pk) == 0) {
         if (!have_alice) {
           alice = u;
           have_alice = true;

@@ -18,22 +18,29 @@ WorkloadConfig base_config() {
   return cfg;
 }
 
+/// The map a standalone generator routes by: the hash, no overrides.
+std::shared_ptr<const ShardMap> map_for(const WorkloadConfig& cfg) {
+  return std::make_shared<const ShardMap>(cfg.shards);
+}
+
 TEST(Workload, GenesisCoversAllShards) {
-  WorkloadGenerator gen(base_config(), 1);
+  const auto map = map_for(base_config());
+  WorkloadGenerator gen(base_config(), 1, map);
   ASSERT_EQ(gen.genesis().size(), 4u);
   for (const auto& store : gen.genesis()) {
     EXPECT_GT(store.size(), 0u);
+    EXPECT_EQ(store.shard_map(), map);  // built on the caller's map
   }
   EXPECT_EQ(gen.spendable_outputs(), 64u * 4u);
 }
 
 TEST(Workload, GeneratedTxsAreValid) {
-  WorkloadGenerator gen(base_config(), 2);
+  WorkloadGenerator gen(base_config(), 2, map_for(base_config()));
   auto stores = gen.genesis();
   const auto batch = gen.next_batch(50);
   ASSERT_EQ(batch.size(), 50u);
   for (const auto& tx : batch) {
-    const ShardId shard = tx.input_shard(4);
+    const ShardId shard = input_shard(tx, *gen.shard_map());
     EXPECT_EQ(verify_tx(tx, stores[shard]), TxVerdict::kValid)
         << verdict_name(verify_tx(tx, stores[shard]));
     EXPECT_TRUE(gen.is_ground_truth_valid(tx.id()));
@@ -43,11 +50,11 @@ TEST(Workload, GeneratedTxsAreValid) {
 TEST(Workload, CrossShardFractionRoughlyRespected) {
   auto cfg = base_config();
   cfg.cross_shard_fraction = 0.5;
-  WorkloadGenerator gen(cfg, 3);
+  WorkloadGenerator gen(cfg, 3, map_for(cfg));
   const auto batch = gen.next_batch(200);
   int cross = 0;
   for (const auto& tx : batch) {
-    if (!tx.is_intra_shard(4)) ++cross;
+    if (!is_intra_shard(tx, *gen.shard_map())) ++cross;
   }
   EXPECT_GT(cross, 60);
   EXPECT_LT(cross, 140);
@@ -56,21 +63,21 @@ TEST(Workload, CrossShardFractionRoughlyRespected) {
 TEST(Workload, ZeroCrossFractionAllIntra) {
   auto cfg = base_config();
   cfg.cross_shard_fraction = 0.0;
-  WorkloadGenerator gen(cfg, 4);
+  WorkloadGenerator gen(cfg, 4, map_for(cfg));
   for (const auto& tx : gen.next_batch(100)) {
-    EXPECT_TRUE(tx.is_intra_shard(4));
+    EXPECT_TRUE(is_intra_shard(tx, *gen.shard_map()));
   }
 }
 
 TEST(Workload, InvalidInjection) {
   auto cfg = base_config();
   cfg.invalid_fraction = 1.0;
-  WorkloadGenerator gen(cfg, 5);
+  WorkloadGenerator gen(cfg, 5, map_for(cfg));
   auto stores = gen.genesis();
   const auto batch = gen.next_batch(30);
   ASSERT_EQ(batch.size(), 30u);
   for (const auto& tx : batch) {
-    const ShardId shard = tx.input_shard(4);
+    const ShardId shard = input_shard(tx, *gen.shard_map());
     EXPECT_NE(verify_tx(tx, stores[shard]), TxVerdict::kValid);
     EXPECT_FALSE(gen.is_ground_truth_valid(tx.id()));
   }
@@ -79,7 +86,7 @@ TEST(Workload, InvalidInjection) {
 TEST(Workload, MixedInvalidFraction) {
   auto cfg = base_config();
   cfg.invalid_fraction = 0.3;
-  WorkloadGenerator gen(cfg, 6);
+  WorkloadGenerator gen(cfg, 6, map_for(cfg));
   auto stores = gen.genesis();
   int invalid = 0;
   for (const auto& tx : gen.next_batch(200)) {
@@ -90,7 +97,7 @@ TEST(Workload, MixedInvalidFraction) {
 }
 
 TEST(Workload, CommitMakesOutputsSpendable) {
-  WorkloadGenerator gen(base_config(), 7);
+  WorkloadGenerator gen(base_config(), 7, map_for(base_config()));
   const std::size_t before = gen.spendable_outputs();
   auto batch = gen.next_batch(10);
   // Spends consumed 10 outputs.
@@ -101,7 +108,7 @@ TEST(Workload, CommitMakesOutputsSpendable) {
 }
 
 TEST(Workload, RejectReturnsInputs) {
-  WorkloadGenerator gen(base_config(), 8);
+  WorkloadGenerator gen(base_config(), 8, map_for(base_config()));
   const std::size_t before = gen.spendable_outputs();
   auto batch = gen.next_batch(10);
   for (const auto& tx : batch) gen.mark_rejected(tx);
@@ -109,7 +116,7 @@ TEST(Workload, RejectReturnsInputs) {
 }
 
 TEST(Workload, NoDoubleSpendsWithinGeneratedStream) {
-  WorkloadGenerator gen(base_config(), 9);
+  WorkloadGenerator gen(base_config(), 9, map_for(base_config()));
   std::set<std::pair<std::string, std::uint32_t>> seen;
   for (const auto& tx : gen.next_batch(200)) {
     for (const auto& in : tx.inputs) {
@@ -121,7 +128,8 @@ TEST(Workload, NoDoubleSpendsWithinGeneratedStream) {
 }
 
 TEST(Workload, Deterministic) {
-  WorkloadGenerator a(base_config(), 10), b(base_config(), 10);
+  const auto cfg = base_config();
+  WorkloadGenerator a(cfg, 10, map_for(cfg)), b(cfg, 10, map_for(cfg));
   const auto batch_a = a.next_batch(20);
   const auto batch_b = b.next_batch(20);
   ASSERT_EQ(batch_a.size(), batch_b.size());
@@ -134,7 +142,7 @@ TEST(Workload, PoolExhaustion) {
   auto cfg = base_config();
   cfg.users = 32;
   cfg.outputs_per_user = 1;
-  WorkloadGenerator gen(cfg, 11);
+  WorkloadGenerator gen(cfg, 11, map_for(cfg));
   const auto batch = gen.next_batch(1000);
   EXPECT_LE(batch.size(), 32u);  // can't spend more than exists
   EXPECT_GT(batch.size(), 0u);
@@ -145,7 +153,7 @@ TEST(Workload, DoubleSpendPairsAreIndividuallyValid) {
   // in-flight input; they are ground-truth invalid.
   auto cfg = base_config();
   cfg.invalid_fraction = 0.5;
-  WorkloadGenerator gen(cfg, 12);
+  WorkloadGenerator gen(cfg, 12, map_for(cfg));
   auto stores = gen.genesis();
   const auto batch = gen.next_batch(100);
   std::map<std::pair<std::string, std::uint32_t>, int> input_uses;
@@ -179,7 +187,7 @@ TEST(Workload, ShortfallCounterSurfacesDryPool) {
   auto cfg = base_config();
   cfg.users = 32;
   cfg.outputs_per_user = 1;
-  WorkloadGenerator gen(cfg, 13);
+  WorkloadGenerator gen(cfg, 13, map_for(cfg));
   EXPECT_EQ(gen.shortfall(), 0u);
   const auto batch = gen.next_batch(1000);
   ASSERT_LT(batch.size(), 1000u);
@@ -194,19 +202,19 @@ TEST(Workload, ShortfallCounterSurfacesDryPool) {
 }
 
 TEST(Workload, NextTxFromPrefersRequestedUser) {
-  WorkloadGenerator gen(base_config(), 14);
+  WorkloadGenerator gen(base_config(), 14, map_for(base_config()));
   // User 3 has funds at genesis: the tx must spend user 3's outputs.
   const auto tx = gen.next_tx_from(3, false);
   ASSERT_FALSE(tx.inputs.empty());
   EXPECT_EQ(gen.shortfall(), 0u);
-  EXPECT_EQ(tx.input_shard(4), gen.shard_of_user(3));
+  EXPECT_EQ(input_shard(tx, *gen.shard_map()), gen.shard_of_user(3));
 }
 
 TEST(Workload, NextTxFromFallsBackAndCounts) {
   auto cfg = base_config();
   cfg.users = 4;
   cfg.outputs_per_user = 1;
-  WorkloadGenerator gen(cfg, 15);
+  WorkloadGenerator gen(cfg, 15, map_for(cfg));
   // Drain user 0's only output, then ask for user 0 again: the source
   // falls back to any funded user and records the miss.
   const auto first = gen.next_tx_from(0, false);
@@ -219,10 +227,17 @@ TEST(Workload, NextTxFromFallsBackAndCounts) {
 TEST(Workload, InvalidConfigThrows) {
   auto cfg = base_config();
   cfg.shards = 0;
-  EXPECT_THROW(WorkloadGenerator(cfg, 1), std::invalid_argument);
+  EXPECT_THROW(WorkloadGenerator(cfg, 1, map_for(cfg)),
+               std::invalid_argument);
   cfg = base_config();
   cfg.users = 0;
-  EXPECT_THROW(WorkloadGenerator(cfg, 1), std::invalid_argument);
+  EXPECT_THROW(WorkloadGenerator(cfg, 1, map_for(cfg)),
+               std::invalid_argument);
+  // A map over a different shard count, or none at all.
+  cfg = base_config();
+  EXPECT_THROW(WorkloadGenerator(cfg, 1, std::make_shared<const ShardMap>(3)),
+               std::invalid_argument);
+  EXPECT_THROW(WorkloadGenerator(cfg, 1, nullptr), std::invalid_argument);
 }
 
 }  // namespace
