@@ -116,6 +116,8 @@ class LeaderInstance {
   std::optional<QuorumCert> on_confirm(const ConfirmWire& wire);
 
   const InstanceId& id() const { return id_; }
+  /// The message being agreed on.
+  const Bytes& message() const { return message_; }
   const crypto::Digest& digest() const { return digest_; }
   bool done() const { return done_; }
 

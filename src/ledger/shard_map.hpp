@@ -3,7 +3,8 @@
 // The ShardMap is the one authority that maps an account to a shard: the
 // engine, every UTXO store, the validator, the workload generator and
 // the invariant checker all ask it. Without overrides it answers with the
-// static hash H("cyc.shard" ‖ y) mod m of §III; a rebalance installs
+// static hash of §III, SHA-256 over a domain tag and the key y, mod m (its
+// one implementation is `hashed_shard`); a rebalance installs
 // per-account overrides so hot accounts under Zipf-skewed open-loop
 // traffic stop pinning one shard's mempool at capacity. Maps are
 // immutable once built — an epoch boundary constructs the successor with
@@ -52,7 +53,7 @@ class ShardMap {
   bool identity() const { return overrides_.empty(); }
 
   /// Shard of an account key: the override when one is installed, else
-  /// H("cyc.shard" ‖ account) mod m.
+  /// the static hash.
   ShardId shard_key(std::uint64_t account) const;
   ShardId shard(const crypto::PublicKey& pk) const { return shard_key(pk.y); }
 

@@ -474,6 +474,16 @@ net::NodeId Engine::designated_referee(std::uint64_t sn) const {
   return assign_.referees[sn % size];  // all silent: threat-model breach
 }
 
+bool Engine::referee_seat(net::NodeId id) const {
+  return std::find(assign_.referees.begin(), assign_.referees.end(), id) !=
+         assign_.referees.end();
+}
+
+bool Engine::released_subblock(net::NodeId leader) const {
+  return std::any_of(released_subblocks_.begin(), released_subblocks_.end(),
+                     [&](const SubBlock& sb) { return sb.leader == leader; });
+}
+
 bool Engine::referee_reachable(net::NodeId id) const {
   const net::FaultInjector* injector = net_->faults();
   if (injector == nullptr) return true;
@@ -951,7 +961,6 @@ RoundReport Engine::run_round() {
 
   RoundReport report;
   report.round = round_;
-  if (next_assign_.round != round_ + 1) compute_selection();  // fallback
   finalize_round(report);
   obs_round_end(report, net_->now());
 

@@ -127,6 +127,7 @@ struct RoundFlow {
 struct SubBlock {
   std::uint32_t committee = 0;
   std::vector<ledger::Transaction> txs;
+  net::NodeId leader = net::kNoNode;  ///< who released it
 };
 
 class Engine {
@@ -454,9 +455,7 @@ class Engine {
       std::map<std::uint32_t, Bytes> cross_in;  // origin -> accepted request
       std::set<std::uint32_t> cross_done;       // origins answered
     } duties;
-    // Leader-side payloads awaiting certification.
-    Bytes pending_intra_payload;
-    Bytes pending_score_payload;
+    // Leader-side cross requests awaiting certification.
     std::map<std::uint32_t, Bytes> pending_cross_out;  // dest -> request
     net::NodeId pending_new_leader = net::kNoNode;
     // Referee-side: accepted results. Results multicast to the whole
@@ -507,9 +506,9 @@ class Engine {
   void on_confirm(NodeState& self, const net::Message& msg);
   void on_semicommit(NodeState& self, const net::Message& msg, net::Time now);
   void on_semicommit_ack(NodeState& self, const net::Message& msg);
-  /// kBlockPermit (§VIII-B): the permitted leader broadcasts its
-  /// committee's sub-block.
-  void on_block_permit(NodeState& self);
+  /// kBlockPermit (§VIII-B): a referee seat permits the leader, who
+  /// broadcasts its committee's sub-block at most once per round.
+  void on_block_permit(NodeState& self, const net::Message& msg);
   void on_txlist(NodeState& self, const net::Message& msg);
   void on_vote(NodeState& self, const net::Message& msg);
   void on_cross_txlist(NodeState& self, const net::Message& msg);
@@ -524,7 +523,8 @@ class Engine {
   void on_committee_result(NodeState& self, const net::Message& msg);
   void on_catchup_request(NodeState& self, const net::Message& msg);
   void on_catchup_reply(NodeState& self, const net::Message& msg);
-  /// kBlock / §VIII-B kSubBlock: a member adopts its view's successor
+  /// kBlock from a referee seat / §VIII-B kSubBlock from a leader that
+  /// released one this round: a member adopts its view's successor
   /// under the released (sub-)block, decoding and routing each payload
   /// once and deriving each distinct successor once.
   void on_block(NodeState& self, const net::Message& msg);
@@ -535,6 +535,10 @@ class Engine {
   std::vector<crypto::PublicKey> committee_pks(std::uint32_t k) const;
   net::NodeId node_of_pk(const crypto::PublicKey& pk) const;
   net::NodeId designated_referee(std::uint64_t sn) const;
+  /// Whether `id` holds a referee seat this round.
+  bool referee_seat(net::NodeId id) const;
+  /// Whether `leader` released a §VIII-B sub-block this round.
+  bool released_subblock(net::NodeId leader) const;
   /// Whether `self` takes part in consensus instances of `scope`:
   /// committee members in their own committee's, referees in the referee
   /// scope's.
@@ -715,8 +719,6 @@ class Engine {
   std::set<net::NodeId> convicted_leaders_;
   // Registered participants for next round (PoW solutions received).
   std::set<net::NodeId> registered_;
-  // Serialized block awaiting / holding certification this round.
-  Bytes block_payload_;
   // Decode-once cache for payload buffers fanned out to many receivers:
   // consensus PROPOSE / ECHO, semi-commitment batches and released
   // (sub-)blocks. Keyed by buffer address; each entry holds its payload,

@@ -201,8 +201,7 @@ void Engine::phase_block(net::Time at) {
   leaves.reserve(block.txs.size());
   for (const auto& tx : block.txs) leaves.push_back(tx.serialize());
   block.body_root = crypto::MerkleTree(leaves).root();
-  block_payload_ = block.serialize();
-  leader_start_instance(referee, params_.m, seq::kBlock, block_payload_);
+  leader_start_instance(referee, params_.m, seq::kBlock, block.serialize());
   // Committee leaders also certify their final UTXO list for hand-off to
   // the next round's partial sets (§IV-G).
   for (std::uint32_t k = 0; k < params_.m; ++k) {
@@ -297,7 +296,7 @@ void Engine::dispatch(NodeState& self, const net::Message& msg,
       case net::Tag::kSubBlock:
         on_block(self, msg);
         break;
-      case net::Tag::kBlockPermit: on_block_permit(self); break;
+      case net::Tag::kBlockPermit: on_block_permit(self, msg); break;
       case net::Tag::kUtxoHandoff:
       case net::Tag::kBeaconShare:
       case net::Tag::kPreCommQuery:
@@ -312,10 +311,11 @@ void Engine::dispatch(NodeState& self, const net::Message& msg,
   }
 }
 
-void Engine::on_block_permit(NodeState& self) {
-  if (self.committee < 0) return;
+void Engine::on_block_permit(NodeState& self, const net::Message& msg) {
+  if (self.committee < 0 || !referee_seat(msg.from)) return;
   const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
   if (self.id != committees_[k].current_leader) return;
+  if (released_subblock(self.id)) return;  // once per round
   // The sub-block holds exactly the results B^r takes from committee k:
   // those a majority of referees acked, in block order.
   wire::BlockMsg sub;
@@ -326,7 +326,7 @@ void Engine::on_block_permit(NodeState& self) {
   });
   if (sub.txs.empty()) return;
   sub.randomness = next_randomness_;
-  released_subblocks_.push_back({k, sub.txs});
+  released_subblocks_.push_back({k, sub.txs, self.id});
   const auto payload = net::make_payload(sub.serialize());
   for (const auto& n : nodes_) {
     if (n.id == self.id) continue;
@@ -337,6 +337,10 @@ void Engine::on_block_permit(NodeState& self) {
 void Engine::on_block(NodeState& self, const net::Message& msg) {
   // Members refresh their shard view from the released (sub-)block.
   if (self.committee < 0) return;
+  if (msg.tag == net::Tag::kBlock ? !referee_seat(msg.from)
+                                  : !released_subblock(msg.from)) {
+    return;
+  }
   ReleasedBlock& released =
       decode_once<ReleasedBlock>(msg, [this](BytesView payload) {
         auto block = wire::BlockMsg::deserialize(payload);
@@ -599,12 +603,12 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
                           static_cast<double>(cert.confirms.size())}});
     obs_->metrics.counter("consensus.certs").add();
   }
+  // Every caller holds the instance it certified.
+  const Bytes& message = self.round.lead.at(sn).message();
   if (scope == params_.m) {
     // Referee-scope instances.
     if (sn == seq::kBlock) {
       // Block certified.
-      auto it = self.round.lead.find(sn);
-      if (it == self.round.lead.end()) return;
       if (options_.extension_parallel_blocks) {
         // §VIII-B: C_R only issues permissions; each leader broadcasts
         // its own sub-block, removing the O(mn) burden from C_R.
@@ -617,7 +621,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       }
       // Release to the whole network (§IV-G): the O(mn) burden of
       // Table II. One shared buffer serves all n-1 receivers.
-      const auto payload = net::make_payload(block_payload_);
+      const auto payload = net::make_payload(message);
       for (const auto& n : nodes_) {
         if (n.id == self.id) continue;
         net_->send_shared(self.id, n.id, net::Tag::kBlock, payload);
@@ -640,10 +644,8 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
 
   if (seq::is_intra(sn)) {
     // Intra-committee decision certified -> report to C_R (Alg. 5 l.19).
-    auto it = self.round.lead.find(sn);
-    if (it == self.round.lead.end()) return;
     wire::CertifiedResult result;
-    result.payload = committees_[k].pending_intra_payload;
+    result.payload = message;
     result.cert = cert.serialize();
     const auto payload = net::make_payload(result.serialize());
     for (net::NodeId rm : assign_.referees) {
@@ -654,7 +656,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
   if (seq::is_score(sn)) {
     // ScoreList certified -> report to C_R (§IV-E).
     wire::CertifiedResult result;
-    result.payload = committees_[k].pending_score_payload;
+    result.payload = message;
     result.cert = cert.serialize();
     const auto payload = net::make_payload(result.serialize());
     for (net::NodeId rm : assign_.referees) {

@@ -162,10 +162,7 @@ void Engine::relay_semicommits(net::NodeId referee,
 
 void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg) {
   // Only current referee seats relay semi-commitments.
-  if (std::find(assign_.referees.begin(), assign_.referees.end(), msg.from) ==
-      assign_.referees.end()) {
-    return;
-  }
+  if (!referee_seat(msg.from)) return;
   const auto& batch = decode_once<wire::SemiCommitBatch>(
       msg, &wire::SemiCommitBatch::deserialize);
   for (const wire::SemiCommitAck& ack : batch.entries) {
@@ -315,9 +312,8 @@ void Engine::leader_start_list(std::uint32_t k, ListKind kind, net::Time now) {
         }
       }
       decision.vlist_digest = vlist_digest(tally.votes);
-      committee.pending_intra_payload = decision.serialize();
       leader_start_instance(leader, k, seq::intra(attempt),
-                            committee.pending_intra_payload);
+                            decision.serialize());
       return;
     }
     // Partition the accepted cross transactions by destination shard and
@@ -610,10 +606,7 @@ void Engine::on_catchup_request(NodeState& self, const net::Message& msg) {
 void Engine::on_catchup_reply(NodeState& self, const net::Message& msg) {
   if (!self.catching_up || self.catchup_adopted) return;
   // Only current referee seats may vouch for state.
-  if (std::find(assign_.referees.begin(), assign_.referees.end(), msg.from) ==
-      assign_.referees.end()) {
-    return;
-  }
+  if (!referee_seat(msg.from)) return;
   Bytes digest_bytes;
   try {
     Reader r(msg.payload());
@@ -686,9 +679,8 @@ void Engine::leader_send_scores(std::uint32_t k) {
     scores.entries.push_back(
         {id, decision.empty() ? 0.0 : cosine_score(vote, decision)});
   }
-  committee.pending_score_payload = scores.serialize();
   leader_start_instance(leader, k, seq::score(committee.attempt),
-                        committee.pending_score_payload);
+                        scores.serialize());
 }
 
 // ---------------------------------------------------------------------------
@@ -931,7 +923,9 @@ void Engine::announce_new_leader(NodeState& referee, std::uint32_t k) {
 
 void Engine::on_new_leader(NodeState& self, const net::Message& msg) {
   // Member-side state refresh; the authoritative switch happened in
-  // install_new_leader when C_R certified the re-selection.
+  // install_new_leader when C_R certified the re-selection, so only a
+  // referee seat announces one.
+  if (!referee_seat(msg.from)) return;
   const auto announcement = wire::NewLeaderMsg::deserialize(msg.payload());
   if (self.committee == static_cast<std::int64_t>(announcement.committee)) {
     self.round.leader_sent_txlist = false;
@@ -946,7 +940,6 @@ void Engine::install_new_leader(std::uint32_t k, net::NodeId new_leader,
   event.committee = k;
   event.old_leader = old_leader;
   event.new_leader = new_leader;
-  event.witness_kind = "recovery";
   recovery_log_.push_back(event);
   if (obs_ != nullptr) {
     obs_->trace.instant(obs::kTrackCommitteeBase + k, "new-leader", "recovery",

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "crypto/sha256.hpp"
@@ -18,7 +17,6 @@ struct RecoveryEvent {
   std::uint32_t committee = 0;
   net::NodeId old_leader = net::kNoNode;
   net::NodeId new_leader = net::kNoNode;
-  std::string witness_kind;
 };
 
 /// One resolved catch-up attempt of a restarted node (crash-recovery).

@@ -51,7 +51,6 @@ Bytes serialize_report(const RoundReport& r) {
     w.u32(ev.committee);
     w.u32(ev.old_leader);
     w.u32(ev.new_leader);
-    w.str(ev.witness_kind);
   }
   for (const auto& c : r.committees) {
     w.u32(c.committee);

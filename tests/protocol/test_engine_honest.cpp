@@ -272,6 +272,108 @@ TEST(EngineHonest, ForgedMemberListIsIgnored) {
   EXPECT_EQ(report.recoveries, 0u);
 }
 
+TEST(EngineHonest, ForgedBlockIsIgnored) {
+  // Only a referee seat releases B^r (§IV-G). A common member of
+  // committee 0 that hands its committee a "block" spending every
+  // genesis output of shard 0 must not empty the members' views: they
+  // would then vote down their whole list.
+  Engine honest(small_params(), AdversaryConfig{});
+  const RoundReport expected = honest.run_round();
+
+  Engine engine(small_params(), AdversaryConfig{});
+  const CommitteeInfo committee = engine.assignment().committees[0];
+  const net::NodeId sender = committee.commons.front();
+  const ledger::UtxoStore& shard0 = engine.shard_state()[0];
+  wire::BlockMsg forged;
+  forged.round = engine.round();
+  for (const ledger::OutPoint& op : shard0.outpoints()) {
+    ledger::Transaction tx;
+    tx.inputs = {op};
+    tx.spender = shard0.get(op)->owner;
+    forged.txs.push_back(tx);
+  }
+  ASSERT_FALSE(forged.txs.empty());
+  const auto payload = forged.serialize();
+  engine.net_mut().schedule(1.0, [&](net::Time) {
+    for (net::NodeId id : committee.all_members()) {
+      if (id != sender) {
+        engine.net_mut().send(sender, id, net::Tag::kBlock, payload);
+      }
+    }
+  });
+  const RoundReport report = engine.run_round();
+
+  ASSERT_EQ(report.committees.size(), expected.committees.size());
+  EXPECT_EQ(report.committees[0].txs_committed,
+            expected.committees[0].txs_committed);
+  EXPECT_EQ(report.txs_committed, expected.txs_committed);
+  EXPECT_EQ(report.recoveries, 0u);
+}
+
+TEST(EngineHonest, ForgedBlockPermitReleasesNothing) {
+  // §VIII-B: only C_R permits a leader to release its sub-block, and a
+  // leader releases once per round. Five permits forged by a committee-1
+  // common member during the block phase must not make committee 0's
+  // leader broadcast its sub-block again.
+  EngineOptions opts;
+  opts.extension_parallel_blocks = true;
+  Engine honest(small_params(), AdversaryConfig{}, opts);
+  const RoundReport expected = honest.run_round();
+  const std::size_t expected_subblocks = honest.released_subblocks().size();
+  ASSERT_GT(expected_subblocks, 0u);
+
+  Engine engine(small_params(), AdversaryConfig{}, opts);
+  const RoundAssignment& assign = engine.assignment();
+  const net::NodeId leader = assign.committees[0].leader;
+  const net::NodeId sender = assign.committees[1].commons.front();
+  const Params& p = engine.params();
+  const double block_phase =
+      (p.config_duration + p.semicommit_duration + p.intra_duration +
+       p.inter_duration + p.reputation_duration + p.selection_duration) *
+      p.delays.delta;
+  constexpr int kForged = 5;
+  engine.net_mut().schedule(block_phase + 1.0, [&](net::Time) {
+    for (int i = 0; i < kForged; ++i) {
+      engine.net_mut().send(sender, leader, net::Tag::kBlockPermit,
+                            Bytes(40, 0));
+    }
+  });
+  const RoundReport report = engine.run_round();
+
+  EXPECT_EQ(engine.released_subblocks().size(), expected_subblocks);
+  EXPECT_EQ(report.traffic_total.msgs_sent,
+            expected.traffic_total.msgs_sent + kForged);
+  EXPECT_EQ(report.txs_committed, expected.txs_committed);
+}
+
+TEST(EngineHonest, ForgedNewLeaderIsIgnored) {
+  // Alg. 6: only a referee announces a certified re-selection. A forged
+  // NEW_LEADER from a common member, sent after the honest TXList, must
+  // not make the partial set accuse its honest leader of a timeout.
+  Engine honest(small_params(), AdversaryConfig{});
+  const RoundReport expected = honest.run_round();
+
+  Engine engine(small_params(), AdversaryConfig{});
+  const CommitteeInfo committee = engine.assignment().committees[0];
+  const net::NodeId sender = committee.commons.front();
+  wire::NewLeaderMsg forged;
+  forged.committee = 0;
+  forged.evicted = engine.public_key(committee.leader);
+  forged.new_leader = engine.public_key(committee.partial.front());
+  const auto payload = forged.serialize();
+  engine.net_mut().schedule(45.0, [&](net::Time) {
+    for (net::NodeId id : committee.partial) {
+      engine.net_mut().send(sender, id, net::Tag::kNewLeader, payload);
+    }
+  });
+  const RoundReport report = engine.run_round();
+
+  EXPECT_EQ(report.traffic_total.msgs_sent,
+            expected.traffic_total.msgs_sent + committee.partial.size());
+  EXPECT_EQ(report.txs_committed, expected.txs_committed);
+  EXPECT_EQ(report.recoveries, 0u);
+}
+
 TEST(EngineHonest, ThroughputScalesWithCommittees) {
   // §III-D Scalability: more committees -> more committed transactions
   // per round (quasi-linear growth).
