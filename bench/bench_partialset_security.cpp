@@ -39,7 +39,7 @@ int main() {
   const double p40 = analysis::partial_set_failure(f, 40);
   std::printf("\nSpot checks vs the paper's text:\n");
   std::printf("  lambda=40: %.4e  (paper: <8e-20; exact value 8.22e-20 —\n"
-              "  the paper rounds loosely, see EXPERIMENTS.md)\n", p40);
+              "  the paper rounds (1/3)^40 down)\n", p40);
   std::printf("  m=20 union bound: %.4e  (paper: <=2e-18)\n", 20.0 * p40);
   return 0;
 }

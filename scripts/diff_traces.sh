@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Behaviour-neutrality gate for refactors: byte-compare the traced
-# scenario runs of the working tree against those of a git revision.
+# scenario runs and the fuzz campaign of the working tree against those
+# of a git revision.
 #
-# Builds scenario_runner (Release) twice — once from a `git archive` copy
-# of REV, once from the working tree, uncommitted edits included — then
-# runs both with --trace over the built-in default matrix and over every
-# tests/corpus/*.json spec. Every matrix / spec artifact is compared with
-# `cmp` and every trace directory with `diff -r`.
+# Builds scenario_runner and fuzz_runner (Release) twice — once from a
+# `git archive` copy of REV, once from the working tree, uncommitted
+# edits included — then runs both scenario_runners with --trace over the
+# built-in default matrix and over every tests/corpus/*.json spec, and
+# both fuzz_runners over the fixed campaign of scripts/run_fuzz.sh
+# (seed 1, budget 200). Every matrix / spec / campaign artifact is
+# compared with `cmp` and every trace directory with `diff -r`.
 #
 # Usage: scripts/diff_traces.sh [rev]        (default: HEAD)
 #
@@ -35,16 +38,17 @@ JOBS="$(nproc)"
 
 build() {  # build <source-dir> <build-dir>
   cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$2" -j"$JOBS" --target scenario_runner >/dev/null
+  cmake --build "$2" -j"$JOBS" --target scenario_runner fuzz_runner \
+    >/dev/null
 }
 
-echo "=== building scenario_runner at $REV ==="
+echo "=== building scenario_runner and fuzz_runner at $REV ==="
 rm -rf "$WORK/rev-src"
 mkdir -p "$WORK/rev-src"
 git archive "$REV" | tar -x -C "$WORK/rev-src"
 build "$WORK/rev-src" "$WORK/rev-build"
 
-echo "=== building scenario_runner from the working tree ==="
+echo "=== building scenario_runner and fuzz_runner from the working tree ==="
 build . "$WORK/tree-build"
 
 run_all() {  # run_all <build-dir> <out-dir>
@@ -58,9 +62,19 @@ run_all() {  # run_all <build-dir> <out-dir>
     "$runner" --spec "$spec" --trace "$out/$name.traces" \
       --out "$out/$name.json" >/dev/null
   done
+  # The campaign artifact is a pure function of (seed, budget). A red
+  # campaign exits 1 but still writes it (the cmp below decides); any
+  # other non-zero status is a run failure.
+  local fuzz_status=0
+  "$1/fuzz_runner" --seed 1 --budget 200 --out "$out/FUZZ.json" \
+    --dir "$out/fuzz-failures" >/dev/null || fuzz_status=$?
+  if [[ "$fuzz_status" -gt 1 ]]; then
+    echo "diff_traces: fuzz_runner in $1 exited $fuzz_status" >&2
+    exit "$fuzz_status"
+  fi
 }
 
-echo "=== traced runs: default matrix + every tests/corpus spec ==="
+echo "=== traced runs (default matrix + every tests/corpus spec) + fuzz campaign ==="
 run_all "$WORK/rev-build" "$WORK/rev-out"
 run_all "$WORK/tree-build" "$WORK/tree-out"
 

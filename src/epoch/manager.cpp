@@ -132,9 +132,8 @@ void EpochManager::perform_boundary() {
   engine_->reconfigure(reconfig);
 
   // --- 3b. Load-aware re-draw (src/epoch/rebalance.hpp). -----------------
-  // Runs after reconfigure so the fair-draw gate sees the entering
-  // membership, and before the handoff so the plan is part of the audit
-  // record. The planner is RNG-free, so this block consumes none of the
+  // Runs before the handoff so the plan is part of the audit record.
+  // The planner is RNG-free, so this block consumes none of the
   // boundary's deterministic randomness streams.
   std::optional<RebalancePlan> plan;
   if (engine_->params().rebalance) {
@@ -146,15 +145,9 @@ void EpochManager::perform_boundary() {
       const crypto::PublicKey& pk = wl.user_pk(u);
       accounts.emplace_back(pk.y, engine_->shard_map()->shard(pk));
     }
-    std::size_t corrupt = 0;
-    for (net::NodeId id : reconfig.members) {
-      if (engine_->misbehaved(id, engine_->round())) corrupt += 1;
-    }
-    plan = plan_rebalance(rebalance_config(engine_->params()),
-                          *engine_->shard_map(),
+    plan = plan_rebalance(engine_->params(), *engine_->shard_map(),
                           engine_->last_rebalance_window(), accounts,
-                          reconfig.members.size(), corrupt,
-                          engine_->params().c, entering);
+                          entering);
     auto next_map = std::make_shared<const ledger::ShardMap>(
         engine_->shard_map()->apply(plan->moves));
     plan->migrated_outputs = engine_->apply_rebalance(next_map, plan->moves);

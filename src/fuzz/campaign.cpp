@@ -20,13 +20,13 @@ std::string spec_name(std::uint64_t seed, std::size_t index) {
 
 CampaignResult run_campaign(const CampaignOptions& options) {
   // Generation is sequential and index-forked: spec i depends only on
-  // (seed, i, bounds), never on how many tries spec i-1 consumed.
+  // (seed, i), never on how many tries spec i-1 consumed.
   const rng::Stream root(options.seed);
   std::vector<harness::ScenarioSpec> specs;
   specs.reserve(options.budget);
   for (std::size_t i = 0; i < options.budget; ++i) {
     rng::Stream stream = root.fork(static_cast<std::uint64_t>(i));
-    harness::ScenarioSpec spec = generate_spec(stream, options.bounds);
+    harness::ScenarioSpec spec = generate_spec(stream);
     spec.name = spec_name(options.seed, i);
     specs.push_back(std::move(spec));
   }
@@ -50,12 +50,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     failure.original = specs[i];
     failure.violations = runs[i];
     const std::string& invariant = failure.violations.front().invariant;
-    if (options.shrink_failures) {
-      failure.shrunk = shrink(specs[i], invariant, oracle, options.shrink);
-    } else {
-      failure.shrunk.spec = specs[i];
-      failure.shrunk.invariant = invariant;
-    }
+    failure.shrunk = shrink(specs[i], invariant, oracle, options.shrink);
     // Self-describing repro: the spec name carries the red identifier.
     failure.shrunk.spec.name = specs[i].name + "/" + invariant;
     result.failures.push_back(std::move(failure));
@@ -70,8 +65,8 @@ std::string campaign_json(const CampaignOptions& options,
   json.field("harness", "scenario_fuzz");
   json.field("seed", options.seed);
   json.field("budget", static_cast<std::uint64_t>(options.budget));
-  json.field("max_corrupt_fraction", options.bounds.max_corrupt_fraction);
-  json.field("max_committee_failure", options.bounds.max_committee_failure);
+  json.field("max_corrupt_fraction", kMaxCorruptFraction);
+  json.field("max_committee_failure", kMaxCommitteeFailure);
   json.field("specs_run", static_cast<std::uint64_t>(result.specs_run));
   json.field("points_run", static_cast<std::uint64_t>(result.points_run));
   json.field("failures", static_cast<std::uint64_t>(result.failures.size()));

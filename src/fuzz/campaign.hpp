@@ -2,7 +2,7 @@
 // every (spec, seed) point through the invariant harness, and shrink
 // each failure to a minimal replayable repro.
 //
-// The whole campaign is a pure function of (seed, budget, bounds): specs
+// The whole campaign is a pure function of (seed, budget): specs
 // are generated from index-forked rng streams, points run on the
 // parallel_sweep pool with index-ordered results, and failures shrink
 // sequentially — so the JSON artifact is byte-identical across runs and
@@ -22,8 +22,6 @@ struct CampaignOptions {
   std::uint64_t seed = 1;    ///< campaign root seed
   std::size_t budget = 200;  ///< specs to sample and execute
   unsigned threads = 0;      ///< sweep pool size (0 = hardware)
-  FuzzBounds bounds;
-  bool shrink_failures = true;
   ShrinkOptions shrink;
 };
 

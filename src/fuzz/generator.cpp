@@ -19,6 +19,13 @@ const T& pick(rng::Stream& rng, const std::array<T, N>& grid) {
   return grid[static_cast<std::size_t>(rng.below(N))];
 }
 
+/// Largest grid value, for the static_asserts that keep each grid under
+/// its documented bound.
+template <typename T, std::size_t N>
+constexpr T grid_max(const std::array<T, N>& grid) {
+  return *std::max_element(grid.begin(), grid.end());
+}
+
 /// Does a corrupt member with this behaviour cast wrong votes? Leader
 /// behaviours act as inverse voters when they are common members
 /// (is_leader_behavior), random voters are wrong half the time (counted
@@ -36,15 +43,14 @@ constexpr std::array<Behavior, 9> kMisbehaviors = {
     Behavior::kLazyVoter,    Behavior::kImitator,     Behavior::kFramer,
 };
 
-protocol::AdversaryConfig sample_adversary(rng::Stream& rng,
-                                           const FuzzBounds& bounds) {
+protocol::AdversaryConfig sample_adversary(rng::Stream& rng) {
   protocol::AdversaryConfig adv;
   // Quantized corruption grid below the honest-majority bound; ~1/4 of
   // specs run the honest baseline.
   constexpr std::array<double, 8> kFractions = {0.0,  0.0,  0.1, 0.15,
                                                 0.2,  0.25, 0.3, 0.3};
-  adv.corrupt_fraction =
-      std::min(pick(rng, kFractions), bounds.max_corrupt_fraction);
+  static_assert(grid_max(kFractions) <= kMaxCorruptFraction);
+  adv.corrupt_fraction = pick(rng, kFractions);
   if (adv.corrupt_fraction == 0.0) {
     adv.mix.clear();
     return adv;
@@ -66,10 +72,10 @@ protocol::AdversaryConfig sample_adversary(rng::Stream& rng,
   return adv;
 }
 
-protocol::EngineOptions sample_options(rng::Stream& rng,
-                                       const FuzzBounds& bounds) {
+/// The §VIII extension toggles (precommunication / parallel blocks) and
+/// the uniform-leader ablation.
+protocol::EngineOptions sample_options(rng::Stream& rng) {
   protocol::EngineOptions options;
-  if (!bounds.fuzz_options) return options;
   // Recovery stays on (the recovery-off baseline deliberately loses
   // rounds, which is not an invariant violation worth fuzzing for).
   options.reputation_leader_selection = !rng.chance(0.2);
@@ -79,13 +85,11 @@ protocol::EngineOptions sample_options(rng::Stream& rng,
 }
 
 std::vector<ScenarioEvent> sample_events(rng::Stream& rng,
-                                         const FuzzBounds& bounds,
                                          const protocol::Params& params,
                                          std::size_t total_rounds) {
   std::vector<ScenarioEvent> events;
-  if (bounds.max_events == 0) return events;
   const std::size_t count =
-      static_cast<std::size_t>(rng.below(bounds.max_events + 1));
+      static_cast<std::size_t>(rng.below(kMaxEvents + 1));
   for (std::size_t i = 0; i < count; ++i) {
     ScenarioEvent ev;
     ev.round = 1 + rng.below(total_rounds);
@@ -115,12 +119,11 @@ std::vector<ScenarioEvent> sample_events(rng::Stream& rng,
 /// two rounds (the crash takes effect one round after the event,
 /// §III-C, and the restart must find the node down), partition islands
 /// are whole committees, and explicit heals land inside the run.
-void sample_fault_events(rng::Stream& rng, const FuzzBounds& bounds,
-                         const protocol::Params& params,
+void sample_fault_events(rng::Stream& rng, const protocol::Params& params,
                          std::size_t total_rounds,
                          std::vector<ScenarioEvent>& events) {
   const std::size_t partitions =
-      static_cast<std::size_t>(rng.below(bounds.max_partitions + 1));
+      static_cast<std::size_t>(rng.below(kMaxPartitions + 1));
   for (std::size_t i = 0; i < partitions; ++i) {
     ScenarioEvent cut;
     cut.kind = ScenarioEvent::Kind::kPartition;
@@ -141,7 +144,7 @@ void sample_fault_events(rng::Stream& rng, const FuzzBounds& bounds,
 
   if (total_rounds >= 3) {
     const std::size_t pairs =
-        static_cast<std::size_t>(rng.below(bounds.max_crash_restarts + 1));
+        static_cast<std::size_t>(rng.below(kMaxCrashRestarts + 1));
     for (std::size_t i = 0; i < pairs; ++i) {
       ScenarioEvent crash;
       crash.kind = ScenarioEvent::Kind::kCrash;
@@ -159,7 +162,7 @@ void sample_fault_events(rng::Stream& rng, const FuzzBounds& bounds,
   }
 
   const std::size_t blackouts =
-      static_cast<std::size_t>(rng.below(bounds.max_blackouts + 1));
+      static_cast<std::size_t>(rng.below(kMaxBlackouts + 1));
   for (std::size_t i = 0; i < blackouts; ++i) {
     ScenarioEvent dark;
     dark.kind = ScenarioEvent::Kind::kBlackout;
@@ -246,7 +249,7 @@ double spec_failure_tail(std::uint32_t n, std::uint32_t misvoters,
   return group_tail(misvoters) + group_tail(corrupt);
 }
 
-ScenarioSpec generate_spec(rng::Stream& rng, const FuzzBounds& bounds) {
+ScenarioSpec generate_spec(rng::Stream& rng) {
   // Rejection sampling against the fair-draw tail; the honest fallback
   // below makes the loop total, and in practice a handful of tries
   // suffice (the filter mostly rejects narrow high-fraction mixes on
@@ -292,16 +295,15 @@ ScenarioSpec generate_spec(rng::Stream& rng, const FuzzBounds& bounds) {
     spec.params.delays.gamma = pick(rng, kGamma);
     spec.params.delays.jitter = pick(rng, kJitter);
 
-    spec.adversary = sample_adversary(rng, bounds);
-    spec.options = sample_options(rng, bounds);
+    spec.adversary = sample_adversary(rng);
+    spec.options = sample_options(rng);
 
-    spec.rounds = 1 + static_cast<std::size_t>(
-                          rng.below(std::max<std::size_t>(bounds.max_rounds, 1)));
-    if (bounds.max_epochs > 1 && rng.chance(0.25)) {
-      spec.epochs = 2 + static_cast<std::size_t>(
-                            rng.below(bounds.max_epochs - 1));
+    spec.rounds = 1 + static_cast<std::size_t>(rng.below(kMaxRounds));
+    if (rng.chance(0.25)) {
+      spec.epochs = 2 + static_cast<std::size_t>(rng.below(kMaxEpochs - 1));
       constexpr std::array<double, 3> kChurn = {0.0, 0.1, 0.2};
-      spec.churn_rate = std::min(pick(rng, kChurn), bounds.max_churn_rate);
+      static_assert(grid_max(kChurn) <= kMaxChurnRate);
+      spec.churn_rate = pick(rng, kChurn);
       if (spec.churn_rate > 0.0) {
         // Size the standby pool to cover every boundary's churn budget.
         spec.params.standby = static_cast<std::uint32_t>(
@@ -311,17 +313,15 @@ ScenarioSpec generate_spec(rng::Stream& rng, const FuzzBounds& bounds) {
       }
     }
 
-    const std::size_t max_seeds = std::max<std::size_t>(bounds.max_seeds, 1);
     const std::size_t seed_count =
-        1 + static_cast<std::size_t>(rng.below(max_seeds));
+        1 + static_cast<std::size_t>(rng.below(kMaxSeeds));
     spec.seeds.clear();
     for (std::size_t i = 0; i < seed_count; ++i) {
       spec.seeds.push_back(1 + rng.below(1u << 20));
     }
 
-    spec.events =
-        sample_events(rng, bounds, spec.params, spec.rounds * spec.epochs);
-    sample_fault_events(rng, bounds, spec.params, spec.rounds * spec.epochs,
+    spec.events = sample_events(rng, spec.params, spec.rounds * spec.epochs);
+    sample_fault_events(rng, spec.params, spec.rounds * spec.epochs,
                         spec.events);
     // Probabilistic wide-area loss on ~30% of specs; intra-committee
     // links stay reliable per the synchronous-Δ assumption (§III-B).
@@ -329,46 +329,17 @@ ScenarioSpec generate_spec(rng::Stream& rng, const FuzzBounds& bounds) {
       constexpr std::array<double, 3> kDrop = {0.02, 0.05, 0.1};
       constexpr std::array<double, 3> kDuplicate = {0.0, 0.05, 0.1};
       constexpr std::array<double, 3> kReorder = {0.0, 0.25, 0.5};
-      spec.params.faults.drop = std::min(pick(rng, kDrop), bounds.max_drop);
+      static_assert(grid_max(kDrop) <= kMaxDrop);
+      spec.params.faults.drop = pick(rng, kDrop);
       spec.params.faults.duplicate = pick(rng, kDuplicate);
       spec.params.faults.reorder = pick(rng, kReorder);
-    }
-
-    // Open-loop sustained-traffic axes, short-decimal grids like every
-    // other float field. Double-gated so the default (zero) fraction
-    // consumes nothing from the stream: existing corpora and their
-    // shrunk repro specs stay byte-identical.
-    if (bounds.openloop_fraction > 0.0 &&
-        rng.chance(bounds.openloop_fraction)) {
-      constexpr std::array<double, 4> kRate = {0.05, 0.1, 0.15, 0.25};
-      constexpr std::array<double, 4> kZipf = {0.0, 0.8, 1.1, 1.5};
-      constexpr std::array<std::uint32_t, 3> kPool = {8, 24, 64};
-      spec.params.arrival_rate =
-          std::min(pick(rng, kRate), bounds.max_arrival_rate);
-      spec.params.zipf_s = std::min(pick(rng, kZipf), bounds.max_zipf_s);
-      spec.params.mempool_cap =
-          std::min(pick(rng, kPool), bounds.max_mempool_cap);
-      // Load-aware re-draw, double-gated like its parent axis and drawn
-      // only where it can act: an open-loop source feeding a load window
-      // plus at least one epoch boundary to plan at.
-      if (bounds.rebalance_fraction > 0.0 && spec.epochs > 1 &&
-          rng.chance(bounds.rebalance_fraction)) {
-        constexpr std::array<std::uint32_t, 3> kMoves = {2, 4, 6};
-        spec.params.rebalance = true;
-        spec.params.rebalance_moves =
-            std::min(pick(rng, kMoves), bounds.max_rebalance_moves);
-        spec.params.rebalance_split_budget =
-            bounds.max_split_budget > 0 && rng.chance(0.5)
-                ? std::min<std::uint32_t>(1, bounds.max_split_budget)
-                : 0;
-      }
     }
 
     const CorruptBudget budget = corrupt_budget(spec);
     if (spec_failure_tail(spec.params.total_nodes(), budget.misvoters,
                           budget.corrupt, spec.params.m, spec.params.c,
                           spec.params.referee_size) <=
-        bounds.max_committee_failure) {
+        kMaxCommitteeFailure) {
       return spec;
     }
   }

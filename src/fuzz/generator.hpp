@@ -20,61 +20,41 @@
 
 namespace cyc::fuzz {
 
-/// Sampling bounds (§III threat model plus wall-clock caps). Defaults
-/// are what scripts/run_fuzz.sh and the ctest smoke test run.
-struct FuzzBounds {
-  /// Genesis corruption ceiling; strictly below the 1/3 bound (§III-C).
-  double max_corrupt_fraction = 0.30;
-  /// Reject a sampled shape when the per-round corrupt-majority tail —
-  /// m * P[committee majority misvotes] + P[C_R majority misvotes],
-  /// exact hypergeometric over the misvoting corrupt count plus every
-  /// scheduled event corruption — exceeds this. Keeps tail events
-  /// (which the checker would rightly flag as safety violations)
-  /// vanishingly unlikely across a whole campaign.
-  double max_committee_failure = 1e-4;
-  std::size_t max_rounds = 4;        ///< per epoch
-  std::size_t max_epochs = 3;
-  double max_churn_rate = 0.25;      ///< per boundary, grid-quantized
-  std::size_t max_events = 3;        ///< mid-run corruption schedule
-  std::size_t max_seeds = 2;         ///< independent executions per spec
-  /// Sample the §VIII extension toggles (precommunication / parallel
-  /// blocks) and the uniform-leader ablation into EngineOptions.
-  bool fuzz_options = true;
-  /// Fault-fabric axes (src/net/faults.*): partitions cut whole
-  /// committees (the quorum-relevant island), crash-restart pairs probe
-  /// the catch-up lifecycle, blackouts silence individual nodes, and a
-  /// probabilistic profile losses the wide-area link classes. Sampled
-  /// schedules are legal by construction: restarts trail their crash by
-  /// two rounds and partitions heal via duration or an explicit heal —
-  /// and they stay legal under ddmin (a restart without its crash is a
-  /// no-op; a partition without its heal expires on its own).
-  std::size_t max_partitions = 1;
-  std::size_t max_crash_restarts = 1;
-  std::size_t max_blackouts = 1;
-  double max_drop = 0.1;             ///< per-message loss ceiling
-  /// Open-loop sustained-traffic axes (Params::arrival_rate / zipf_s /
-  /// mempool_cap, src/ledger/README.md). Off by default — a zero
-  /// fraction draws nothing from the stream, so existing campaign
-  /// corpora stay byte-identical; campaigns opt in by raising it.
-  double openloop_fraction = 0.0;  ///< P[spec runs the open-loop source]
-  double max_arrival_rate = 0.3;   ///< arrivals per unit simulated time
-  double max_zipf_s = 1.5;         ///< account-popularity skew ceiling
-  std::uint32_t max_mempool_cap = 64;
-  /// Load-aware re-draw axis (Params::rebalance, src/epoch/rebalance.*).
-  /// Off by default for the same byte-stability reason; drawn only on
-  /// specs that already sampled an open-loop source and multiple epochs
-  /// (the planner is a no-op without a load window and a boundary).
-  double rebalance_fraction = 0.0;  ///< P[open-loop multi-epoch spec rebalances]
-  std::uint32_t max_rebalance_moves = 6;
-  std::uint32_t max_split_budget = 1;
-};
+// Sampling bounds (§III threat model plus wall-clock caps), the same for
+// every campaign. The grids in generator.cpp never exceed them.
 
-/// Sample one spec. Deterministic in (rng state, bounds); the caller
-/// names the spec (the campaign uses "fuzz/s<seed>-<index>"). All
-/// floating-point fields come from short decimal grids so the spec
-/// round-trips byte-identically through its JSON encoding.
-harness::ScenarioSpec generate_spec(rng::Stream& rng,
-                                    const FuzzBounds& bounds = {});
+/// Genesis corruption ceiling; strictly below the 1/3 bound (§III-C).
+inline constexpr double kMaxCorruptFraction = 0.30;
+/// Reject a sampled shape when the per-round corrupt-majority tail —
+/// m * P[committee majority misvotes] + P[C_R majority misvotes], exact
+/// hypergeometric over the misvoting corrupt count plus every scheduled
+/// event corruption — exceeds this. Keeps tail events (which the checker
+/// would rightly flag as safety violations) vanishingly unlikely across
+/// a whole campaign.
+inline constexpr double kMaxCommitteeFailure = 1e-4;
+inline constexpr std::size_t kMaxRounds = 4;  ///< per epoch
+inline constexpr std::size_t kMaxEpochs = 3;
+inline constexpr double kMaxChurnRate = 0.25;  ///< per boundary
+inline constexpr std::size_t kMaxEvents = 3;  ///< mid-run corruption schedule
+inline constexpr std::size_t kMaxSeeds = 2;   ///< executions per spec
+/// Fault-fabric axes (src/net/faults.*): partitions cut whole committees
+/// (the quorum-relevant island), crash-restart pairs probe the catch-up
+/// lifecycle, blackouts silence individual nodes, and a probabilistic
+/// profile losses the wide-area link classes. Sampled schedules are
+/// legal by construction: restarts trail their crash by two rounds and
+/// partitions heal via duration or an explicit heal — and they stay
+/// legal under ddmin (a restart without its crash is a no-op; a
+/// partition without its heal expires on its own).
+inline constexpr std::size_t kMaxPartitions = 1;
+inline constexpr std::size_t kMaxCrashRestarts = 1;
+inline constexpr std::size_t kMaxBlackouts = 1;
+inline constexpr double kMaxDrop = 0.1;  ///< per-message loss ceiling
+
+/// Sample one spec. Deterministic in the rng state; the caller names the
+/// spec (the campaign uses "fuzz/s<seed>-<index>"). All floating-point
+/// fields come from short decimal grids so the spec round-trips
+/// byte-identically through its JSON encoding.
+harness::ScenarioSpec generate_spec(rng::Stream& rng);
 
 /// The per-round fair-draw failure tail the generator filters on, for a
 /// universe of `n` active seats split into m committees of size c plus

@@ -183,7 +183,7 @@ struct Shrinker {
     });
     if (exhausted) return changed;
     changed |= normalize([&](ScenarioSpec& s) {
-      s.params.faults = protocol::FaultProfile{};
+      s.params.faults = net::FaultProfile{};
     });
     if (exhausted) return changed;
     changed |= normalize([&](ScenarioSpec& s) {

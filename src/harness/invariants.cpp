@@ -308,16 +308,9 @@ std::size_t InvariantChecker::check_epoch_boundary(
       const std::uint64_t key = wl.user_pk(u).y;
       accounts.emplace_back(key, mirror_map_.shard_key(key));
     }
-    std::size_t corrupt = 0;
-    for (net::NodeId id : handoff.members) {
-      if (id < engine_.node_count() && engine_.misbehaved(id, round)) {
-        corrupt += 1;
-      }
-    }
-    check_rebalance_plan(plan, epoch::rebalance_config(engine_.params()),
-                         mirror_map_, engine_.last_rebalance_window(),
-                         accounts, handoff.members.size(), corrupt,
-                         engine_.params().c, round, violations_);
+    check_rebalance_plan(plan, engine_.params(), mirror_map_,
+                         engine_.last_rebalance_window(), accounts, round,
+                         violations_);
     check_rebalance_migration(plan, mirror_, mirror_map_, round, violations_);
     // Deferred from check_round: with the mirror migrated onto the
     // successor map, engine state and block replay must agree again.
@@ -349,18 +342,10 @@ std::size_t InvariantChecker::check_epoch_boundary(
 }
 
 void InvariantChecker::check_rebalance_plan(
-    const epoch::RebalancePlan& plan, const epoch::RebalanceConfig& cfg,
+    const epoch::RebalancePlan& plan, const protocol::Params& params,
     const ledger::ShardMap& pre_map, const ledger::ShardLoadWindow& window,
     const std::vector<std::pair<std::uint64_t, ledger::ShardId>>& accounts,
-    std::size_t member_count, std::size_t corrupt_members,
-    std::uint32_t committee_size, std::uint64_t round,
-    std::vector<Violation>& out) {
-  if (plan.m_before != pre_map.shards()) {
-    out.push_back({"epoch-rebalance-mapping", round,
-                   "plan claims m_before=" + std::to_string(plan.m_before) +
-                       " against a map of " +
-                       std::to_string(pre_map.shards()) + " shards"});
-  }
+    std::uint64_t round, std::vector<Violation>& out) {
   for (const auto& mv : plan.moves) {
     if (mv.to >= pre_map.shards()) {
       out.push_back({"epoch-rebalance-mapping", round,
@@ -376,46 +361,22 @@ void InvariantChecker::check_rebalance_plan(
                          std::to_string(pre_map.shard_key(mv.account))});
     }
   }
-  if (plan.moves.size() > cfg.max_moves) {
+  if (plan.moves.size() > params.rebalance_moves) {
     out.push_back({"epoch-rebalance-plan", round,
                    "plan carries " + std::to_string(plan.moves.size()) +
-                       " moves, cap is " + std::to_string(cfg.max_moves)});
+                       " moves, cap is " +
+                       std::to_string(params.rebalance_moves)});
   }
-  // Determinism: the planner is a pure function of the window, roster and
-  // membership — the record must equal its recomputation bit for bit.
-  const epoch::RebalancePlan expect = epoch::plan_rebalance(
-      cfg, pre_map, window, accounts, member_count, corrupt_members,
-      committee_size, plan.epoch);
-  if (plan.moves != expect.moves || plan.m_after != expect.m_after ||
-      plan.fair_draw_tail != expect.fair_draw_tail ||
-      plan.map_digest != expect.map_digest) {
+  // Determinism: the planner is a pure function of the window and the
+  // roster — the record must equal its recomputation bit for bit.
+  const epoch::RebalancePlan expect =
+      epoch::plan_rebalance(params, pre_map, window, accounts, plan.epoch);
+  if (plan.moves != expect.moves || plan.map_digest != expect.map_digest) {
     out.push_back({"epoch-rebalance-plan", round,
                    "recorded plan differs from its deterministic "
                    "recomputation (" +
                        std::to_string(plan.moves.size()) + " vs " +
-                       std::to_string(expect.moves.size()) + " moves, m " +
-                       std::to_string(plan.m_after) + " vs " +
-                       std::to_string(expect.m_after) + ")"});
-  }
-  // Fair-draw safety of a split/merge recommendation: within budget and
-  // under the rigged-draw threshold at the rescaled committee size.
-  const std::uint32_t delta = plan.m_after > plan.m_before
-                                  ? plan.m_after - plan.m_before
-                                  : plan.m_before - plan.m_after;
-  if (delta > cfg.split_merge_budget) {
-    out.push_back({"epoch-rebalance-fair-draw", round,
-                   "split/merge from m=" + std::to_string(plan.m_before) +
-                       " to m=" + std::to_string(plan.m_after) +
-                       " exceeds the budget of " +
-                       std::to_string(cfg.split_merge_budget)});
-  }
-  if (plan.m_after != plan.m_before &&
-      plan.fair_draw_tail > epoch::kMaxFairDrawTail) {
-    out.push_back({"epoch-rebalance-fair-draw", round,
-                   "recommended re-draw carries fair-draw failure tail " +
-                       std::to_string(plan.fair_draw_tail) +
-                       ", above the safety threshold " +
-                       std::to_string(epoch::kMaxFairDrawTail)});
+                       std::to_string(expect.moves.size()) + " moves)"});
   }
 }
 

@@ -69,8 +69,9 @@
 // Rebalance invariants (load-aware re-draw, src/epoch/rebalance.*; armed
 // only when a handoff carries a RebalancePlan):
 //   epoch-rebalance-plan         the recorded plan equals a deterministic
-//                                recomputation from the same load window,
-//                                roster and membership (and a rebalance-
+//                                recomputation from the same load window
+//                                and roster, carries at most
+//                                rebalance_moves moves (and a rebalance-
 //                                enabled boundary always records one)
 //   epoch-rebalance-mapping      move sources match the pre-boundary map,
 //                                the engine installed exactly the map the
@@ -80,9 +81,6 @@
 //                                moves the claimed number of outputs,
 //                                conserves value, and strands no entry
 //                                outside its mapped home shard
-//   epoch-rebalance-fair-draw    a split/merge recommendation stays within
-//                                budget and under the exact-hypergeometric
-//                                fair-draw safety threshold
 #pragma once
 
 #include <functional>
@@ -201,17 +199,15 @@ class InvariantChecker {
       std::vector<Violation>& out);
 
   /// Rebalance plan audit against caller-supplied inputs: determinism
-  /// (the record must equal a recomputation from the same window /
-  /// roster / membership), mapping soundness (sources per `pre_map`,
-  /// in-range targets) and fair-draw safety of a split/merge. Forged
-  /// plans feed this directly in the non-vacuity tests.
+  /// (the record must equal a recomputation from the same window and
+  /// roster), the move cap and mapping soundness (sources per `pre_map`,
+  /// in-range targets). Forged plans feed this directly in the
+  /// non-vacuity tests.
   static void check_rebalance_plan(
-      const epoch::RebalancePlan& plan, const epoch::RebalanceConfig& cfg,
+      const epoch::RebalancePlan& plan, const protocol::Params& params,
       const ledger::ShardMap& pre_map, const ledger::ShardLoadWindow& window,
       const std::vector<std::pair<std::uint64_t, ledger::ShardId>>& accounts,
-      std::size_t member_count, std::size_t corrupt_members,
-      std::uint32_t committee_size, std::uint64_t round,
-      std::vector<Violation>& out);
+      std::uint64_t round, std::vector<Violation>& out);
 
   /// Replay the plan's migration on caller-owned mirror stores: the
   /// moved-output count must match the record, total value must be

@@ -176,7 +176,7 @@ MatrixResult run_matrix(const std::vector<ScenarioSpec>& scenarios,
         }
         // One observer and one file per point: the artifact set does not
         // depend on which worker ran which job.
-        obs::Observer observer(trace->capacity);
+        obs::Observer observer;
         ScenarioOutcome outcome =
             run_scenario(*jobs[i].spec, jobs[i].seed, &observer);
         obs::write_trace_file(

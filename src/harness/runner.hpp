@@ -28,7 +28,6 @@ namespace cyc::harness {
 /// perfbench, which times one workload at a time.
 struct TraceOptions {
   std::string dir;
-  std::size_t capacity = obs::Tracer::kDefaultCapacity;
 };
 
 /// File name (no directory) a traced point is written under; scenario

@@ -55,7 +55,6 @@ void fields(auto& io, Is<protocol::Params> auto& p) {
   if (io.when(p.rebalance)) {
     io("rebalance", p.rebalance);
     io("rebalance_moves", p.rebalance_moves);
-    io("rebalance_split_budget", p.rebalance_split_budget);
   }
   io("capacity_min", p.capacity_min);
   io("capacity_max", p.capacity_max);

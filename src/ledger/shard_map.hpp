@@ -89,13 +89,11 @@ std::set<ShardId> output_shards(const Transaction& tx, const ShardMap& map);
 bool is_intra_shard(const Transaction& tx, const ShardMap& map);
 
 /// Per-shard load statistics accumulated over one epoch's rounds — the
-/// planner input. Offered/dropped count arrivals at their (pre-rebalance)
-/// home shard; occupancy_sum integrates the post-drain backlog.
+/// planner input. `offered` counts arrivals at their (pre-rebalance)
+/// home shard.
 struct ShardLoadWindow {
   std::uint64_t rounds = 0;
   std::vector<std::uint64_t> offered;
-  std::vector<std::uint64_t> dropped;
-  std::vector<std::uint64_t> occupancy_sum;
   /// Arrivals per spender account key — ranks the hot accounts.
   std::map<std::uint64_t, std::uint64_t> account_arrivals;
 

@@ -77,7 +77,11 @@ FaultInjector::Verdict FaultInjector::on_send(NodeId from, NodeId to,
     verdict.deliver = false;
     return verdict;
   }
-  const LinkFaults& faults = plan_.link[static_cast<std::size_t>(cls)];
+  // Intra-committee links stay reliable (§III-B).
+  if (cls != LinkClass::kKeyMesh && cls != LinkClass::kPartialSync) {
+    return verdict;
+  }
+  const FaultProfile& faults = plan_.wide_area;
   // Each axis draws only when enabled, keeping disabled-axis runs
   // byte-identical to plans that omit the axis entirely.
   if (faults.drop > 0.0 && rng_.chance(faults.drop)) {
@@ -91,7 +95,7 @@ FaultInjector::Verdict FaultInjector::on_send(NodeId from, NodeId to,
   }
   if (faults.reorder > 0.0 && rng_.chance(faults.reorder)) {
     stats.reordered += 1;
-    verdict.delay_scale = 1.0 + faults.reorder_scale * rng_.uniform();
+    verdict.delay_scale = 1.0 + kReorderScale * rng_.uniform();
   }
   return verdict;
 }

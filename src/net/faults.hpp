@@ -4,12 +4,15 @@
 // delay regimes: the adversary may cut links, silence nodes, and lose,
 // duplicate or reorder messages on the partially synchronous channels. A
 // FaultPlan describes such a schedule declaratively — round-scoped link
-// partitions with heal rounds, per-node blackout windows, and
-// probabilistic-but-seeded per-LinkClass message loss / duplication /
-// reordering — and the FaultInjector evaluates it at every send. The
-// injector composes with (never replaces) the LinkClassifier: the
-// classifier says what channel exists, the injector says what the
-// adversary does to it this round.
+// partitions with heal rounds, per-node blackout windows, and one
+// probabilistic-but-seeded message loss / duplication / reordering
+// profile for the wide-area links — and the FaultInjector evaluates it at
+// every send. The injector composes with (never replaces) the
+// LinkClassifier: the classifier says what channel exists, the injector
+// says what the adversary does to it this round. Intra-committee links
+// take no probabilistic faults: the paper's synchronous-Delta bound
+// (§III-B) holds inside a committee, so only the key mesh and the
+// partial-sync cross links degrade.
 //
 // Determinism contract: structural faults (partitions, blackouts) consume
 // no randomness at all, and a probabilistic axis consumes draws from the
@@ -21,7 +24,6 @@
 // byte-deterministic and auditable.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -33,16 +35,18 @@ namespace cyc::net {
 
 enum class LinkClass : std::uint8_t;  // defined in net/simnet.hpp
 
-/// Probabilistic message faults for one LinkClass. All probabilities are
-/// per-message; draws come from the injector's seeded stream.
-struct LinkFaults {
+/// Extra delay factor of a reordered message: its scheduled delay is
+/// scaled by (1 + kReorderScale * u), u uniform — enough to invert
+/// delivery order against any message sent in the same window.
+inline constexpr double kReorderScale = 4.0;
+
+/// Probabilistic message faults on the wide-area links (kKeyMesh and
+/// kPartialSync). All probabilities are per message; draws come from the
+/// injector's seeded stream.
+struct FaultProfile {
   double drop = 0.0;       ///< P[message silently lost]
   double duplicate = 0.0;  ///< P[message delivered twice]
-  double reorder = 0.0;    ///< P[delivery delayed by an extra factor]
-  /// Extra delay factor when a reorder triggers: the scheduled delay is
-  /// scaled by (1 + reorder_scale * u), u uniform — enough to invert
-  /// delivery order against any message sent in the same window.
-  double reorder_scale = 1.0;
+  double reorder = 0.0;    ///< P[delivery delayed by kReorderScale]
 
   bool any() const { return drop > 0.0 || duplicate > 0.0 || reorder > 0.0; }
 };
@@ -70,19 +74,7 @@ struct BlackoutSpec {
 struct FaultPlan {
   std::vector<PartitionSpec> partitions;
   std::vector<BlackoutSpec> blackouts;
-  /// Indexed by static_cast<size_t>(LinkClass); the kUnconnected entry
-  /// is never consulted (no channel, nothing to fault).
-  std::array<LinkFaults, 4> link{};
-
-  bool probabilistic() const {
-    for (const auto& f : link) {
-      if (f.any()) return true;
-    }
-    return false;
-  }
-  bool empty() const {
-    return partitions.empty() && blackouts.empty() && !probabilistic();
-  }
+  FaultProfile wide_area{};
 };
 
 /// Per-round fault evaluation. Owned by SimNet (install_faults); the

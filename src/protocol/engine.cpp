@@ -58,23 +58,8 @@ Engine::Engine(Params params, AdversaryConfig adversary, EngineOptions options)
                                        rng_.fork("net"));
   // Always install the injector: a structurally inert plan consumes no
   // randomness and leaves delivery byte-identical, and having it in place
-  // lets the harness add partitions / blackouts mid-run. The probabilistic
-  // profile degrades only the wide-area classes — intra-committee links
-  // keep the synchronous-Delta guarantee of §III-B.
-  {
-    net::FaultPlan plan;
-    auto& key_mesh =
-        plan.link[static_cast<std::size_t>(net::LinkClass::kKeyMesh)];
-    auto& partial =
-        plan.link[static_cast<std::size_t>(net::LinkClass::kPartialSync)];
-    for (auto* faults : {&key_mesh, &partial}) {
-      faults->drop = params_.faults.drop;
-      faults->duplicate = params_.faults.duplicate;
-      faults->reorder = params_.faults.reorder;
-      faults->reorder_scale = kReorderScale;
-    }
-    net_->install_faults(std::move(plan), rng_.fork("faults"));
-  }
+  // lets the harness add partitions / blackouts mid-run.
+  net_->install_faults({{}, {}, params_.faults}, rng_.fork("faults"));
   for (auto& n : nodes_) {
     const net::NodeId id = n.id;
     net_->set_handler(id, [this, id](const net::Message& msg, net::Time now) {
@@ -431,9 +416,6 @@ void Engine::link_classifier_install() {
     if (nodes_[a].committee >= 0 && nodes_[a].committee == nodes_[b].committee) {
       return net::LinkClass::kIntraCommittee;
     }
-    if (ra == Role::kReferee && rb == Role::kReferee) {
-      return net::LinkClass::kKeyMesh;
-    }
     if (key_a && key_b) return net::LinkClass::kKeyMesh;
     return net::LinkClass::kPartialSync;
   });
@@ -486,7 +468,6 @@ bool Engine::released_subblock(net::NodeId leader) const {
 
 bool Engine::referee_reachable(net::NodeId id) const {
   const net::FaultInjector* injector = net_->faults();
-  if (injector == nullptr) return true;
   if (injector->blacked_out(id)) return false;
   if (!injector->partition_active()) return true;
   // Majority island of the referee committee: the mask shared by the most
@@ -515,10 +496,7 @@ bool Engine::referee_reachable(net::NodeId id) const {
 void Engine::compute_severed() {
   severed_.assign(params_.m, false);
   const net::FaultInjector* injector = net_->faults();
-  if (injector == nullptr ||
-      (!injector->partition_active() && !has_active_blackout())) {
-    return;
-  }
+  if (!injector->partition_active() && !has_active_blackout()) return;
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     const CommitteeInfo& info = assign_.committees[k];
     const std::vector<net::NodeId> members = info.all_members();
@@ -562,7 +540,6 @@ void Engine::compute_severed() {
 
 bool Engine::has_active_blackout() const {
   const net::FaultInjector* injector = net_->faults();
-  if (injector == nullptr) return false;
   for (const auto& n : nodes_) {
     if (injector->blacked_out(n.id)) return true;
   }
@@ -636,9 +613,7 @@ std::uint64_t Engine::heal(std::uint64_t round) {
 }
 
 bool Engine::impaired(net::NodeId id, std::uint64_t round) const {
-  const net::FaultInjector* inj = net_->faults();
-  if (inj == nullptr) return false;
-  const net::FaultPlan& plan = inj->plan();
+  const net::FaultPlan& plan = net_->faults()->plan();
   for (const auto& b : plan.blackouts) {
     if (b.node == id && round >= b.from_round && round < b.until_round) {
       return true;
@@ -834,8 +809,6 @@ void Engine::openloop_ingest(std::vector<ledger::Transaction>& batch) {
   const bool track_load = params_.rebalance;
   if (track_load && load_window_.offered.empty()) {
     load_window_.offered.assign(params_.m, 0);
-    load_window_.dropped.assign(params_.m, 0);
-    load_window_.occupancy_sum.assign(params_.m, 0);
   }
 
   // Generate this round's arrival window and admit into the mempools.
@@ -855,7 +828,6 @@ void Engine::openloop_ingest(std::vector<ledger::Transaction>& batch) {
       arrival_times_[std::string(id.begin(), id.end())] = arrival.time;
     } else {
       openloop_round_.mempool_dropped += 1;
-      if (track_load) load_window_.dropped[k] += 1;
       workload_->mark_rejected(arrival.tx);
     }
   }
@@ -890,7 +862,6 @@ void Engine::openloop_ingest(std::vector<ledger::Transaction>& batch) {
     const std::size_t backlog = mempools_[k].size();
     openloop_round_.backlog += backlog;
     openloop_round_.occupancy.push_back(backlog);
-    if (track_load) load_window_.occupancy_sum[k] += backlog;
   }
   if (track_load) load_window_.rounds += 1;
 }

@@ -12,24 +12,6 @@ namespace cyc::protocol {
 /// simulations stay fast).
 inline constexpr unsigned kPowBits = 8;
 
-/// Extra delay factor of a reordered message: its scheduled delay is
-/// scaled by (1 + kReorderScale * u), u uniform.
-inline constexpr double kReorderScale = 4.0;
-
-/// Probabilistic message faults on the wide-area link classes (key mesh
-/// and partial-sync cross links). Intra-committee links stay reliable:
-/// the paper's synchronous-Delta bound (§III-B) holds inside a committee,
-/// so only the channels that cross committee boundaries degrade. All
-/// probabilities are per message; draws come from the engine's dedicated
-/// fault stream, so a zeroed profile leaves runs byte-identical.
-struct FaultProfile {
-  double drop = 0.0;       ///< P[message silently lost]
-  double duplicate = 0.0;  ///< P[message delivered twice]
-  double reorder = 0.0;    ///< P[delivery delayed by kReorderScale]
-
-  bool any() const { return drop > 0.0 || duplicate > 0.0 || reorder > 0.0; }
-};
-
 struct Params {
   std::uint32_t m = 4;             ///< number of committees
   std::uint32_t c = 12;            ///< committee size
@@ -38,8 +20,11 @@ struct Params {
 
   net::DelayModel delays{};
 
-  /// Message-fault profile for the lossy link classes (see FaultProfile).
-  FaultProfile faults{};
+  /// Probabilistic message faults on the wide-area links
+  /// (net::FaultProfile); intra-committee links stay reliable (§III-B).
+  /// Draws come from the engine's dedicated fault stream, so a zeroed
+  /// profile leaves runs byte-identical.
+  net::FaultProfile faults{};
 
   /// Workload knobs.
   std::uint32_t txs_per_committee = 16;  ///< TXList length per round
@@ -61,16 +46,12 @@ struct Params {
 
   /// Load-aware epoch re-draw (src/epoch/rebalance.*): at each epoch
   /// boundary a deterministic planner moves the hottest accounts off
-  /// overloaded shards, gated by the exact-hypergeometric fair-draw
-  /// constraint. Off keeps the map free of overrides, so every account
-  /// stays on its hash shard (the engine then accumulates no load window
-  /// and the handoff carries no plan).
+  /// overloaded shards; the shard count stays fixed within a run. Off
+  /// keeps the map free of overrides, so every account stays on its hash
+  /// shard (the engine then accumulates no load window and the handoff
+  /// carries no plan).
   bool rebalance = false;
   std::uint32_t rebalance_moves = 4;  ///< max account moves per boundary
-  /// Advisory committee split/merge budget: max |m_after - m_before| the
-  /// planner may recommend (recorded + safety-checked in the handoff;
-  /// the live shard count stays fixed within a run).
-  std::uint32_t rebalance_split_budget = 0;
 
   /// Vote capacity model (§VII: reputation reflects computing power):
   /// node capacity is drawn uniformly from [capacity_min, capacity_max];

@@ -39,36 +39,4 @@ bool CommitteeInfo::contains(net::NodeId node) const {
   return std::find(commons.begin(), commons.end(), node) != commons.end();
 }
 
-Role RoundAssignment::role_of(net::NodeId node) const {
-  if (std::find(referees.begin(), referees.end(), node) != referees.end()) {
-    return Role::kReferee;
-  }
-  for (const auto& committee : committees) {
-    if (committee.leader == node) return Role::kLeader;
-    if (std::find(committee.partial.begin(), committee.partial.end(), node) !=
-        committee.partial.end()) {
-      return Role::kPartial;
-    }
-  }
-  return Role::kCommon;
-}
-
-std::int64_t RoundAssignment::committee_of(net::NodeId node) const {
-  for (const auto& committee : committees) {
-    if (committee.contains(node)) return committee.id;
-  }
-  return -1;
-}
-
-bool RoundAssignment::is_key_member(net::NodeId node) const {
-  for (const auto& committee : committees) {
-    if (committee.leader == node) return true;
-    if (std::find(committee.partial.begin(), committee.partial.end(), node) !=
-        committee.partial.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace cyc::protocol

@@ -37,11 +37,6 @@ struct RoundAssignment {
   std::uint64_t round = 0;
   std::vector<net::NodeId> referees;
   std::vector<CommitteeInfo> committees;
-
-  Role role_of(net::NodeId node) const;
-  /// Committee index of a node, or -1 for referees / unassigned.
-  std::int64_t committee_of(net::NodeId node) const;
-  bool is_key_member(net::NodeId node) const;
 };
 
 }  // namespace cyc::protocol

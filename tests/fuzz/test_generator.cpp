@@ -13,15 +13,14 @@ namespace {
 using harness::ScenarioSpec;
 
 TEST(FuzzGenerator, SpecsRespectThreatModelBounds) {
-  const FuzzBounds bounds;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     rng::Stream rng(seed);
-    const ScenarioSpec spec = generate_spec(rng, bounds);
+    const ScenarioSpec spec = generate_spec(rng);
 
     // Adversary below the honest-majority bound; mixes never contain
     // "honest" (that is not a corruption).
     EXPECT_LT(spec.adversary.corrupt_fraction, 1.0 / 3.0);
-    EXPECT_LE(spec.adversary.corrupt_fraction, bounds.max_corrupt_fraction);
+    EXPECT_LE(spec.adversary.corrupt_fraction, kMaxCorruptFraction);
     for (const auto& entry : spec.adversary.mix) {
       EXPECT_NE(entry.behavior, protocol::Behavior::kHonest);
       EXPECT_GT(entry.weight, 0.0);
@@ -43,16 +42,16 @@ TEST(FuzzGenerator, SpecsRespectThreatModelBounds) {
 
     // Bounded rounds / epochs / churn / seeds / events.
     EXPECT_GE(spec.rounds, 1u);
-    EXPECT_LE(spec.rounds, bounds.max_rounds);
+    EXPECT_LE(spec.rounds, kMaxRounds);
     EXPECT_GE(spec.epochs, 1u);
-    EXPECT_LE(spec.epochs, bounds.max_epochs);
+    EXPECT_LE(spec.epochs, kMaxEpochs);
     EXPECT_GE(spec.churn_rate, 0.0);
-    EXPECT_LE(spec.churn_rate, bounds.max_churn_rate);
+    EXPECT_LE(spec.churn_rate, kMaxChurnRate);
     if (spec.churn_rate > 0.0) {
       EXPECT_GT(spec.params.standby, 0u);
     }
     EXPECT_GE(spec.seeds.size(), 1u);
-    EXPECT_LE(spec.seeds.size(), bounds.max_seeds);
+    EXPECT_LE(spec.seeds.size(), kMaxSeeds);
 
     // Per-kind event budgets: corruption events spend the §III-C budget,
     // fault-fabric events ride their own bounds (each crash-restart pair
@@ -71,16 +70,16 @@ TEST(FuzzGenerator, SpecsRespectThreatModelBounds) {
         case Kind::kBlackout: blackouts += 1; break;
       }
     }
-    EXPECT_LE(corruptions, bounds.max_events);
-    EXPECT_LE(partitions, bounds.max_partitions);
+    EXPECT_LE(corruptions, kMaxEvents);
+    EXPECT_LE(partitions, kMaxPartitions);
     EXPECT_LE(heals, partitions);
-    EXPECT_LE(crashes, bounds.max_crash_restarts);
+    EXPECT_LE(crashes, kMaxCrashRestarts);
     EXPECT_EQ(restarts, crashes) << "crash-restart events come in pairs";
-    EXPECT_LE(blackouts, bounds.max_blackouts);
+    EXPECT_LE(blackouts, kMaxBlackouts);
 
     // The probabilistic loss profile stays inside its ceiling.
     EXPECT_GE(spec.params.faults.drop, 0.0);
-    EXPECT_LE(spec.params.faults.drop, bounds.max_drop);
+    EXPECT_LE(spec.params.faults.drop, kMaxDrop);
 
     // Event schedules stay legal: rounds inside the run, targets inside
     // the shape, behaviours are concrete corruptions, restarts trail
@@ -159,7 +158,7 @@ TEST(FuzzGenerator, FailureTailFilterIsLive) {
   // The filter the generator applies must reject what it claims to: a
   // narrow all-misvoting adversary on a small committee has a tail far
   // above the bound, while the honest baseline is exactly zero.
-  EXPECT_GT(spec_failure_tail(23, 7, 7, 3, 6, 5), FuzzBounds{}.max_committee_failure);
+  EXPECT_GT(spec_failure_tail(23, 7, 7, 3, 6, 5), kMaxCommitteeFailure);
   EXPECT_EQ(spec_failure_tail(23, 0, 0, 3, 6, 5), 0.0);
   // Liveness term dominates when only part of the mix misvotes.
   EXPECT_GE(spec_failure_tail(23, 2, 7, 3, 6, 5),

@@ -340,7 +340,7 @@ TEST(ScenarioSpec, RebalanceFieldsRoundTripAndStayGatedWhenOff) {
   const auto specs = ScenarioSpec::list_from_json(R"({
     "name": "rebal",
     "params": {"arrival_rate": 0.2, "mempool_cap": 8, "rebalance": true,
-               "rebalance_moves": 6, "rebalance_split_budget": 1},
+               "rebalance_moves": 6},
     "rounds": 2,
     "epochs": 3
   })");
@@ -348,7 +348,6 @@ TEST(ScenarioSpec, RebalanceFieldsRoundTripAndStayGatedWhenOff) {
   const ScenarioSpec& spec = specs[0];
   EXPECT_TRUE(spec.params.rebalance);
   EXPECT_EQ(spec.params.rebalance_moves, 6u);
-  EXPECT_EQ(spec.params.rebalance_split_budget, 1u);
   // The canonical encoder round-trips byte-identically.
   const std::string text = spec.to_json_text();
   const auto back = ScenarioSpec::list_from_json(text);

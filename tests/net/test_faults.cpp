@@ -116,7 +116,7 @@ TEST(Faults, SeededDropIsDeterministic) {
   auto run_once = [](std::uint64_t fault_seed) {
     SimNet net = make_net(2);
     FaultPlan plan;
-    plan.link[static_cast<std::size_t>(LinkClass::kKeyMesh)].drop = 0.5;
+    plan.wide_area.drop = 0.5;
     net.install_faults(std::move(plan), rng::Stream(fault_seed));
     net.begin_round(0);
     DeliveryLog log;
@@ -137,7 +137,7 @@ TEST(Faults, SeededDropIsDeterministic) {
 TEST(Faults, DuplicateDeliversTwice) {
   SimNet net = make_net(2);
   FaultPlan plan;
-  plan.link[static_cast<std::size_t>(LinkClass::kKeyMesh)].duplicate = 1.0;
+  plan.wide_area.duplicate = 1.0;
   net.install_faults(std::move(plan), rng::Stream(1));
   net.begin_round(0);
   int delivered = 0;
@@ -159,9 +159,7 @@ TEST(Faults, ReorderInjectsExtraDelay) {
   net.set_link_classifier(
       [](NodeId, NodeId) { return LinkClass::kPartialSync; });
   FaultPlan plan;
-  auto& faults = plan.link[static_cast<std::size_t>(LinkClass::kPartialSync)];
-  faults.reorder = 1.0;
-  faults.reorder_scale = 10.0;
+  plan.wide_area.reorder = 1.0;
   net.install_faults(std::move(plan), rng::Stream(9));
   net.begin_round(0);
   Time arrival = -1.0;
@@ -169,10 +167,30 @@ TEST(Faults, ReorderInjectsExtraDelay) {
   net.send(0, 1, Tag::kConfig, {});
   net.run();
   // Base partial-sync delay with zero jitter is exactly gamma; the
-  // injected factor stretches it beyond the nominal bound.
+  // injected factor (1 + kReorderScale * u) stretches it beyond the
+  // nominal bound.
   EXPECT_GT(arrival, 5.0);
-  EXPECT_LE(arrival, 55.0);
+  EXPECT_LE(arrival, 5.0 * (1.0 + kReorderScale));
   EXPECT_EQ(net.stats().faults().reordered, 1u);
+}
+
+TEST(Faults, WideAreaProfileSparesIntraCommitteeLinks) {
+  // §III-B: intra-committee channels stay synchronous and reliable, so a
+  // profile that loses, duplicates and delays every wide-area message
+  // leaves them untouched.
+  SimNet net = make_net(2);
+  net.set_link_classifier(
+      [](NodeId, NodeId) { return LinkClass::kIntraCommittee; });
+  FaultPlan plan;
+  plan.wide_area = {1.0, 1.0, 1.0};
+  net.install_faults(std::move(plan), rng::Stream(1));
+  net.begin_round(0);
+  int delivered = 0;
+  net.set_handler(1, [&](const Message&, Time) { ++delivered; });
+  for (int i = 0; i < 8; ++i) net.send(0, 1, Tag::kConfig, {});
+  net.run();
+  EXPECT_EQ(delivered, 8);
+  EXPECT_EQ(net.stats().faults().injected(), 0u);
 }
 
 TEST(Faults, StructuralPlanLeavesDeliveryByteIdentical) {

@@ -125,8 +125,7 @@ TEST(Stats, TagAndNodeTablesAgreeUnderFaults) {
   constexpr std::size_t kNodes = 6;
   SimNet net(kNodes, DelayModel{}, rng::Stream(3));
   FaultPlan plan;
-  plan.link[static_cast<std::size_t>(LinkClass::kKeyMesh)] = {
-      0.2, 0.2, 0.3, 2.0};
+  plan.wide_area = {0.2, 0.2, 0.3};
   plan.blackouts.push_back({5, 0, 1});
   net.install_faults(plan, rng::Stream(4));
   for (NodeId i = 0; i < kNodes; ++i) {

@@ -1,7 +1,8 @@
 // Fault-fabric lifecycle at the engine level: the crash -> restart ->
 // referee catch-up protocol, its bounded retry budget, forged-voucher
-// resistance, and graceful degradation of a committee severed below
-// referee quorum by a partition.
+// resistance, graceful degradation of a committee severed below referee
+// quorum by a partition, and probabilistic loss confined to the
+// wide-area links.
 #include <gtest/gtest.h>
 
 #include "protocol/engine.hpp"
@@ -160,6 +161,36 @@ TEST(Partition, BlackedOutRefereeSeatIsSkippedForDesignation) {
   for (const auto& stats : r2.committees) {
     EXPECT_TRUE(stats.produced_output);
   }
+}
+
+TEST(WideAreaLoss, IntraCommitteeLinksStayReliable) {
+  // §III-B: the synchronous Delta bound holds inside a committee, so a
+  // lossy profile degrades only the wide-area links. Every committee
+  // intro (kConfig) and every vote (kVote) travels inside one committee
+  // and must arrive, while the wide-area links do lose messages.
+  Params p = small_params(3);
+  p.faults.drop = 0.2;
+  Engine engine(p, {});
+  std::uint64_t lost = 0;
+  std::uint64_t sent = 0;
+  for (int i = 0; i < 3; ++i) {
+    const RoundReport report = engine.run_round();
+    lost += report.faults.lost;
+    const net::TrafficStats& stats = engine.net().stats();
+    for (std::size_t ph = 0; ph < static_cast<std::size_t>(net::Phase::kCount);
+         ++ph) {
+      const auto phase = static_cast<net::Phase>(ph);
+      for (net::Tag tag : {net::Tag::kConfig, net::Tag::kVote}) {
+        const net::Counter& c = stats.at(phase, tag);
+        sent += c.msgs_sent;
+        EXPECT_EQ(c.msgs_recv, c.msgs_sent)
+            << "round " << report.round << ", " << net::phase_name(phase)
+            << ", " << net::tag_name(tag);
+      }
+    }
+  }
+  EXPECT_GT(sent, 0u);
+  EXPECT_GT(lost, 0u) << "the wide-area links must lose messages";
 }
 
 }  // namespace

@@ -140,10 +140,7 @@ protocol::wire::CrossTxListMsg sample_cross() {
 epoch::RebalancePlan sample_plan() {
   epoch::RebalancePlan plan;
   plan.epoch = 2;
-  plan.m_before = 4;
-  plan.m_after = 5;
   plan.moves = {{1001, 0, 2}, {2002, 3, 1}};
-  plan.fair_draw_tail = 3.5e-9;
   plan.map_digest = h("map");
   plan.migrated_outputs = 17;
   return plan;
@@ -376,7 +373,7 @@ TEST(WireGolden, Accountability) {
 TEST(WireGolden, Epoch) {
   check_wire("RebalancePlan", sample_plan().serialize(),
              via<epoch::RebalancePlan>(),
-             "478a9e94da9dba42fecfb63d0fc7ae44062bbe4e535c9fcc7bf33cea307fc24f");
+             "ae667abd35e2e8ec1f67251759e2c55c8f182853bc39cc88acfdf4097ec4573d");
 
   epoch::EpochHandoff handoff;
   handoff.epoch = 2;
@@ -394,10 +391,13 @@ TEST(WireGolden, Epoch) {
   handoff.join_candidates = 4;
   handoff.beacon_disqualified = 1;
   epoch::EpochHandoff without_plan = handoff;
+  check_wire("EpochHandoff without plan", without_plan.serialize(),
+             via<epoch::EpochHandoff>(),
+             "59cb09b967ceff590e8253d0b665ae56c6003f0491ad8f78de557a32ebcc970e");
   handoff.plan = sample_plan();
   // The record without its optional plan tail decodes by design.
   check_wire("EpochHandoff", handoff.serialize(), via<epoch::EpochHandoff>(),
-             "65e63726d5d4d1fd507c6dd551a425721f995642ab9ee14f9973df1243c4c051",
+             "d07780ae186cbf399c04c0cd62a1a1dba70c48e2ad26df269d757e85caaeafb6",
              without_plan.serialize().size());
 }
 

@@ -65,8 +65,8 @@ TEST(MathTest, KlBernoulliDomain) {
 }
 
 TEST(MathTest, PaperEquation4Relationship) {
-  // Paper-vs-measured note (see EXPERIMENTS.md): Eq. (4) claims the tail
-  // is at most e^{-c/12}, but D(1/2 || 1/3 + 1/c) -> ~0.059 < 1/12, so
+  // Paper-vs-measured note: Eq. (4) claims the tail is at most
+  // e^{-c/12}, but D(1/2 || 1/3 + 1/c) -> ~0.059 < 1/12, so
   // the true Chernoff exponent is *smaller* than 1/12 and e^{-c/12}
   // slightly understates the failure probability. We verify the real
   // relationships: the exponents agree within a factor ~2, and both
