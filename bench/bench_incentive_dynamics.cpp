@@ -83,9 +83,9 @@ int main() {
   std::printf("%-22s %-16s %-16s\n", "policy", "recoveries r1",
               "recoveries r2-4");
   for (bool ranked : {true, false}) {
-    protocol::AdversaryConfig adv2;
-    adv2.corrupt_fraction = 0.25;
-    adv2.mix = {{protocol::Behavior::kEquivocator, 1.0}};
+    const protocol::AdversaryConfig adv2{
+        .corrupt_fraction = 0.25,
+        .mix = {{protocol::Behavior::kEquivocator, 1.0}}};
     protocol::EngineOptions opts;
     opts.reputation_leader_selection = ranked;
     protocol::Params params3 = params;

@@ -121,6 +121,16 @@ def main():
     try:
         try:
             print(f"building perfbench at {args.rev}", flush=True)
+            # git archive stamps every file with the commit time, so make
+            # cannot tell an older commit's sources from the objects a kept
+            # build made of a newer one: keep it only for the same commit.
+            sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse",
+                                  f"{args.rev}^{{commit}}"], check=True,
+                                 stdout=subprocess.PIPE, text=True).stdout
+            stamp = work / "rev.sha"
+            if not stamp.exists() or stamp.read_text() != sha:
+                shutil.rmtree(work / "rev-build", ignore_errors=True)
+                stamp.write_text(sha)
             export_rev(args.rev, work / "rev-src")
             parent_bin = build(work / "rev-src", work / "rev-build")
             print("building perfbench from the working tree", flush=True)

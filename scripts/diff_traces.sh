@@ -6,10 +6,12 @@
 # Builds scenario_runner and fuzz_runner (Release) twice — once from a
 # `git archive` copy of REV, once from the working tree, uncommitted
 # edits included — then runs both scenario_runners with --trace over the
-# built-in default matrix and over every tests/corpus/*.json spec, and
-# both fuzz_runners over the fixed campaign of scripts/run_fuzz.sh
-# (seed 1, budget 200). Every matrix / spec / campaign artifact is
-# compared with `cmp` and every trace directory with `diff -r`.
+# built-in default matrix and over every tests/corpus/*.json spec of
+# their own source tree (so a corpus edit is compared too), and both
+# fuzz_runners over the fixed campaign of scripts/run_fuzz.sh (seed 1,
+# budget 200). Every matrix / spec / campaign artifact is compared with
+# `cmp` and every trace directory with `diff -r`; a corpus spec present
+# on one side only is reported as a difference.
 #
 # Usage: scripts/diff_traces.sh [rev]        (default: HEAD)
 #
@@ -43,20 +45,28 @@ build() {  # build <source-dir> <build-dir>
 }
 
 echo "=== building scenario_runner and fuzz_runner at $REV ==="
+# git archive stamps every file with the commit time, so make cannot tell
+# an older commit's sources from the objects a kept build made of a newer
+# one: keep the rev build only while the commit stays the same.
+REV_SHA="$(git rev-parse "$REV^{commit}")"
+if [[ "$(cat "$WORK/rev.sha" 2>/dev/null || true)" != "$REV_SHA" ]]; then
+  rm -rf "$WORK/rev-build"
+  echo "$REV_SHA" > "$WORK/rev.sha"
+fi
 rm -rf "$WORK/rev-src"
 mkdir -p "$WORK/rev-src"
-git archive "$REV" | tar -x -C "$WORK/rev-src"
+git archive "$REV_SHA" | tar -x -C "$WORK/rev-src"
 build "$WORK/rev-src" "$WORK/rev-build"
 
 echo "=== building scenario_runner and fuzz_runner from the working tree ==="
 build . "$WORK/tree-build"
 
-run_all() {  # run_all <build-dir> <out-dir>
-  local runner="$1/scenario_runner" out="$2"
+run_all() {  # run_all <build-dir> <source-dir> <out-dir>
+  local runner="$1/scenario_runner" out="$3"
   rm -rf "$out"
   mkdir -p "$out"
   "$runner" --trace "$out/matrix.traces" --out "$out/matrix.json" >/dev/null
-  for spec in tests/corpus/*.json; do
+  for spec in "$2"/tests/corpus/*.json; do
     local name
     name="$(basename "$spec" .json)"
     "$runner" --spec "$spec" --trace "$out/$name.traces" \
@@ -74,14 +84,22 @@ run_all() {  # run_all <build-dir> <out-dir>
   fi
 }
 
-echo "=== traced runs (default matrix + every tests/corpus spec) + fuzz campaign ==="
-run_all "$WORK/rev-build" "$WORK/rev-out"
-run_all "$WORK/tree-build" "$WORK/tree-out"
+echo "=== traced runs (default matrix + each side's corpus) + fuzz campaign ==="
+run_all "$WORK/rev-build" "$WORK/rev-src" "$WORK/rev-out"
+run_all "$WORK/tree-build" . "$WORK/tree-out"
 
 status=0
-for artifact in "$WORK"/rev-out/*.json; do
-  name="$(basename "$artifact")"
-  cmp "$artifact" "$WORK/tree-out/$name" || status=1
+for name in $({ (cd "$WORK/rev-out" && ls -- *.json)
+                (cd "$WORK/tree-out" && ls -- *.json); } | sort -u); do
+  if [[ ! -e "$WORK/tree-out/$name" ]]; then
+    echo "diff_traces: $name: only at $REV" >&2
+    status=1
+  elif [[ ! -e "$WORK/rev-out/$name" ]]; then
+    echo "diff_traces: $name: only in the working tree" >&2
+    status=1
+  else
+    cmp "$WORK/rev-out/$name" "$WORK/tree-out/$name" || status=1
+  fi
 done
 diff -r "$WORK/rev-out" "$WORK/tree-out" >/dev/null || {
   diff -rq "$WORK/rev-out" "$WORK/tree-out" || true

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Sanitizer gate: build with AddressSanitizer + UBSan and run the tier-1
+# Sanitizer gate. First a clean Release build whose log must hold no
+# compiler warning (a fresh log, so a new warning cannot hide among old
+# ones). Then build with AddressSanitizer + UBSan and run the tier-1
 # test suite plus the bounded default scenario matrix under
 # instrumentation. Catches memory and UB bugs the optimized builds hide.
 # The engine's one pooled stage (the PoW search, --engine-threads) gets
@@ -14,16 +16,30 @@
 # fixed seed, 200-spec budget, shrink-on-failure, double-run
 # byte-compare).
 #
-# Usage: scripts/run_checks.sh [build-dir] [tsan-build-dir]
-#        (defaults: build-asan, build-tsan)
+# Usage: scripts/run_checks.sh [build-dir] [tsan-build-dir] [release-dir]
+#        (defaults: build-asan, build-tsan, build-bench — the Release
+#        directory scripts/run_fuzz.sh reuses)
 #
-# Exits non-zero on any build failure, test failure, sanitizer report,
-# invariant violation in the scenario matrix, or surviving fuzz failure.
+# Exits non-zero on any compiler warning in the Release build, build
+# failure, test failure, sanitizer report, invariant violation in the
+# scenario matrix, or surviving fuzz failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 TSAN_DIR="${2:-build-tsan}"
+RELEASE_DIR="${3:-build-bench}"
+
+echo "=== Release build (no compiler warnings) ==="
+cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$RELEASE_DIR" -j"$(nproc)" --clean-first 2>&1 |
+  tee "$RELEASE_DIR/build.log"
+if grep -n "warning:" "$RELEASE_DIR/build.log"; then
+  echo "error: the Release build warns (see $RELEASE_DIR/build.log)" >&2
+  exit 1
+fi
+echo "Release build: no warnings"
+echo
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -118,7 +134,7 @@ echo "tsan job: no data races reported"
 
 echo
 echo "=== scenario fuzz (Release, fixed seed) ==="
-scripts/run_fuzz.sh
+scripts/run_fuzz.sh "$RELEASE_DIR"
 
 echo
 echo "sanitizer gate: ALL GREEN"

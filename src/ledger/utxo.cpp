@@ -6,10 +6,48 @@
 
 namespace cyc::ledger {
 
+const std::shared_ptr<const UtxoStore::Table>& UtxoStore::empty_table() {
+  static const auto empty = std::make_shared<const Table>();
+  return empty;
+}
+
+UtxoStore::UtxoStore(ShardId shard, std::shared_ptr<const ShardMap> map)
+    : shard_(shard), map_(std::move(map)), base_(empty_table()) {}
+
+UtxoStore::UtxoStore(ShardId shard, std::shared_ptr<const ShardMap> map,
+                     std::vector<std::pair<OutPoint, TxOut>> entries)
+    : shard_(shard), map_(std::move(map)) {
+  auto table = std::make_shared<Table>();
+  table->reserve(entries.size());
+  for (const auto& [op, out] : entries) table->insert_or_assign(op, out);
+  for (const auto& [op, out] : *table) toggle(entry_digest(op, out));
+  size_ = table->size();
+  base_ = std::move(table);
+}
+
+const TxOut* UtxoStore::find(const OutPoint& op) const {
+  if (!delta_.empty()) {
+    auto it = delta_.find(op);
+    if (it != delta_.end()) return it->second ? &*it->second : nullptr;
+  }
+  auto it = base_->find(op);
+  return it == base_->end() ? nullptr : &it->second;
+}
+
+template <class F>
+void UtxoStore::for_each(F&& f) const {
+  for (const auto& [op, out] : *base_) {
+    if (delta_.empty() || !delta_.contains(op)) f(op, out);
+  }
+  for (const auto& [op, out] : delta_) {
+    if (out) f(op, *out);
+  }
+}
+
 std::optional<TxOut> UtxoStore::get(const OutPoint& op) const {
-  auto it = utxos_.find(op);
-  if (it == utxos_.end()) return std::nullopt;
-  return it->second;
+  const TxOut* out = find(op);
+  if (out == nullptr) return std::nullopt;
+  return *out;
 }
 
 crypto::Digest UtxoStore::entry_digest(const OutPoint& op, const TxOut& out) {
@@ -22,27 +60,52 @@ crypto::Digest UtxoStore::entry_digest(const OutPoint& op, const TxOut& out) {
   return ctx.finalize();
 }
 
-void UtxoStore::fold(const crypto::Digest& d) {
+void UtxoStore::toggle(const crypto::Digest& d) {
   for (std::size_t i = 0; i < acc_.size(); ++i) acc_[i] ^= d[i];
+}
+
+void UtxoStore::maybe_fold() {
+  if (delta_.size() <= kFoldFloor ||
+      delta_.size() * kFoldDivisor <= base_->size()) {
+    return;
+  }
+  auto table = std::make_shared<Table>(*base_);
+  for (const auto& [op, out] : delta_) {
+    if (out) {
+      table->insert_or_assign(op, *out);
+    } else {
+      table->erase(op);
+    }
+  }
+  base_ = std::move(table);
+  delta_.clear();
 }
 
 bool UtxoStore::add(const OutPoint& op, const TxOut& out) {
   if (owner_shard(out.owner) != shard_) return false;
-  auto [it, inserted] = utxos_.try_emplace(op, out);
-  if (!inserted) {
-    if (it->second == out) return true;  // identical re-insert: no-op
-    fold(entry_digest(op, it->second));  // un-fold the replaced entry
-    it->second = out;
+  if (const TxOut* current = find(op)) {
+    if (*current == out) return true;  // identical re-insert: no-op
+    toggle(entry_digest(op, *current));  // remove the replaced entry
+  } else {
+    ++size_;
   }
-  fold(entry_digest(op, out));
+  toggle(entry_digest(op, out));
+  delta_.insert_or_assign(op, out);
+  maybe_fold();
   return true;
 }
 
 bool UtxoStore::spend(const OutPoint& op) {
-  auto it = utxos_.find(op);
-  if (it == utxos_.end()) return false;
-  fold(entry_digest(op, it->second));  // XOR is self-inverse: removes it
-  utxos_.erase(it);
+  const TxOut* current = find(op);
+  if (current == nullptr) return false;
+  toggle(entry_digest(op, *current));  // XOR is self-inverse: removes it
+  if (base_->contains(op)) {
+    delta_.insert_or_assign(op, std::nullopt);  // tombstone the base entry
+  } else {
+    delta_.erase(op);
+  }
+  --size_;
+  maybe_fold();
   return true;
 }
 
@@ -57,14 +120,14 @@ void UtxoStore::apply(const Transaction& tx, const TxId& id) {
 
 Amount UtxoStore::total_value() const {
   Amount total = 0;
-  for (const auto& [op, out] : utxos_) total += out.amount;
+  for_each([&](const OutPoint&, const TxOut& out) { total += out.amount; });
   return total;
 }
 
 std::vector<OutPoint> UtxoStore::outpoints() const {
   std::vector<OutPoint> ops;
-  ops.reserve(utxos_.size());
-  for (const auto& [op, out] : utxos_) ops.push_back(op);
+  ops.reserve(size_);
+  for_each([&](const OutPoint& op, const TxOut&) { ops.push_back(op); });
   std::sort(ops.begin(), ops.end());
   return ops;
 }
@@ -79,17 +142,17 @@ crypto::Digest finish_digest(const crypto::Digest& acc, std::size_t size) {
 }
 }  // namespace
 
-crypto::Digest UtxoStore::digest() const {
-  return finish_digest(acc_, utxos_.size());
-}
+crypto::Digest UtxoStore::digest() const { return finish_digest(acc_, size_); }
 
 crypto::Digest UtxoStore::full_digest() const {
   crypto::Digest acc{};
-  for (const auto& [op, out] : utxos_) {
+  std::size_t count = 0;
+  for_each([&](const OutPoint& op, const TxOut& out) {
     const crypto::Digest d = entry_digest(op, out);
     for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= d[i];
-  }
-  return finish_digest(acc, utxos_.size());
+    ++count;
+  });
+  return finish_digest(acc, count);
 }
 
 }  // namespace cyc::ledger

@@ -27,23 +27,24 @@ WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, std::uint64_t seed,
   std::sort(users_by_key_.begin(), users_by_key_.end());
   install_shard_map(std::move(map));
 
+  // Genesis grants: synthetic coinbase outpoints, one per user per slot.
+  // Each shard's store is built in one pass from its user bucket, whose
+  // owners are its own by construction.
+  pool_.resize(config_.users);
   genesis_.reserve(config_.shards);
   for (ShardId s = 0; s < config_.shards; ++s) {
-    genesis_.emplace_back(s, map_);
-  }
-  pool_.resize(config_.users);
-
-  // Genesis grants: synthetic coinbase outpoints, one per user per slot.
-  for (std::uint32_t u = 0; u < config_.users; ++u) {
-    UtxoStore& home = genesis_[shard_of_user(u)];
-    for (std::uint32_t k = 0; k < config_.outputs_per_user; ++k) {
-      const crypto::Digest d = crypto::sha256_concat(
-          {bytes_of("cyc.genesis"), be64(u), be64(k)});
-      const OutPoint op{d, 0};
-      const TxOut out{users_[u].pk, config_.initial_amount};
-      home.add(op, out);
-      pool_[u].push_back(Spendable{op, config_.initial_amount, u});
+    std::vector<std::pair<OutPoint, TxOut>> entries;
+    entries.reserve(shard_users_[s].size() * config_.outputs_per_user);
+    for (std::size_t u : shard_users_[s]) {
+      for (std::uint32_t k = 0; k < config_.outputs_per_user; ++k) {
+        const crypto::Digest d = crypto::sha256_concat(
+            {bytes_of("cyc.genesis"), be64(u), be64(k)});
+        const OutPoint op{d, 0};
+        entries.emplace_back(op, TxOut{users_[u].pk, config_.initial_amount});
+        pool_[u].push_back(Spendable{op, config_.initial_amount, u});
+      }
     }
+    genesis_.emplace_back(s, map_, std::move(entries));
   }
 }
 

@@ -212,7 +212,9 @@ class Engine {
   /// its committee's round-start snapshot, or the successor it adopted
   /// from a released block. Members that received the same blocks on the
   /// same base share one view object; referees and standby identities
-  /// hold an empty store. Valid once the first round has started.
+  /// hold an empty store. A view shares its store's base table, so a
+  /// snapshot costs the shard's changes since its last fold, not the
+  /// shard (see ledger/utxo.hpp). Valid once the first round has started.
   const ledger::UtxoStore& member_view(net::NodeId id) const {
     return *nodes_[id].utxo;
   }
@@ -373,7 +375,10 @@ class Engine {
     SortitionTicket ticket;
     /// Own-shard view, immutable and shared: every member of committee k
     /// starts the round on the same snapshot, and adopting a released
-    /// block swaps the pointer to a (memoized) successor view.
+    /// block swaps the pointer to a (memoized) successor view. Snapshot
+    /// and successor are plain store copies: they share the base table
+    /// and copy only the delta, so a successor costs its block slice
+    /// plus that delta.
     std::shared_ptr<const ledger::UtxoStore> utxo;
 
     /// What a member or referee learns and decides during one round;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace cyc::ledger {
 namespace {
 
@@ -132,6 +136,123 @@ TEST(Utxo, OutpointsSorted) {
   const auto ops = store.outpoints();
   EXPECT_TRUE(std::is_sorted(ops.begin(), ops.end()));
   EXPECT_EQ(ops.size(), 10u);
+}
+
+
+// Copies share an immutable base and keep private deltas: these pin that
+// no change made through one store ever shows through another.
+
+// Everything a caller can observe of a store's content.
+struct Observed {
+  std::size_t size;
+  Amount value;
+  crypto::Digest digest;
+  crypto::Digest full;
+  std::vector<OutPoint> ops;
+  std::vector<std::optional<TxOut>> values;
+  bool operator==(const Observed&) const = default;
+};
+
+Observed observe(const UtxoStore& store) {
+  Observed o{store.size(),        store.total_value(), store.digest(),
+             store.full_digest(), store.outpoints(),   {}};
+  for (const OutPoint& p : o.ops) o.values.push_back(store.get(p));
+  return o;
+}
+
+// A store of shard 0 whose base already holds `count` entries.
+UtxoStore seeded_store(const Fixture& f, int count) {
+  std::vector<std::pair<OutPoint, TxOut>> entries;
+  for (int i = 0; i < count; ++i) {
+    entries.emplace_back(op(1000 + i),
+                         TxOut{f.in_shard(0, i % 3).pk, 10u + i});
+  }
+  return UtxoStore(0, f.map, std::move(entries));
+}
+
+// Spend `count` entries of the seeded base and add `count` new ones:
+// 2 * count delta entries in total.
+void churn(UtxoStore& store, const Fixture& f, int first, int count) {
+  for (int i = first; i < first + count; ++i) {
+    EXPECT_TRUE(store.spend(op(1000 + i)));
+    EXPECT_TRUE(store.add(op(5000 + i), TxOut{f.in_shard(0, 1).pk, 7}));
+  }
+}
+
+TEST(Utxo, BulkBuildMatchesRepeatedAdds) {
+  Fixture f;
+  const UtxoStore bulk = seeded_store(f, 50);
+  UtxoStore added(0, f.map);
+  for (int i = 0; i < 50; ++i) {
+    added.add(op(1000 + i), TxOut{f.in_shard(0, i % 3).pk, 10u + i});
+  }
+  EXPECT_EQ(observe(bulk), observe(added));
+}
+
+TEST(Utxo, MutatingACopyLeavesTheOriginal) {
+  Fixture f;
+  UtxoStore original = seeded_store(f, 40);
+  const Observed before = observe(original);
+
+  UtxoStore copy = original;
+  churn(copy, f, 0, 3);
+  EXPECT_TRUE(copy.add(op(1001), TxOut{f.in_shard(0).pk, 99}));  // replace
+  EXPECT_EQ(observe(original), before);
+  EXPECT_FALSE(original.contains(op(5000)));
+  EXPECT_TRUE(original.contains(op(1000)));
+
+  // And the reverse: the copy keeps what it had when the original moves.
+  const Observed copy_before = observe(copy);
+  EXPECT_TRUE(original.spend(op(1010)));
+  EXPECT_TRUE(original.add(op(9000), TxOut{f.in_shard(0).pk, 5}));
+  EXPECT_EQ(observe(copy), copy_before);
+  EXPECT_FALSE(copy.contains(op(9000)));
+}
+
+TEST(Utxo, FoldingACopyLeavesTheOriginal) {
+  Fixture f;
+  constexpr int kBase = 200;
+  // Enough churn to pass the fold bound several times over.
+  constexpr int kChurn =
+      static_cast<int>(UtxoStore::kFoldFloor + kBase / UtxoStore::kFoldDivisor);
+  UtxoStore original = seeded_store(f, kBase);
+  EXPECT_TRUE(original.spend(op(1199)));  // a delta entry before the copy
+  const Observed before = observe(original);
+
+  UtxoStore copy = original;
+  churn(copy, f, 0, kChurn);
+  EXPECT_EQ(copy.size(), before.size);
+  EXPECT_EQ(copy.digest(), copy.full_digest());
+  EXPECT_EQ(observe(original), before);
+
+  // The original folds too; the copy's already-folded base is untouched.
+  const Observed copy_before = observe(copy);
+  churn(original, f, kChurn, kChurn);
+  EXPECT_EQ(observe(copy), copy_before);
+  EXPECT_EQ(original.digest(), original.full_digest());
+}
+
+TEST(Utxo, CopyOfACopyThenFolded) {
+  Fixture f;
+  constexpr int kChurn = static_cast<int>(UtxoStore::kFoldFloor) + 10;
+  const UtxoStore a = seeded_store(f, 150);
+  UtxoStore b = a;
+  EXPECT_TRUE(b.spend(op(1149)));
+  UtxoStore c = b;
+  const Observed a_before = observe(a);
+  const Observed b_before = observe(b);
+
+  churn(c, f, 0, kChurn);  // c folds a fresh base of its own
+  EXPECT_EQ(observe(a), a_before);
+  EXPECT_EQ(observe(b), b_before);
+  EXPECT_FALSE(c.contains(op(1149)));
+  EXPECT_EQ(c.size(), b.size());
+  EXPECT_EQ(c.digest(), c.full_digest());
+
+  // Replaying c's churn on b lands on the same content.
+  churn(b, f, 0, kChurn);
+  EXPECT_EQ(observe(b), observe(c));
+  EXPECT_EQ(observe(a), a_before);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Incremental-vs-full UtxoStore digest equivalence.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "ledger/utxo.hpp"
@@ -113,6 +114,90 @@ TEST(UtxoDigest, RandomizedAddSpendSequences) {
     }
     EXPECT_EQ(store.digest(), store.full_digest())
         << "trial " << trial << " diverged";
+  }
+}
+
+
+// The store against a plain ordered map, over long randomized add /
+// spend / apply sequences that cross the delta fold bound many times.
+// Copies taken along the way must keep the content they were taken at.
+TEST(UtxoDigest, RandomizedSequencesMatchAPlainMap) {
+  using Reference = std::map<OutPoint, TxOut>;
+  auto expect_matches = [](const UtxoStore& store, const Reference& ref,
+                           const char* what, int step) {
+    ASSERT_EQ(store.digest(), store.full_digest()) << what << " @" << step;
+    ASSERT_EQ(store.size(), ref.size()) << what << " @" << step;
+    std::vector<OutPoint> ops;
+    Amount value = 0;
+    for (const auto& [op, out] : ref) {
+      ops.push_back(op);
+      value += out.amount;
+      ASSERT_EQ(store.get(op), out) << what << " @" << step;
+    }
+    ASSERT_EQ(store.outpoints(), ops) << what << " @" << step;
+    ASSERT_EQ(store.total_value(), value) << what << " @" << step;
+  };
+
+  rng::Stream rng(2024);
+  std::vector<crypto::KeyPair> owners;
+  for (std::uint64_t seed = 1; owners.size() < 4; ++seed) {
+    auto kp = crypto::KeyPair::from_seed(seed);
+    if (kMap->shard(kp.pk) == kShard) owners.push_back(kp);
+  }
+  std::vector<std::pair<OutPoint, TxOut>> genesis;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    genesis.emplace_back(op_from(i), TxOut{owners[i % 4].pk, 50 + i});
+  }
+  UtxoStore store(kShard, kMap, genesis);
+  Reference ref(genesis.begin(), genesis.end());
+
+  std::vector<std::pair<UtxoStore, Reference>> copies;
+  std::uint64_t next_id = 10'000;
+  for (int step = 0; step < 3000; ++step) {
+    const double pick = rng.uniform();
+    if (pick < 0.35 || ref.empty()) {
+      const OutPoint op = op_from(next_id++);
+      const TxOut out{owner_in_shard(rng), 1 + rng.below(1000)};
+      ASSERT_TRUE(store.add(op, out));
+      ref[op] = out;
+    } else if (pick < 0.45) {  // replace a live entry
+      auto it = std::next(ref.begin(),
+                          static_cast<std::ptrdiff_t>(rng.below(ref.size())));
+      it->second.amount += 1;
+      ASSERT_TRUE(store.add(it->first, it->second));
+    } else if (pick < 0.75) {
+      auto it = std::next(ref.begin(),
+                          static_cast<std::ptrdiff_t>(rng.below(ref.size())));
+      ASSERT_TRUE(store.spend(it->first));
+      ref.erase(it);
+    } else if (pick < 0.98) {
+      // Spend up to two outputs of one owner into two fresh outputs.
+      const auto& spender = owners[rng.below(owners.size())];
+      Transaction tx;
+      tx.spender = spender.pk;
+      for (const auto& [op, out] : ref) {
+        if (out.owner == spender.pk) tx.inputs.push_back(op);
+        if (tx.inputs.size() == 2) break;
+      }
+      if (tx.inputs.empty()) continue;
+      tx.outputs.push_back(TxOut{owners[rng.below(owners.size())].pk, 3});
+      tx.outputs.push_back(TxOut{owner_in_shard(rng), 4});
+      sign_tx(tx, spender.sk);
+      store.apply(tx);
+      for (const auto& in : tx.inputs) ref.erase(in);
+      const TxId id = tx.id();
+      for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
+        ref[OutPoint{id, i}] = tx.outputs[i];
+      }
+    } else {
+      copies.emplace_back(store, ref);
+    }
+    if (step % 97 == 0) expect_matches(store, ref, "store", step);
+  }
+  expect_matches(store, ref, "store", 3000);
+  ASSERT_GT(copies.size(), 20u);
+  for (const auto& [copy, copy_ref] : copies) {
+    expect_matches(copy, copy_ref, "copy", 3000);
   }
 }
 

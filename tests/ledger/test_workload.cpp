@@ -27,10 +27,19 @@ TEST(Workload, GenesisCoversAllShards) {
   const auto map = map_for(base_config());
   WorkloadGenerator gen(base_config(), 1, map);
   ASSERT_EQ(gen.genesis().size(), 4u);
+  std::size_t entries = 0;
   for (const auto& store : gen.genesis()) {
     EXPECT_GT(store.size(), 0u);
     EXPECT_EQ(store.shard_map(), map);  // built on the caller's map
+    EXPECT_EQ(store.digest(), store.full_digest());
+    // Genesis stores are built in bulk, without add()'s membership
+    // check: every entry's owner must still be homed on its store.
+    for (const OutPoint& op : store.outpoints()) {
+      EXPECT_EQ(map->shard(store.get(op)->owner), store.shard());
+    }
+    entries += store.size();
   }
+  EXPECT_EQ(entries, 64u * 4u);
   EXPECT_EQ(gen.spendable_outputs(), 64u * 4u);
 }
 

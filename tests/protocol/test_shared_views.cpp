@@ -78,7 +78,8 @@ TEST(SharedViews, MemberThatMissesTheReleaseKeepsItsRoundStartView) {
   ASSERT_GE(committee.commons.size(), 2u);
   const net::NodeId victim = committee.commons[0];
   const net::NodeId peer = committee.commons[1];
-  const crypto::Digest round_start = engine.shard_state()[0].digest();
+  const ledger::UtxoStore round_start_state = engine.shard_state()[0];
+  const crypto::Digest round_start = round_start_state.digest();
 
   engine.blackout(victim, engine.round(), engine.round() + 1);
   const RoundReport report = engine.run_round();
@@ -86,7 +87,16 @@ TEST(SharedViews, MemberThatMissesTheReleaseKeepsItsRoundStartView) {
 
   const crypto::Digest post_block = engine.shard_state()[0].digest();
   ASSERT_NE(post_block, round_start) << "block must touch shard 0";
-  EXPECT_EQ(engine.member_view(victim).digest(), round_start);
+  // The leader's successor was built from the view the victim still
+  // shares; building it must not have leaked into that view.
+  const net::NodeId leader = engine.last_assignment().committees[0].leader;
+  EXPECT_EQ(engine.member_view(leader).digest(), post_block);
+  const ledger::UtxoStore& kept = engine.member_view(victim);
+  EXPECT_EQ(kept.digest(), round_start);
+  EXPECT_EQ(kept.full_digest(), round_start);
+  EXPECT_EQ(kept.size(), round_start_state.size());
+  EXPECT_EQ(kept.total_value(), round_start_state.total_value());
+  EXPECT_EQ(kept.outpoints(), round_start_state.outpoints());
   EXPECT_EQ(engine.member_view(peer).digest(), post_block);
   EXPECT_NE(&engine.member_view(victim), &engine.member_view(peer));
 }
