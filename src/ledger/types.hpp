@@ -29,11 +29,19 @@ struct OutPoint {
   auto operator<=>(const OutPoint&) const = default;
 };
 
+/// A transaction id's first eight bytes (ids are SHA-256 digests).
+struct TxIdHash {
+  std::size_t operator()(const TxId& id) const {
+    std::size_t h = 0;
+    for (int i = 0; i < 8; ++i) h = (h << 8) | id[static_cast<std::size_t>(i)];
+    return h;
+  }
+};
+
 struct OutPointHash {
   std::size_t operator()(const OutPoint& op) const {
-    std::size_t h = 0;
-    for (int i = 0; i < 8; ++i) h = (h << 8) | op.tx[static_cast<std::size_t>(i)];
-    return h ^ (static_cast<std::size_t>(op.index) * 0x9e3779b97f4a7c15ull);
+    return TxIdHash{}(op.tx) ^
+           (static_cast<std::size_t>(op.index) * 0x9e3779b97f4a7c15ull);
   }
 };
 

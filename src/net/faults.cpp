@@ -78,9 +78,7 @@ FaultInjector::Verdict FaultInjector::on_send(NodeId from, NodeId to,
     return verdict;
   }
   // Intra-committee links stay reliable (§III-B).
-  if (cls != LinkClass::kKeyMesh && cls != LinkClass::kPartialSync) {
-    return verdict;
-  }
+  if (cls == LinkClass::kIntraCommittee) return verdict;
   const FaultProfile& faults = plan_.wide_area;
   // Each axis draws only when enabled, keeping disabled-axis runs
   // byte-identical to plans that omit the axis entirely.

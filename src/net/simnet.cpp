@@ -35,8 +35,6 @@ Time SimNet::class_delay(LinkClass cls) {
       // Bounded but adversarially jittered: delivery order between any
       // two messages on such links can invert.
       return delays_.gamma * (1.0 + delays_.jitter * rng_.uniform());
-    case LinkClass::kUnconnected:
-      return -1.0;
   }
   return -1.0;
 }
@@ -58,12 +56,6 @@ void SimNet::send_shared(NodeId from, NodeId to, Tag tag, PayloadPtr payload) {
   Message msg{from, to, tag, std::move(payload)};
   const LinkClass cls = classifier_(from, to);
   stats_.note_send(from, phase_, tag, msg.wire_size());
-  if (cls == LinkClass::kUnconnected) {
-    // No channel at all: the injector is never consulted (nothing to
-    // fault), so its stream stays untouched.
-    ++dropped_;
-    return;
-  }
   FaultInjector::Verdict verdict;
   if (injector_) {
     verdict = injector_->on_send(from, to, cls, stats_.faults());

@@ -46,7 +46,6 @@ enum class LinkClass : std::uint8_t {
   kIntraCommittee,   // delay = Delta
   kKeyMesh,          // delay = Gamma
   kPartialSync,      // delay in [Gamma, Gamma * (1 + jitter)], reorderable
-  kUnconnected,      // no channel: sends are dropped and counted
 };
 
 struct DelayModel {
@@ -97,11 +96,9 @@ class SimNet {
   void set_phase(Phase phase) { phase_ = phase; }
   Phase phase() const { return phase_; }
 
-  /// Queue a message for delivery. Drops (and counts) sends over
-  /// kUnconnected links — the hierarchical topology simply has no channel
-  /// there, which is the point of the "Burden on Connection" row.
-  /// Throws std::out_of_range, counting nothing, for an unknown sender or
-  /// receiver.
+  /// Queue a message for delivery (or drop and count it, when the fault
+  /// injector says so). Throws std::out_of_range, counting nothing, for an
+  /// unknown sender or receiver.
   void send(NodeId from, NodeId to, Tag tag, Bytes payload);
 
   /// Zero-copy send: the queued event and the delivered Message alias

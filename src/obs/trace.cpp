@@ -95,55 +95,31 @@ std::string Tracer::to_chrome_json(
   json.key("traceEvents");
   json.begin_array();
   // Metadata first: one process, one named thread per track.
-  json.begin_object();
-  json.field("ph", "M");
-  json.field("pid", 0);
-  json.field("tid", 0);
-  json.field("name", "process_name");
-  json.key("args");
-  json.begin_object();
-  json.field("name", "cycledger");
-  json.end_object();
-  json.end_object();
-  for (const auto& [track, name] : track_names_) {
+  auto metadata = [&](std::uint64_t tid, const char* name, const char* key,
+                      const auto& value) {
     json.begin_object();
     json.field("ph", "M");
     json.field("pid", 0);
-    json.field("tid", static_cast<std::uint64_t>(track));
-    json.field("name", "thread_name");
-    json.key("args");
-    json.begin_object();
+    json.field("tid", tid);
     json.field("name", name);
-    json.end_object();
-    json.end_object();
-    // sort_index keeps tracks in id order regardless of first-event time.
-    json.begin_object();
-    json.field("ph", "M");
-    json.field("pid", 0);
-    json.field("tid", static_cast<std::uint64_t>(track));
-    json.field("name", "thread_sort_index");
     json.key("args");
     json.begin_object();
-    json.field("sort_index", static_cast<std::uint64_t>(track));
+    json.field(key, value);
     json.end_object();
     json.end_object();
+  };
+  metadata(0, "process_name", "name", "cycledger");
+  for (const auto& [track, name] : track_names_) {
+    metadata(track, "thread_name", "name", name);
+    // sort_index keeps tracks in id order regardless of first-event time.
+    metadata(track, "thread_sort_index", "sort_index",
+             static_cast<std::uint64_t>(track));
   }
+  // Chrome trace phase of each event type, in Type order.
+  static constexpr const char* kPhase[] = {"B", "E", "i", "C"};
   for (const auto& ev : events_) {
     json.begin_object();
-    switch (ev.type) {
-      case Type::kBegin:
-        json.field("ph", "B");
-        break;
-      case Type::kEnd:
-        json.field("ph", "E");
-        break;
-      case Type::kInstant:
-        json.field("ph", "i");
-        break;
-      case Type::kCounter:
-        json.field("ph", "C");
-        break;
-    }
+    json.field("ph", kPhase[static_cast<std::size_t>(ev.type)]);
     json.field("pid", 0);
     json.field("tid", static_cast<std::uint64_t>(ev.track));
     // 1 simulated Delta-unit = 1 ms; "ts" is in microseconds.

@@ -37,9 +37,6 @@ struct Engine::ObsState {
     double end;
   };
   std::vector<PhaseWindow> windows;
-  /// Certs already announced this round (every holder runs on_cert; the
-  /// qc-formed instant fires once, at formation time).
-  std::set<std::pair<std::uint32_t, std::uint64_t>> certs_seen;
   /// Thread-local verify-cache counters last flushed into the registry.
   std::uint64_t vc_hits_mark = 0;
   std::uint64_t vc_misses_mark = 0;
@@ -134,7 +131,6 @@ void Engine::obs_round_begin() {
   st.open_phase = net::Phase::kIdle;
   st.open_phase_at = round_start_;
   st.windows.clear();
-  st.certs_seen.clear();
 
   obs::Tracer& trace = obs_->trace;
   trace.begin(obs::kTrackProtocol, "round " + std::to_string(round_), "round",
@@ -194,10 +190,6 @@ void Engine::obs_phase(net::Phase phase, net::Time at) {
     trace.begin(obs::kTrackProtocol, std::string(net::phase_name(phase)),
                 "phase", at);
   }
-}
-
-bool Engine::obs_first_cert(std::uint32_t scope, std::uint64_t sn) {
-  return obs_state_->certs_seen.insert({scope, sn}).second;
 }
 
 void Engine::obs_round_end(const RoundReport& report, net::Time round_end) {
@@ -422,9 +414,8 @@ void Engine::link_classifier_install() {
 }
 
 std::vector<net::NodeId> Engine::committee_members(std::uint32_t k) const {
-  auto members = assign_.committees[k].all_members();
   // Recovery may have replaced the leader; membership is unchanged.
-  return members;
+  return assign_.committees[k].all_members();
 }
 
 std::vector<crypto::PublicKey> Engine::committee_pks(std::uint32_t k) const {
@@ -464,6 +455,20 @@ bool Engine::referee_seat(net::NodeId id) const {
 bool Engine::released_subblock(net::NodeId leader) const {
   return std::any_of(released_subblocks_.begin(), released_subblocks_.end(),
                      [&](const SubBlock& sb) { return sb.leader == leader; });
+}
+
+void Engine::send_to_referees(net::NodeId from, net::Tag tag,
+                              const net::PayloadPtr& payload) {
+  for (net::NodeId rm : assign_.referees) {
+    net_->send_shared(from, rm, tag, payload);
+  }
+}
+
+void Engine::send_to_all(net::NodeId from, net::Tag tag,
+                         const net::PayloadPtr& payload) {
+  for (const auto& n : nodes_) {
+    if (n.id != from) net_->send_shared(from, n.id, tag, payload);
+  }
 }
 
 bool Engine::referee_reachable(net::NodeId id) const {
@@ -824,8 +829,7 @@ void Engine::openloop_ingest(std::vector<ledger::Transaction>& batch) {
     }
     if (mempools_[k].admit(arrival.tx, arrival.time)) {
       openloop_round_.admitted += 1;
-      const auto id = arrival.tx.id();
-      arrival_times_[std::string(id.begin(), id.end())] = arrival.time;
+      arrival_times_[arrival.tx.id()] = arrival.time;
     } else {
       openloop_round_.mempool_dropped += 1;
       workload_->mark_rejected(arrival.tx);
@@ -976,29 +980,23 @@ double Engine::storage_proxy(const NodeState& n) const {
 
 void Engine::for_each_acked_result(
     std::uint32_t k, const AckedResultVisitor& visit) const {
-  const CommitteeRound& committee = committees_[k];
-  if (committee.intra_result && referee_quorum(committee.intra_acks)) {
-    visit(k, false,
-          wire::IntraDecision::deserialize(*committee.intra_result).txdec_set);
-  }
-  for (const auto& [origin, payload] : committee.cross_results) {
-    const auto acks = committee.cross_acks.find(origin);
-    if (acks == committee.cross_acks.end() || !referee_quorum(acks->second)) {
-      continue;
-    }
-    visit(origin, true,
-          wire::CrossResultMsg::deserialize(payload).request.txs);
+  for (const auto& [key, result] : committees_[k].results) {
+    const auto [kind, origin] = key;
+    if (kind == ResultKind::kScore) break;  // not block content
+    if (!referee_quorum(result.acks)) continue;
+    visit(origin, kind == ResultKind::kCross,
+          kind == ResultKind::kIntra
+              ? wire::IntraDecision::deserialize(result.payload).txdec_set
+              : wire::CrossResultMsg::deserialize(result.payload).request.txs);
   }
 }
 
 void Engine::adopt_quorum_scores() {
   for (std::uint32_t k = 0; k < params_.m; ++k) {
-    if (!committees_[k].score_report ||
-        !referee_quorum(committees_[k].score_acks)) {
-      continue;
-    }
-    const auto scores =
-        wire::ScoreListMsg::deserialize(*committees_[k].score_report);
+    const auto& results = committees_[k].results;
+    const auto it = results.find({ResultKind::kScore, k});
+    if (it == results.end() || !referee_quorum(it->second.acks)) continue;
+    const auto scores = wire::ScoreListMsg::deserialize(it->second.payload);
     for (const auto& [node, score] : scores.entries) {
       pending_scores_[node] = score;
     }
@@ -1015,49 +1013,19 @@ void Engine::finalize_round(RoundReport& report) {
 
   // --- Collect committed transactions from the referee's view. ---
   std::vector<ledger::Transaction> committed;
-  std::set<std::string> seen_ids;
+  // Every transaction of an acked result, committed or not.
+  std::unordered_set<ledger::TxId, ledger::TxIdHash> settled;
   // Block-level double-spend guard: two certified transactions spending
   // the same outpoint can reach C_R (e.g. one intra, one cross); "at
   // least one of them will be regarded as illegal" (§VIII-B), so the
   // first wins and the second is rejected here.
   std::unordered_set<ledger::OutPoint, ledger::OutPointHash> spent_in_block;
-  auto add_committed = [&](const ledger::Transaction& tx, bool cross,
-                           CommitteeRoundStats& stats) {
-    const auto id = tx.id();
-    const std::string key(id.begin(), id.end());
-    if (!seen_ids.insert(key).second) return;
-    for (const auto& in : tx.inputs) {
-      if (spent_in_block.contains(in)) {
-        report.invalid_rejected += 1;
-        arrival_times_.erase(key);  // will never commit (open loop only)
-        return;
-      }
-    }
-    // Safety accounting: a ground-truth-invalid transaction reaching the
-    // block is a protocol failure.
-    const std::uint32_t shard = ledger::input_shard(tx, *shard_map_);
-    if (ledger::V(tx, shard_state_[shard])) {
-      for (const auto& in : tx.inputs) spent_in_block.insert(in);
-      committed.push_back(tx);
-      stats.txs_committed += 1;
-      if (cross) {
-        stats.cross_committed += 1;
-        report.cross_committed += 1;
-      } else {
-        report.intra_committed += 1;
-      }
-    } else {
-      report.invalid_committed += 1;
-      arrival_times_.erase(key);
-    }
-  };
-
   report.committees.resize(params_.m);
   std::vector<bool> leader_earns_bonus(params_.m, false);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     auto& stats = report.committees[k];
     stats.committee = k;
-    stats.recoveries = committees_[k].recoveries;
+    stats.recoveries = committees_[k].attempt;
     stats.severed = severed_.size() > k && severed_[k];
     stats.txs_listed =
         committees_[k].intra_list.size() + committees_[k].cross_list.size();
@@ -1066,7 +1034,35 @@ void Engine::finalize_round(RoundReport& report) {
     for_each_acked_result(k, [&](std::uint32_t origin, bool cross,
                                  const std::vector<ledger::Transaction>& txs) {
       auto& origin_stats = report.committees[origin];
-      for (const auto& tx : txs) add_committed(tx, cross, origin_stats);
+      for (const auto& tx : txs) {
+        const ledger::TxId id = tx.id();
+        if (!settled.insert(id).second) continue;
+        if (std::any_of(tx.inputs.begin(), tx.inputs.end(),
+                        [&](const ledger::OutPoint& in) {
+                          return spent_in_block.contains(in);
+                        })) {
+          report.invalid_rejected += 1;
+          arrival_times_.erase(id);  // will never commit (open loop only)
+          continue;
+        }
+        // Safety accounting: a ground-truth-invalid transaction reaching
+        // the block is a protocol failure.
+        const std::uint32_t shard = ledger::input_shard(tx, *shard_map_);
+        if (!ledger::V(tx, shard_state_[shard])) {
+          report.invalid_committed += 1;
+          arrival_times_.erase(id);
+          continue;
+        }
+        for (const auto& in : tx.inputs) spent_in_block.insert(in);
+        committed.push_back(tx);
+        origin_stats.txs_committed += 1;
+        if (cross) {
+          origin_stats.cross_committed += 1;
+          report.cross_committed += 1;
+        } else {
+          report.intra_committed += 1;
+        }
+      }
       origin_stats.produced_output = true;
       if (!cross) leader_earns_bonus[k] = true;
     });
@@ -1083,33 +1079,6 @@ void Engine::finalize_round(RoundReport& report) {
     const bool ok = chain_.append(block);
     (void)ok;  // structurally guaranteed; validated again by tests
     last_block_ = std::move(block);  // chain keeps headers only
-  }
-
-  // Flow conservation counters (§IV-G): every unique offered transaction
-  // is classified exactly once — settled (reached a certified result,
-  // i.e. populates seen_ids above), carried, or dropped. Settled is
-  // counted here; carried/dropped fall out of the Remaining-TX-List pass
-  // below, which shares the same dedup set, so the accounting adds one
-  // set insert per offered tx to the existing loop rather than an extra
-  // pass over the lists.
-  last_flow_ = RoundFlow{};
-  last_flow_.committed = committed.size();
-
-  // Ground-truth bookkeeping: count invalid txs that were offered but
-  // correctly kept out of the block.
-  for (std::uint32_t k = 0; k < params_.m; ++k) {
-    for (const auto* list :
-         {&committees_[k].intra_list, &committees_[k].cross_list}) {
-      for (const auto& tx : *list) {
-        if (!workload_->is_ground_truth_valid(tx.id())) {
-          const std::string key = [&] {
-            const auto id = tx.id();
-            return std::string(id.begin(), id.end());
-          }();
-          if (!seen_ids.contains(key)) report.invalid_rejected += 1;
-        }
-      }
-    }
   }
 
   // --- Apply the block to the authoritative per-shard state. ---
@@ -1135,41 +1104,42 @@ void Engine::finalize_round(RoundReport& report) {
     workload_->mark_committed(block_txs[i]);
   }
   report.total_fees = total_fees;
-  // Offered but unpacked valid txs form the Remaining TX List (§IV-G)
-  // and are retried next round; ground-truth-invalid ones are dropped.
-  // Processed once per unique tx id (lists cannot repeat an id today —
-  // shard routing is deterministic and the workload never re-issues an
-  // in-flight tx — but the flow counters and the carryover must stay in
-  // lockstep if that ever changes).
-  {
-    std::set<std::string> flow_counted;
-    for (std::uint32_t k = 0; k < params_.m; ++k) {
-      for (const auto* list :
-           {&committees_[k].intra_list, &committees_[k].cross_list}) {
-        for (const auto& tx : *list) {
-          const auto id = tx.id();
-          const std::string key(id.begin(), id.end());
-          if (!flow_counted.insert(key).second) continue;
-          last_flow_.offered += 1;
-          if (seen_ids.contains(key)) {
-            last_flow_.settled += 1;
-            continue;
-          }
-          if (workload_->is_ground_truth_valid(id)) {
-            carryover_.push_back(tx);
-            last_flow_.carried += 1;
-          } else {
-            workload_->mark_rejected(tx);
-            last_flow_.dropped += 1;
-            // A dropped transaction will never commit: retire its
-            // arrival stamp (no-op in closed-loop mode).
-            arrival_times_.erase(key);
-          }
+
+  // --- One pass over the offered lists: flow conservation (§IV-G). ---
+  // Every unique offered transaction is classified exactly once: settled
+  // (it reached an acked result), carried (valid but unpacked: the
+  // Remaining TX List, retried next round), or dropped (ground-truth
+  // invalid, so kept out of the block and counted as rejected). Lists
+  // cannot repeat an id today — shard routing is deterministic and the
+  // workload never re-issues an in-flight tx — but the flow counters and
+  // the carryover must stay in lockstep if that ever changes.
+  last_flow_ = RoundFlow{};
+  last_flow_.committed = report.txs_committed;
+  std::unordered_set<ledger::TxId, ledger::TxIdHash> offered;
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    for (const auto* list :
+         {&committees_[k].intra_list, &committees_[k].cross_list}) {
+      for (const auto& tx : *list) {
+        const ledger::TxId id = tx.id();
+        if (!offered.insert(id).second) continue;
+        last_flow_.offered += 1;
+        if (settled.contains(id)) {
+          last_flow_.settled += 1;
+        } else if (workload_->is_ground_truth_valid(id)) {
+          carryover_.push_back(tx);
+          last_flow_.carried += 1;
+        } else {
+          workload_->mark_rejected(tx);
+          last_flow_.dropped += 1;
+          report.invalid_rejected += 1;
+          // A dropped transaction will never commit: retire its
+          // arrival stamp (no-op in closed-loop mode).
+          arrival_times_.erase(id);
         }
       }
     }
-    last_flow_.foreign = seen_ids.size() - last_flow_.settled;
   }
+  last_flow_.foreign = settled.size() - last_flow_.settled;
 
   // --- Open-loop latency accounting. --- Every committed transaction's
   // end-to-end latency is its block-commit stamp (the end of this
@@ -1179,8 +1149,7 @@ void Engine::finalize_round(RoundReport& report) {
   if (open_loop()) {
     openloop_round_.source_shortfall = workload_->shortfall();
     for (std::size_t i = 0; i < block_txs.size(); ++i) {
-      const auto& id = routed.ids()[i];
-      const auto it = arrival_times_.find(std::string(id.begin(), id.end()));
+      const auto it = arrival_times_.find(routed.ids()[i]);
       if (it == arrival_times_.end()) continue;  // e.g. genesis carryover
       openloop_round_.latencies.push_back(openloop_clock_ - it->second);
       openloop_round_.latency_shards.push_back(routed.input_shard(i));
@@ -1257,10 +1226,8 @@ void Engine::compute_selection() {
   }
   const auto share_payload = net::make_payload(Bytes(24, 0));
   for (net::NodeId a : assign_.referees) {
-    for (net::NodeId b : assign_.referees) {
-      if (a == b) continue;
-      net_->send_shared(a, b, net::Tag::kBeaconShare, share_payload);
-    }
+    net_->multicast_shared(a, assign_.referees, net::Tag::kBeaconShare,
+                           share_payload);
   }
   const auto beacon =
       crypto::RandomnessBeacon::run(round_ + 1, dealer_secrets, {}, beacon_rng);

@@ -333,7 +333,6 @@ class Engine {
       if (k >= slots_.size()) slots_.resize(k + 1);
       slots_[k] = value;
     }
-    void clear() { slots_.clear(); }
     /// Number of committees with a stored value.
     std::size_t size() const {
       std::size_t n = 0;
@@ -355,6 +354,13 @@ class Engine {
   /// Which of a committee's two lists a leader duty concerns: the
   /// intra-shard TXList (§IV-C) or the cross-shard one (§IV-D).
   enum class ListKind : std::uint8_t { kIntra, kCross };
+  /// What a certified result handed to the referee committee carries: an
+  /// intra decision (§IV-C), a cross-shard result (§IV-D) or a score list
+  /// (§IV-E). The order is the block order of a committee's results.
+  enum class ResultKind : std::uint8_t { kIntra, kCross, kScore };
+  /// A referee-held result: its kind and origin committee (the committee
+  /// itself for intra and score results, the sender for a cross result).
+  using ResultKey = std::pair<ResultKind, std::uint32_t>;
 
   // ---- per-node state ----
   struct NodeState {
@@ -415,9 +421,9 @@ class Engine {
     std::uint32_t catchup_attempts = 0;
     bool catchup_adopted = false;  ///< majority digest adopted this round
     crypto::Digest adopted_digest{};
-    /// Referee replies tallied by digest bytes; a digest is adopted once
-    /// a majority of distinct referees vouch for it.
-    std::map<std::string, std::set<net::NodeId>> catchup_tally;
+    /// Referee replies tallied by digest; a digest is adopted once a
+    /// majority of distinct referees vouch for it.
+    std::map<crypto::Digest, std::set<net::NodeId>> catchup_tally;
 
     bool is_active(std::uint64_t round) const {
       return !catching_up &&
@@ -447,8 +453,7 @@ class Engine {
   // ---- round-scoped engine state ----
   struct CommitteeRound {
     net::NodeId current_leader = net::kNoNode;
-    std::uint32_t attempt = 0;      // recovery attempts
-    std::uint32_t recoveries = 0;
+    std::uint32_t attempt = 0;      // leaders replaced so far this round
     bool leader_convicted = false;  // guard against double conviction
     std::vector<ledger::Transaction> intra_list;
     std::vector<ledger::Transaction> cross_list;
@@ -463,24 +468,42 @@ class Engine {
     // Leader-side cross requests awaiting certification.
     std::map<std::uint32_t, Bytes> pending_cross_out;  // dest -> request
     net::NodeId pending_new_leader = net::kNoNode;
-    // Referee-side: accepted results. Results multicast to the whole
-    // referee committee; each referee verifies independently and acks
-    // when its verified payload matches the stored bytes. A result is
-    // only *used* (block assembly, commit accounting, score application)
-    // once a majority of referees ack — so a result that reached just a
-    // minority island of a partitioned C_R can never straddle the cut.
-    std::optional<Bytes> intra_result;     // serialized TXdecSET+VList
-    std::map<std::uint32_t, Bytes> cross_results;  // origin -> accepted ids
-    std::optional<Bytes> score_report;
-    std::set<net::NodeId> intra_acks;
-    std::map<std::uint32_t, std::set<net::NodeId>> cross_acks;
-    std::set<net::NodeId> score_acks;
+    // Referee-side: accepted results, one entry per (kind, origin) in
+    // block order. Results multicast to the whole referee committee; each
+    // referee verifies independently and acks when its verified payload
+    // matches the stored bytes. An entry exists only once a verified
+    // payload is stored. A result is only *used* (block assembly, commit
+    // accounting, score application) once a majority of referees ack —
+    // so a result that reached just a minority island of a partitioned
+    // C_R can never straddle the cut.
+    struct RefereeResult {
+      Bytes payload;  // IntraDecision, CrossResultMsg or ScoreListMsg
+      std::set<net::NodeId> acks;
+    };
+    std::map<ResultKey, RefereeResult> results;
 
     std::vector<ledger::Transaction>& list(ListKind kind) {
       return kind == ListKind::kIntra ? intra_list : cross_list;
     }
     VoteTally& tally(ListKind kind) {
       return kind == ListKind::kIntra ? duties.intra : duties.cross;
+    }
+    bool acked_by(const ResultKey& key, net::NodeId referee) const {
+      const auto it = results.find(key);
+      return it != results.end() && it->second.acks.contains(referee);
+    }
+    /// A referee's verified `payload` for `key`: stored if it is the
+    /// first, acked if it matches the stored bytes, and never acked if it
+    /// conflicts with them.
+    void store_and_ack(const ResultKey& key, const Bytes& payload,
+                       net::NodeId referee) {
+      auto it = results.find(key);
+      if (it == results.end()) {
+        it = results.emplace(key, RefereeResult{payload, {}}).first;
+      } else if (it->second.payload != payload) {
+        return;
+      }
+      it->second.acks.insert(referee);
     }
   };
 
@@ -552,6 +575,13 @@ class Engine {
                ? self.role == Role::kReferee
                : self.committee == static_cast<std::int64_t>(scope);
   }
+  /// Send one shared buffer from `from` to every referee seat, in seat
+  /// order (a referee sending also sends to itself).
+  void send_to_referees(net::NodeId from, net::Tag tag,
+                        const net::PayloadPtr& payload);
+  /// Send one shared buffer from `from` to every other node, in id order.
+  void send_to_all(net::NodeId from, net::Tag tag,
+                   const net::PayloadPtr& payload);
   /// Whether a referee seat can talk to the majority of its committee
   /// this round (not blacked out, on the referee-majority island).
   bool referee_reachable(net::NodeId id) const;
@@ -671,9 +701,6 @@ class Engine {
   /// round's per-(phase, tag) traffic, fault counts and protocol counters
   /// into the metrics registry.
   void obs_round_end(const RoundReport& report, net::Time round_end);
-  /// First sighting of cert (scope, sn) this round? (dedup for the
-  /// qc-formed instant event — every holder runs on_cert).
-  bool obs_first_cert(std::uint32_t scope, std::uint64_t sn);
 
   // ---- data ----
   Params params_;
@@ -696,7 +723,7 @@ class Engine {
   // nominal round duration each round so windows tile simulated time.
   std::unique_ptr<ledger::OpenLoopSource> openloop_;
   std::vector<ledger::ShardMempool> mempools_;
-  std::unordered_map<std::string, double> arrival_times_;
+  std::unordered_map<ledger::TxId, double, ledger::TxIdHash> arrival_times_;
   double openloop_clock_ = 0.0;
   std::uint64_t openloop_exhausted_ = 0;  ///< source exhausted() last seen
   OpenLoopRoundStats openloop_round_;

@@ -39,10 +39,7 @@ void Engine::phase_config(net::Time at) {
       common.round.known_pks.insert(common.keys.pk.y);
       common.round.member_list.push_back(common.keys.pk);
       const wire::Intro intro{id, common.keys.pk, common.ticket};
-      const auto payload = net::make_payload(intro.serialize());
-      for (net::NodeId km : key_members) {
-        net_->send_shared(id, km, net::Tag::kConfig, payload);
-      }
+      net_->multicast(id, key_members, net::Tag::kConfig, intro.serialize());
     }
   }
   // Restarted nodes spend the configuration phase asking the referees for
@@ -52,10 +49,8 @@ void Engine::phase_config(net::Time at) {
     n.catchup_attempts += 1;
     Writer w;
     w.u32(n.id);
-    const auto payload = net::make_payload(w.take());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(n.id, rm, net::Tag::kCatchUpRequest, payload);
-    }
+    send_to_referees(n.id, net::Tag::kCatchUpRequest,
+                     net::make_payload(w.take()));
   }
 }
 
@@ -171,10 +166,8 @@ void Engine::phase_selection(net::Time at) {
       options_.engine_threads);
   for (std::size_t i : support::stage_order(solvers.size())) {
     if (solutions[i].empty()) continue;
-    const auto payload = net::make_payload(solutions[i]);
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(solvers[i], rm, net::Tag::kPowSolution, payload);
-    }
+    send_to_referees(solvers[i], net::Tag::kPowSolution,
+                     net::make_payload(solutions[i]));
   }
   const net::Time when =
       at + 0.8 * params_.selection_duration * params_.delays.delta;
@@ -239,19 +232,19 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
 
 void Engine::dispatch(NodeState& self, const net::Message& msg,
                       net::Time now) {
-  // Catch-up traffic bypasses the activity gate: a catching-up node is
-  // inactive for the protocol proper but must still receive the referee
-  // replies that let it rejoin. The handlers re-check roles themselves.
-  if (msg.tag == net::Tag::kCatchUpRequest) {
-    on_catchup_request(self, msg);
-    return;
-  }
-  if (msg.tag == net::Tag::kCatchUpReply) {
-    on_catchup_reply(self, msg);
-    return;
-  }
-  if (!self.is_active(round_)) return;  // crashed: pretend offline
   try {
+    // Catch-up traffic bypasses the activity gate: a catching-up node is
+    // inactive for the protocol proper but must still receive the referee
+    // replies that let it rejoin. The handlers re-check roles themselves.
+    if (msg.tag == net::Tag::kCatchUpRequest) {
+      on_catchup_request(self, msg);
+      return;
+    }
+    if (msg.tag == net::Tag::kCatchUpReply) {
+      on_catchup_reply(self, msg);
+      return;
+    }
+    if (!self.is_active(round_)) return;  // crashed: pretend offline
     switch (msg.tag) {
       case net::Tag::kConfig: on_config(self, msg); break;
       case net::Tag::kMemberList: on_member_list(self, msg); break;
@@ -327,11 +320,7 @@ void Engine::on_block_permit(NodeState& self, const net::Message& msg) {
   if (sub.txs.empty()) return;
   sub.randomness = next_randomness_;
   released_subblocks_.push_back({k, sub.txs, self.id});
-  const auto payload = net::make_payload(sub.serialize());
-  for (const auto& n : nodes_) {
-    if (n.id == self.id) continue;
-    net_->send_shared(self.id, n.id, net::Tag::kSubBlock, payload);
-  }
+  send_to_all(self.id, net::Tag::kSubBlock, net::make_payload(sub.serialize()));
 }
 
 void Engine::on_block(NodeState& self, const net::Message& msg) {
@@ -414,11 +403,7 @@ void Engine::on_member_list(NodeState& self, const net::Message& msg) {
   }
   // Introduce ourselves to previously unconnected members on the list.
   wire::Intro intro{self.id, self.keys.pk, self.ticket};
-  const auto payload = net::make_payload(intro.serialize());
-  for (net::NodeId peer : fresh) {
-    if (peer == self.id) continue;
-    net_->send_shared(self.id, peer, net::Tag::kMember, payload);
-  }
+  net_->multicast(self.id, fresh, net::Tag::kMember, intro.serialize());
 }
 
 void Engine::on_member(NodeState& self, const net::Message& msg) {
@@ -521,7 +506,6 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
       auto lit = self.round.lead.find(sn);
       if (lit != self.round.lead.end()) {
         if (auto cert = lit->second.on_confirm(*out.confirm_to_leader)) {
-          self.round.certs[sn] = *cert;
           on_cert(self, scope, sn, *cert);
         }
       }
@@ -579,7 +563,6 @@ void Engine::on_confirm(NodeState& self, const net::Message& msg) {
   if (it == self.round.lead.end()) return;
   if (auto cert =
           it->second.on_confirm(consensus::ConfirmWire::deserialize(env.wire))) {
-    self.round.certs[env.sn] = *cert;
     on_cert(self, env.scope, env.sn, *cert);
   }
 }
@@ -590,9 +573,11 @@ void Engine::on_confirm(NodeState& self, const net::Message& msg) {
 
 void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
                      const consensus::QuorumCert& cert) {
-  // Every cert holder runs this handler; the formation instant fires only
-  // for the first holder (obs_first_cert dedups on (scope, sn)).
-  if (obs_ != nullptr && obs_first_cert(scope, sn)) {
+  // Only the instance's leader runs this handler, and LeaderInstance
+  // yields its certificate once; members bind each sn to one leader per
+  // round, so each (scope, sn) forms one certificate per round.
+  self.round.certs[sn] = cert;
+  if (obs_ != nullptr) {
     const std::uint32_t track = scope < params_.m
                                     ? obs::kTrackCommitteeBase + scope
                                     : obs::kTrackProtocol;
@@ -621,11 +606,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       }
       // Release to the whole network (§IV-G): the O(mn) burden of
       // Table II. One shared buffer serves all n-1 receivers.
-      const auto payload = net::make_payload(message);
-      for (const auto& n : nodes_) {
-        if (n.id == self.id) continue;
-        net_->send_shared(self.id, n.id, net::Tag::kBlock, payload);
-      }
+      send_to_all(self.id, net::Tag::kBlock, net::make_payload(message));
       return;
     }
     if (seq::is_reselect(sn)) {
@@ -642,26 +623,14 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
   if (self.id != committees_[scope].current_leader) return;
   const std::uint32_t k = scope;
 
-  if (seq::is_intra(sn)) {
-    // Intra-committee decision certified -> report to C_R (Alg. 5 l.19).
-    wire::CertifiedResult result;
-    result.payload = message;
-    result.cert = cert.serialize();
-    const auto payload = net::make_payload(result.serialize());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kIntraResult, payload);
-    }
-    return;
-  }
-  if (seq::is_score(sn)) {
-    // ScoreList certified -> report to C_R (§IV-E).
-    wire::CertifiedResult result;
-    result.payload = message;
-    result.cert = cert.serialize();
-    const auto payload = net::make_payload(result.serialize());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kScoreReport, payload);
-    }
+  if (seq::is_intra(sn) || seq::is_score(sn)) {
+    // Intra-committee decision (Alg. 5 l.19) or ScoreList (§IV-E)
+    // certified -> report to C_R.
+    const wire::CertifiedResult result{message, cert.serialize()};
+    send_to_referees(self.id,
+                     seq::is_intra(sn) ? net::Tag::kIntraResult
+                                       : net::Tag::kScoreReport,
+                     net::make_payload(result.serialize()));
     return;
   }
   if (seq::is_utxo(sn)) {
@@ -671,10 +640,8 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     w.u32(k);
     w.bytes(crypto::digest_to_bytes(self.utxo->digest()));
     w.bytes(cert.serialize());
-    const auto payload = net::make_payload(w.take());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kUtxoHandoff, payload);
-    }
+    send_to_referees(self.id, net::Tag::kUtxoHandoff,
+                     net::make_payload(w.take()));
     return;
   }
   if (seq::is_cross_out(sn)) {
@@ -690,9 +657,8 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     const auto payload = net::make_payload(pit->second);
     const net::NodeId dest_leader = committees_[dest].current_leader;
     net_->send_shared(self.id, dest_leader, net::Tag::kCrossTxList, payload);
-    for (net::NodeId pm : assign_.committees[dest].partial) {
-      net_->send_shared(self.id, pm, net::Tag::kCrossPartialHint, payload);
-    }
+    net_->multicast_shared(self.id, assign_.committees[dest].partial,
+                           net::Tag::kCrossPartialHint, payload);
     return;
   }
   if (seq::is_cross_in(sn)) {
@@ -708,9 +674,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     const auto payload = net::make_payload(result.serialize());
     net_->send_shared(self.id, committees_[origin].current_leader,
                       net::Tag::kCrossResult, payload);
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kCrossResult, payload);
-    }
+    send_to_referees(self.id, net::Tag::kCrossResult, payload);
     duties.cross_done.insert(origin);
     return;
   }

@@ -59,13 +59,9 @@ void Engine::leader_send_semicommit(NodeState& leader, std::uint32_t k) {
   msg.list_msg =
       crypto::make_signed(leader.keys, member_list_payload(round_, k, list));
   const auto payload = net::make_payload(msg.serialize());
-  for (net::NodeId rm : assign_.referees) {
-    net_->send_shared(leader.id, rm, net::Tag::kSemiCommit, payload);
-  }
-  for (net::NodeId pm : assign_.committees[k].partial) {
-    if (pm == leader.id) continue;
-    net_->send_shared(leader.id, pm, net::Tag::kSemiCommit, payload);
-  }
+  send_to_referees(leader.id, net::Tag::kSemiCommit, payload);
+  net_->multicast_shared(leader.id, assign_.committees[k].partial,
+                         net::Tag::kSemiCommit, payload);
 }
 
 void Engine::on_semicommit(NodeState& self, const net::Message& msg,
@@ -154,9 +150,8 @@ void Engine::relay_semicommits(net::NodeId referee,
                                const wire::SemiCommitBatch& batch) {
   const auto payload = net::make_payload(batch.serialize());
   for (const CommitteeInfo& committee : assign_.committees) {
-    for (net::NodeId km : committee.key_members()) {
-      net_->send_shared(referee, km, net::Tag::kSemiCommitAck, payload);
-    }
+    net_->multicast_shared(referee, committee.key_members(),
+                           net::Tag::kSemiCommitAck, payload);
   }
 }
 
@@ -464,9 +459,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg) {
     const auto payload = net::make_payload(forged.serialize());
     net_->send_shared(self.id, committees_[req.origin].current_leader,
                       net::Tag::kCrossResult, payload);
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kCrossResult, payload);
-    }
+    send_to_referees(self.id, net::Tag::kCrossResult, payload);
     return;
   }
   leader_handle_cross_in(self, msg.payload());
@@ -517,7 +510,8 @@ void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
   const std::uint32_t dest = result.request.dest;
   const std::uint32_t origin = result.request.origin;
   if (dest >= params_.m || origin >= params_.m) return;
-  if (committees_[dest].cross_acks[origin].contains(self.id)) return;
+  const ResultKey key{ResultKind::kCross, origin};
+  if (committees_[dest].acked_by(key, self.id)) return;
 
   // Check both certificates against both semi-commitments.
   const crypto::Digest* oc = self.round.commitments.find(origin);
@@ -531,13 +525,7 @@ void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
                  result.dest_members)) {
     return;
   }
-  auto stored = committees_[dest].cross_results.find(origin);
-  if (stored == committees_[dest].cross_results.end()) {
-    committees_[dest].cross_results[origin] = msg.payload();
-  } else if (stored->second != msg.payload()) {
-    return;  // conflicting certified payload: never ack a mismatch
-  }
-  committees_[dest].cross_acks[origin].insert(self.id);
+  committees_[dest].store_and_ack(key, msg.payload(), self.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -558,21 +546,12 @@ void Engine::on_committee_result(NodeState& self, const net::Message& msg) {
       scores ? wire::ScoreListMsg::deserialize(result.payload).committee
              : wire::IntraDecision::deserialize(result.payload).committee;
   if (k >= params_.m) return;
-  CommitteeRound& committee = committees_[k];
-  std::optional<Bytes>& stored =
-      scores ? committee.score_report : committee.intra_result;
-  std::set<net::NodeId>& acks =
-      scores ? committee.score_acks : committee.intra_acks;
-  if (acks.contains(self.id)) return;
+  const ResultKey key{scores ? ResultKind::kScore : ResultKind::kIntra, k};
+  if (committees_[k].acked_by(key, self.id)) return;
   const auto* members = self.round.lists.find(k);
   if (members == nullptr) return;
   if (!certifies(result.cert, result.payload, *members)) return;
-  if (!stored) {
-    stored = result.payload;
-  } else if (*stored != result.payload) {
-    return;  // conflicting certified payload: never ack a mismatch
-  }
-  acks.insert(self.id);
+  committees_[k].store_and_ack(key, result.payload, self.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -582,13 +561,8 @@ void Engine::on_committee_result(NodeState& self, const net::Message& msg) {
 void Engine::on_catchup_request(NodeState& self, const net::Message& msg) {
   // Only active referee seats serve state; anyone else ignores the ask.
   if (self.role != Role::kReferee || !self.is_active(round_)) return;
-  net::NodeId who = net::kNoNode;
-  try {
-    Reader r(msg.payload());
-    who = r.u32();
-  } catch (const std::exception&) {
-    return;
-  }
+  Reader r(msg.payload());
+  const net::NodeId who = r.u32();
   if (who >= nodes_.size() || who != msg.from) return;
   crypto::Digest digest = catchup_state_digest(chain_.tip().hash(),
                                                shard_state_);
@@ -607,23 +581,15 @@ void Engine::on_catchup_reply(NodeState& self, const net::Message& msg) {
   if (!self.catching_up || self.catchup_adopted) return;
   // Only current referee seats may vouch for state.
   if (!referee_seat(msg.from)) return;
-  Bytes digest_bytes;
-  try {
-    Reader r(msg.payload());
-    digest_bytes = r.bytes();
-  } catch (const std::exception&) {
-    return;
-  }
-  if (digest_bytes.size() != self.adopted_digest.size()) return;
+  Reader r(msg.payload());
+  const crypto::Digest digest = crypto::digest_from_bytes(r.bytes());
   // Tally by digest, keyed by distinct signer: duplicated deliveries of
   // one referee's reply can never fake a majority.
-  auto& backers =
-      self.catchup_tally[std::string(digest_bytes.begin(), digest_bytes.end())];
+  auto& backers = self.catchup_tally[digest];
   backers.insert(msg.from);
   if (backers.size() * 2 <= assign_.referees.size()) return;
   self.catchup_adopted = true;
-  std::copy(digest_bytes.begin(), digest_bytes.end(),
-            self.adopted_digest.begin());
+  self.adopted_digest = digest;
   CatchUpRecord record;
   record.node = self.id;
   record.round = round_;
@@ -691,9 +657,7 @@ void Engine::begin_accusation(NodeState& accuser, std::uint32_t k,
                               WitnessKind kind, Bytes witness, net::Time now) {
   if (!options_.recovery_enabled) return;
   if (accuser.round.accused_this_round) return;
-  if (committees_[k].recoveries >= kMaxRecoveriesPerCommittee) {
-    return;
-  }
+  if (committees_[k].attempt >= kMaxRecoveriesPerCommittee) return;
   accuser.round.accused_this_round = true;
   if (obs_ != nullptr) {
     obs_->trace.instant(obs::kTrackCommitteeBase + k, "accusation", "recovery",
@@ -787,10 +751,8 @@ void Engine::on_impeach_vote(NodeState& self, const net::Message& msg) {
     ImpeachmentCert cert;
     cert.accusation = *self.round.pending_accusation;
     cert.approvals = self.round.impeach_approvals;
-    const auto payload = net::make_payload(cert.serialize());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kProsecute, payload);
-    }
+    send_to_referees(self.id, net::Tag::kProsecute,
+                     net::make_payload(cert.serialize()));
     self.round.sent_prosecution = true;
   }
 }
@@ -804,7 +766,7 @@ bool Engine::referee_corroborates_timeout(const NodeState& referee,
     if (net_->phase() == net::Phase::kSemiCommit) {
       return !referee.round.commitments.contains(k);
     }
-    return !committees_[k].intra_result.has_value();
+    return !committees_[k].results.contains({ResultKind::kIntra, k});
   }
   // Cross concealment: the hint proves the origin committee produced a
   // certified list, yet no cross result for (origin -> k) arrived. A
@@ -817,7 +779,7 @@ bool Engine::referee_corroborates_timeout(const NodeState& referee,
   if (!verify_semi_commitment(*commitment, req.origin_members)) return false;
   return certifies(req.origin_cert, req.agreed_payload(),
                    req.origin_members) &&
-         !committees_[k].cross_results.contains(req.origin);
+         !committees_[k].results.contains({ResultKind::kCross, req.origin});
 }
 
 void Engine::on_prosecute(NodeState& self, const net::Message& msg,
@@ -910,9 +872,8 @@ void Engine::announce_new_leader(NodeState& referee, std::uint32_t k) {
   const auto payload = net::make_payload(announcement.serialize());
   // Alg. 6 line 4: send to every member of C_k; also inform all leaders
   // so cross-shard handling can resume safely.
-  for (net::NodeId id : committee_members(k)) {
-    net_->send_shared(referee.id, id, net::Tag::kNewLeader, payload);
-  }
+  net_->multicast_shared(referee.id, committee_members(k),
+                         net::Tag::kNewLeader, payload);
   for (std::uint32_t j = 0; j < params_.m; ++j) {
     if (j == k) continue;
     net_->send_shared(referee.id, committees_[j].current_leader,
@@ -953,7 +914,6 @@ void Engine::install_new_leader(std::uint32_t k, net::NodeId new_leader,
   committees_[k].current_leader = new_leader;
   committees_[k].duties = {};
   committees_[k].attempt += 1;
-  committees_[k].recoveries += 1;
 
   redo_leader_duties(k, now);
 }

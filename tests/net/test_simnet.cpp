@@ -47,18 +47,6 @@ TEST(SimNet, DelayRespectsLinkClass) {
   EXPECT_LE(slow, 10.0);   // within Gamma
 }
 
-TEST(SimNet, UnconnectedLinksDropAndCount) {
-  SimNet net = make_net(2);
-  net.set_link_classifier(
-      [](NodeId, NodeId) { return LinkClass::kUnconnected; });
-  bool delivered = false;
-  net.set_handler(1, [&](const Message&, Time) { delivered = true; });
-  net.send(0, 1, Tag::kConfig, {});
-  net.run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(net.dropped_sends(), 1u);
-}
-
 TEST(SimNet, DeterministicPerSeed) {
   auto run_once = [](std::uint64_t seed) {
     SimNet net(4, DelayModel{}, rng::Stream(seed));
@@ -178,14 +166,16 @@ TEST(SimNet, SendToUnknownNodeThrows) {
 }
 
 TEST(SimNet, DroppedSendsDeterministicAcrossRuns) {
-  // Non-vacuity: kUnconnected sends are counted, not silently lost, and
-  // the count is identical across repeated runs of the same seed.
+  // Non-vacuity: sends the fault plan drops (a blackout plus random
+  // wide-area loss) are counted, not silently lost, and the count is
+  // identical across repeated runs of the same seeds.
   auto run_once = [] {
     SimNet net(4, DelayModel{}, rng::Stream(11));
-    net.set_link_classifier([](NodeId from, NodeId to) {
-      return (from + to) % 2 == 0 ? LinkClass::kUnconnected
-                                  : LinkClass::kKeyMesh;
-    });
+    FaultPlan plan;
+    plan.blackouts.push_back({1, 0, 10});
+    plan.wide_area.drop = 0.3;
+    net.install_faults(std::move(plan), rng::Stream(5));
+    net.begin_round(0);
     std::uint64_t delivered = 0;
     for (NodeId i = 0; i < 4; ++i) {
       net.set_handler(i, [&](const Message&, Time) { ++delivered; });
@@ -202,7 +192,7 @@ TEST(SimNet, DroppedSendsDeterministicAcrossRuns) {
   const auto [dropped_b, delivered_b] = run_once();
   EXPECT_EQ(dropped_a, dropped_b);
   EXPECT_EQ(delivered_a, delivered_b);
-  EXPECT_GT(dropped_a, 0u);                 // some links really were cut
+  EXPECT_GT(dropped_a, 6u);                 // the blackout's 6, plus loss
   EXPECT_EQ(dropped_a + delivered_a, 12u);  // nothing silently lost
 }
 

@@ -3,11 +3,14 @@
 // Guards the zero-copy fabric, the verification cache and the batched /
 // deferred vote verification: none of them may perturb protocol
 // outcomes, message accounting or timing. The fixture serializes every
-// observable field of three rounds and compares the streams.
+// observable field of three rounds and compares the streams;
+// ReportDigestPinned also pins those streams across commits.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "protocol/engine.hpp"
 #include "support/parallel.hpp"
 #include "support/serde.hpp"
@@ -35,7 +38,9 @@ void serialize_counter(Writer& w, const net::Counter& c) {
   w.u64(c.bytes_recv);
 }
 
-Bytes serialize_report(const RoundReport& r) {
+/// Every observable field of `r`, plus the engine's flow counters and
+/// Remaining TX List size after the round.
+Bytes serialize_report(const RoundReport& r, const Engine& engine) {
   Writer w;
   w.u64(r.round);
   w.u64(r.txs_committed);
@@ -59,7 +64,36 @@ Bytes serialize_report(const RoundReport& r) {
     w.u64(c.cross_committed);
     w.boolean(c.produced_output);
     w.u64(c.recoveries);
+    w.boolean(c.severed);
   }
+  for (const auto& ev : r.catchup_events) {
+    w.u32(ev.node);
+    w.u64(ev.round);
+    w.u32(ev.attempt);
+    w.u64(ev.confirms);
+    w.boolean(ev.success);
+    w.bytes(crypto::digest_to_bytes(ev.adopted_digest));
+  }
+  const OpenLoopRoundStats& ol = r.open_loop;
+  for (std::uint64_t v : {ol.arrived, ol.admitted, ol.mempool_dropped,
+                          ol.exhausted, ol.drained, ol.backlog,
+                          ol.source_shortfall}) {
+    w.u64(v);
+  }
+  for (std::size_t v : ol.occupancy) w.u64(v);
+  for (double v : ol.latencies) w.f64(v);
+  for (std::uint32_t v : ol.latency_shards) w.u32(v);
+  const net::FaultStats& f = r.faults;
+  for (std::uint64_t v : {f.partition_dropped, f.blackout_dropped, f.lost,
+                          f.duplicated, f.reordered}) {
+    w.u64(v);
+  }
+  const RoundFlow& flow = engine.last_flow();
+  for (std::uint64_t v : {flow.offered, flow.settled, flow.committed,
+                          flow.carried, flow.dropped, flow.foreign}) {
+    w.u64(v);
+  }
+  w.u64(engine.carryover_size());
   w.f64(r.round_latency);
   w.f64(r.total_fees);
   serialize_counter(w, r.traffic_total);
@@ -88,7 +122,8 @@ std::vector<Bytes> run_fixture() {
   Engine engine(fixture_params(), AdversaryConfig{});
   std::vector<Bytes> streams;
   for (int round = 0; round < 3; ++round) {
-    streams.push_back(serialize_report(engine.run_round()));
+    const RoundReport report = engine.run_round();
+    streams.push_back(serialize_report(report, engine));
   }
   return streams;
 }
@@ -111,7 +146,7 @@ std::vector<Bytes> run_adversarial_fixture(std::size_t* recoveries = nullptr) {
   for (int round = 0; round < 3; ++round) {
     const RoundReport report = engine.run_round();
     if (recoveries) *recoveries += report.recoveries;
-    streams.push_back(serialize_report(report));
+    streams.push_back(serialize_report(report, engine));
   }
   return streams;
 }
@@ -171,8 +206,70 @@ TEST(Determinism, DifferentSeedsDiverge) {
   params.seed = 2027;
   Engine other(params, AdversaryConfig{});
   Engine reference(fixture_params(), AdversaryConfig{});
-  EXPECT_NE(serialize_report(other.run_round()),
-            serialize_report(reference.run_round()));
+  const RoundReport a = other.run_round();
+  const RoundReport b = reference.run_round();
+  EXPECT_NE(serialize_report(a, other), serialize_report(b, reference));
+}
+
+// Open-loop fixture: Poisson arrivals into small mempools, loss and
+// duplication on the wide-area links, and a node that crashes in round 2
+// and catches up from the referees in round 3, so the pinned streams
+// carry open-loop, fault and catch-up accounting.
+std::vector<Bytes> run_open_loop_fixture(
+    std::vector<RoundReport>* reports = nullptr) {
+  Params params = fixture_params();
+  // 1.2x the nominal capacity of m * txs_per_committee per round; a
+  // round is 166 Delta long (the sum of the phase durations).
+  params.arrival_rate = 1.2 * params.m * params.txs_per_committee /
+                        (166.0 * params.delays.delta);
+  params.zipf_s = 1.1;
+  params.mempool_cap = 12;
+  params.faults = {0.02, 0.01, 0.0};
+  Engine engine(params, AdversaryConfig{});
+  const net::NodeId victim = 7;
+  engine.corrupt(victim, Behavior::kCrash);
+  std::vector<Bytes> streams;
+  for (int round = 0; round < 4; ++round) {
+    if (round == 2) engine.restart(victim);
+    const RoundReport report = engine.run_round();
+    streams.push_back(serialize_report(report, engine));
+    if (reports) reports->push_back(report);
+  }
+  return streams;
+}
+
+std::string digest_of(const std::vector<Bytes>& streams) {
+  Writer w;
+  for (const Bytes& stream : streams) w.bytes(stream);
+  const crypto::Digest d = crypto::sha256(w.out());
+  return to_hex(BytesView(d.data(), d.size()));
+}
+
+// The report streams above are compared inside one build; these digests
+// pin them across commits, so a refactor that moves any reported number
+// (including the flow counters and invalid_rejected, which no golden
+// trace or bench artifact carries) fails here. A deliberate protocol
+// change updates them and says so in CHANGES.md.
+TEST(Determinism, ReportDigestPinned) {
+  EXPECT_EQ(digest_of(run_fixture()),
+            "c9a86b9ea642ed39720542ab66f2e82d4e7155d723cfbb91dd54f45037d109c6");
+  EXPECT_EQ(digest_of(run_adversarial_fixture()),
+            "81ca93f4e69d7bff13f4221ac2f4c7c6ca8820cbf21051863dd30b6c814f6282");
+  std::vector<RoundReport> reports;
+  EXPECT_EQ(digest_of(run_open_loop_fixture(&reports)),
+            "4c613c9b882b9555fdc2149e880cd588e7697dc3eecfd13219d19f21e9efa00f");
+  // Non-vacuity: the open-loop fixture reaches what it is meant to pin.
+  std::uint64_t lost = 0, mempool_dropped = 0, latencies = 0, adopted = 0;
+  for (const RoundReport& r : reports) {
+    lost += r.faults.lost;
+    mempool_dropped += r.open_loop.mempool_dropped;
+    latencies += r.open_loop.latencies.size();
+    for (const CatchUpRecord& rec : r.catchup_events) adopted += rec.success;
+  }
+  EXPECT_GT(lost, 0u);
+  EXPECT_GT(mempool_dropped, 0u);
+  EXPECT_GT(latencies, 0u);
+  EXPECT_EQ(adopted, 1u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "protocol/engine.hpp"
+#include "support/serde.hpp"
 
 namespace cyc::protocol {
 namespace {
@@ -47,6 +48,36 @@ TEST(CrashRestart, AdoptsHonestReplayDigestAndRejoins) {
   EXPECT_TRUE(rec.adopted_digest == expected);
   // Still parked while catching up; rejoins the next round.
   EXPECT_FALSE(engine.active(victim, r3.round));
+  const RoundReport r4 = engine.run_round();
+  EXPECT_TRUE(engine.active(victim, r4.round));
+}
+
+TEST(CrashRestart, MalformedCatchUpTrafficIsDropped) {
+  Engine engine(small_params(1), {});
+  const net::NodeId victim = 3;
+  engine.corrupt(victim, Behavior::kCrash);  // effective round 2
+  engine.run_round();
+  engine.run_round();
+  engine.restart(victim);
+  // Queued now, both land early in round 3: a request whose node id is
+  // cut short, to a referee seat, and a reply whose digest is cut short,
+  // from a referee seat to the catching-up node. Both must be dropped
+  // without disturbing the round or the honest catch-up.
+  const net::NodeId referee = engine.assignment().referees.front();
+  engine.net_mut().send(victim, referee, net::Tag::kCatchUpRequest,
+                        Bytes{0x00, 0x00});
+  Writer reply;
+  reply.bytes(Bytes(32, 0xab));
+  Bytes truncated = reply.take();
+  truncated.resize(truncated.size() - 5);
+  engine.net_mut().send(referee, victim, net::Tag::kCatchUpReply, truncated);
+
+  const RoundReport r3 = engine.run_round();
+  EXPECT_EQ(r3.round, 3u);
+  EXPECT_EQ(r3.invalid_committed, 0u);
+  ASSERT_EQ(r3.catchup_events.size(), 1u);
+  EXPECT_EQ(r3.catchup_events.front().node, victim);
+  EXPECT_TRUE(r3.catchup_events.front().success);
   const RoundReport r4 = engine.run_round();
   EXPECT_TRUE(engine.active(victim, r4.round));
 }
