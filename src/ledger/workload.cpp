@@ -133,7 +133,6 @@ Transaction WorkloadGenerator::make_valid_tx_from(std::size_t spender,
   sign_tx(tx, users_[spender].sk);
 
   in_flight_[key_of(tx.id())] = {input};
-  ground_truth_[key_of(tx.id())] = true;
   return tx;
 }
 
@@ -189,7 +188,6 @@ Transaction WorkloadGenerator::make_invalid_tx(InvalidKind kind) {
       break;
     }
   }
-  ground_truth_[key_of(tx.id())] = false;
   return tx;
 }
 
@@ -250,8 +248,7 @@ void WorkloadGenerator::mark_rejected(const Transaction& tx) {
 }
 
 bool WorkloadGenerator::is_ground_truth_valid(const TxId& id) const {
-  auto it = ground_truth_.find(key_of(id));
-  return it != ground_truth_.end() && it->second;
+  return in_flight_.contains(key_of(id));
 }
 
 }  // namespace cyc::ledger

@@ -119,7 +119,10 @@ class WorkloadGenerator {
   std::uint32_t shards() const { return config_.shards; }
   const WorkloadConfig& config() const { return config_; }
 
-  /// True ground truth: whether the generator built `tx` as a valid spend.
+  /// Whether `id` is a valid spend this generator built that is still in
+  /// flight: neither committed nor rejected. Invalid injections never
+  /// enter the in-flight table, so for an offered transaction that has
+  /// not settled this is its ground truth.
   bool is_ground_truth_valid(const TxId& id) const;
 
  private:
@@ -150,7 +153,6 @@ class WorkloadGenerator {
   std::vector<std::deque<Spendable>> pool_;
   // Inputs consumed by in-flight txs: txid -> consumed spendables.
   std::unordered_map<std::string, std::vector<Spendable>> in_flight_;
-  std::unordered_map<std::string, bool> ground_truth_;
   std::uint64_t shortfall_ = 0;
 };
 

@@ -111,6 +111,41 @@ TEST(InvariantChecker, FlagsDroppedOutputInShardView) {
   EXPECT_TRUE(has_invariant(checker.violations(), "utxo-mirror-digest"));
 }
 
+TEST(InvariantChecker, FlagsInvalidTxReportedInTheBlock) {
+  Engine engine(small_params(45), AdversaryConfig{});
+  InvariantChecker checker(engine);
+  auto report = engine.run_round();
+  ASSERT_EQ(report.invalid_committed, 0u);
+  // The report admits one ground-truth-invalid transaction in B^r.
+  report.invalid_committed = 1;
+  EXPECT_GT(checker.check_round(report), 0u);
+  for (const auto& v : checker.violations()) {
+    EXPECT_EQ(v.invariant, "safety-invalid-committed") << v.detail;
+  }
+}
+
+TEST(InvariantChecker, FlagsReportThatDisagreesWithTheBlockHeader) {
+  Engine engine(small_params(47), AdversaryConfig{});
+  InvariantChecker checker(engine);
+  auto report = engine.run_round();
+  ASSERT_GT(report.txs_committed, 0u);
+  // The report counts one transaction fewer than the header holds.
+  report.txs_committed -= 1;
+  checker.check_round(report);
+  EXPECT_TRUE(has_invariant(checker.violations(), "block-body"));
+}
+
+TEST(InvariantChecker, FlagsChainThatDidNotAdvance) {
+  Engine engine(small_params(48), AdversaryConfig{});
+  InvariantChecker checker(engine);
+  const auto report = engine.run_round();
+  EXPECT_EQ(checker.check_round(report), 0u);
+  // Checking the same round again: the chain is one block short of the
+  // height the checker expects.
+  checker.check_round(report);
+  EXPECT_TRUE(has_invariant(checker.violations(), "chain-linkage"));
+}
+
 TEST(InvariantChecker, StaticDigestCheckSeesDivergence) {
   const auto map = std::make_shared<const ledger::ShardMap>(2);
   std::vector<ledger::UtxoStore> state, mirror;
