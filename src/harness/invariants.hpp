@@ -34,9 +34,10 @@
 //   honest-reputation-cliff      honest reputation never takes a conviction-
 //                                sized drop (vote scores are bounded by 1)
 //   subblock-in-block            every transaction of a released §VIII-B
-//                                sub-block is in B^r, unless B^r spends one
-//                                of its inputs (the block-level double-spend
-//                                guard kept the other spend)
+//                                sub-block is in B^r
+//   member-view-digest           every active, unimpaired member ends the
+//                                round on a view equal to its shard's
+//                                authoritative store (parked under loss)
 //
 // Fault-fabric invariants (partitions / crash-restart, src/net/faults.*):
 //   partition-no-straddle        a committee severed below referee quorum
@@ -142,9 +143,8 @@ class InvariantChecker {
                                   std::uint64_t round,
                                   std::vector<Violation>& out);
 
-  /// §VIII-B: members adopt a released sub-block before B^r exists, so
-  /// each of its transactions must reach B^r — or lose a double spend to
-  /// a B^r transaction, which the block-level guard resolves.
+  /// §VIII-B: members adopt a released sub-block before B^r reaches the
+  /// chain, so each of its transactions must be in B^r.
   static void check_subblocks(const std::vector<protocol::SubBlock>& subblocks,
                               const ledger::Block& block, std::uint64_t round,
                               std::vector<Violation>& out);
@@ -225,6 +225,7 @@ class InvariantChecker {
   void check_recovery(const protocol::RoundReport& report);
   void check_liveness(const protocol::RoundReport& report);
   void check_reputation(const protocol::RoundReport& report);
+  void check_member_views(const protocol::RoundReport& report);
 
   void add(std::string invariant, std::uint64_t round, std::string detail) {
     violations_.push_back({std::move(invariant), round, std::move(detail)});

@@ -9,8 +9,8 @@
 #include <cmath>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
-#include "crypto/merkle.hpp"
 #include "crypto/pow.hpp"
 #include "crypto/pvss.hpp"
 #include "crypto/schnorr.hpp"
@@ -978,19 +978,6 @@ double Engine::storage_proxy(const NodeState& n) const {
   return bytes;
 }
 
-void Engine::for_each_acked_result(
-    std::uint32_t k, const AckedResultVisitor& visit) const {
-  for (const auto& [key, result] : committees_[k].results) {
-    const auto [kind, origin] = key;
-    if (kind == ResultKind::kScore) break;  // not block content
-    if (!referee_quorum(result.acks)) continue;
-    visit(origin, kind == ResultKind::kCross,
-          kind == ResultKind::kIntra
-              ? wire::IntraDecision::deserialize(result.payload).txdec_set
-              : wire::CrossResultMsg::deserialize(result.payload).request.txs);
-  }
-}
-
 void Engine::adopt_quorum_scores() {
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     const auto& results = committees_[k].results;
@@ -1011,17 +998,7 @@ void Engine::finalize_round(RoundReport& report) {
   report.catchup_events = catchup_log_;
   report.faults = net_->stats().faults();
 
-  // --- Collect committed transactions from the referee's view. ---
-  std::vector<ledger::Transaction> committed;
-  // Every transaction of an acked result, committed or not.
-  std::unordered_set<ledger::TxId, ledger::TxIdHash> settled;
-  // Block-level double-spend guard: two certified transactions spending
-  // the same outpoint can reach C_R (e.g. one intra, one cross); "at
-  // least one of them will be regarded as illegal" (§VIII-B), so the
-  // first wins and the second is rejected here.
-  std::unordered_set<ledger::OutPoint, ledger::OutPointHash> spent_in_block;
   report.committees.resize(params_.m);
-  std::vector<bool> leader_earns_bonus(params_.m, false);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     auto& stats = report.committees[k];
     stats.committee = k;
@@ -1030,78 +1007,60 @@ void Engine::finalize_round(RoundReport& report) {
     stats.txs_listed =
         committees_[k].intra_list.size() + committees_[k].cross_list.size();
     report.txs_offered += stats.txs_listed;
-
-    for_each_acked_result(k, [&](std::uint32_t origin, bool cross,
-                                 const std::vector<ledger::Transaction>& txs) {
-      auto& origin_stats = report.committees[origin];
-      for (const auto& tx : txs) {
-        const ledger::TxId id = tx.id();
-        if (!settled.insert(id).second) continue;
-        if (std::any_of(tx.inputs.begin(), tx.inputs.end(),
-                        [&](const ledger::OutPoint& in) {
-                          return spent_in_block.contains(in);
-                        })) {
-          report.invalid_rejected += 1;
-          arrival_times_.erase(id);  // will never commit (open loop only)
-          continue;
-        }
-        // Safety accounting: a ground-truth-invalid transaction reaching
-        // the block is a protocol failure.
-        const std::uint32_t shard = ledger::input_shard(tx, *shard_map_);
-        if (!ledger::V(tx, shard_state_[shard])) {
-          report.invalid_committed += 1;
-          arrival_times_.erase(id);
-          continue;
-        }
-        for (const auto& in : tx.inputs) spent_in_block.insert(in);
-        committed.push_back(tx);
-        origin_stats.txs_committed += 1;
-        if (cross) {
-          origin_stats.cross_committed += 1;
-          report.cross_committed += 1;
-        } else {
-          report.intra_committed += 1;
-        }
-      }
-      origin_stats.produced_output = true;
-      if (!cross) leader_earns_bonus[k] = true;
-    });
   }
 
+  // Take B^r out of block_ (a permit delivered after the round finds
+  // nothing to release) and append it, linkage checked by Chain::append.
+  RoundBlock assembled = std::exchange(block_, RoundBlock{});
+  const bool ok = chain_.append(assembled.block);
+  (void)ok;  // structurally guaranteed; validated again by tests
+  last_block_ = std::move(assembled.block);  // chain keeps headers only
+
+  // --- Count B^r as phase_block assembled it. ---
+  const std::vector<ledger::Transaction>& committed = last_block_.txs;
+  for (const auto& result : assembled.results) {
+    auto& origin_stats = report.committees[result.origin];
+    const std::size_t kept = result.end - result.begin;
+    origin_stats.txs_committed += kept;
+    origin_stats.produced_output = true;
+    if (result.cross) {
+      origin_stats.cross_committed += kept;
+      report.cross_committed += kept;
+    } else {
+      report.intra_committed += kept;
+    }
+  }
+  report.invalid_rejected = assembled.rejected;
   report.txs_committed = committed.size();
   report.block_void = committed.empty();
-
-  // Append B^r to the chain (header linkage checked by Chain::append).
-  {
-    ledger::Block block = ledger::Block::build(
-        chain_.tip().round + 1, chain_.tip().hash(), next_randomness_,
-        committed);
-    const bool ok = chain_.append(block);
-    (void)ok;  // structurally guaranteed; validated again by tests
-    last_block_ = std::move(block);  // chain keeps headers only
-  }
 
   // --- Apply the block to the authoritative per-shard state. ---
   // Each store applies its slice of the committed list in block order (a
   // tx outside the slice is a no-op for the store), taking a tx's fee
   // just before the apply on its input shard — against the store after
   // txs 0..i-1 applied. The fees are then summed in block order.
-  const ledger::RoutedBlock routed(std::move(committed), *shard_map_);
-  const std::vector<ledger::Transaction>& block_txs = routed.txs();
-  std::vector<double> fees(block_txs.size(), 0.0);
+  const ledger::RoutedBlock routed(committed, *shard_map_);
+  // Safety accounting: a ground-truth-invalid transaction in B^r is a
+  // protocol failure, committed like any other and counted here.
+  for (std::size_t i = 0; i < committed.size(); ++i) {
+    if (!ledger::V(committed[i], shard_state_[routed.input_shard(i)])) {
+      report.invalid_committed += 1;
+    }
+  }
+  std::vector<double> fees(committed.size(), 0.0);
   for (std::size_t s = 0; s < shard_state_.size(); ++s) {
     auto& store = shard_state_[s];
     for (std::uint32_t i : routed.slice(static_cast<ledger::ShardId>(s))) {
       if (routed.input_shard(i) == s) {
-        fees[i] = static_cast<double>(ledger::tx_fee(block_txs[i], store));
+        fees[i] = static_cast<double>(ledger::tx_fee(committed[i], store));
       }
-      store.apply(block_txs[i], routed.ids()[i]);
+      store.apply(committed[i], routed.ids()[i]);
     }
   }
   double total_fees = 0.0;
-  for (std::size_t i = 0; i < block_txs.size(); ++i) {
+  for (std::size_t i = 0; i < committed.size(); ++i) {
     total_fees += fees[i];
-    workload_->mark_committed(block_txs[i]);
+    workload_->mark_committed(committed[i]);
   }
   report.total_fees = total_fees;
 
@@ -1123,7 +1082,7 @@ void Engine::finalize_round(RoundReport& report) {
         const ledger::TxId id = tx.id();
         if (!offered.insert(id).second) continue;
         last_flow_.offered += 1;
-        if (settled.contains(id)) {
+        if (assembled.settled.contains(id)) {
           last_flow_.settled += 1;
         } else if (workload_->is_ground_truth_valid(id)) {
           carryover_.push_back(tx);
@@ -1139,7 +1098,7 @@ void Engine::finalize_round(RoundReport& report) {
       }
     }
   }
-  last_flow_.foreign = settled.size() - last_flow_.settled;
+  last_flow_.foreign = assembled.settled.size() - last_flow_.settled;
 
   // --- Open-loop latency accounting. --- Every committed transaction's
   // end-to-end latency is its block-commit stamp (the end of this
@@ -1148,7 +1107,7 @@ void Engine::finalize_round(RoundReport& report) {
   // extra rounds they wait.
   if (open_loop()) {
     openloop_round_.source_shortfall = workload_->shortfall();
-    for (std::size_t i = 0; i < block_txs.size(); ++i) {
+    for (std::size_t i = 0; i < committed.size(); ++i) {
       const auto it = arrival_times_.find(routed.ids()[i]);
       if (it == arrival_times_.end()) continue;  // e.g. genesis carryover
       openloop_round_.latencies.push_back(openloop_clock_ - it->second);
@@ -1165,9 +1124,9 @@ void Engine::finalize_round(RoundReport& report) {
     if (convicted_leaders_.contains(id)) continue;
     nodes_[id].reputation += delta;
   }
-  for (std::uint32_t k = 0; k < params_.m; ++k) {
-    const net::NodeId leader = committees_[k].current_leader;
-    if (leader_earns_bonus[k] && !convicted_leaders_.contains(leader)) {
+  for (const auto& result : assembled.results) {
+    const net::NodeId leader = committees_[result.committee].current_leader;
+    if (!result.cross && !convicted_leaders_.contains(leader)) {
       nodes_[leader].reputation += kLeaderBonus;
     }
   }

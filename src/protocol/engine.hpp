@@ -13,12 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -123,7 +123,8 @@ struct RoundFlow {
   std::uint64_t foreign = 0;    ///< result txs absent from every list
 };
 
-/// A §VIII-B sub-block as its permitted leader released it.
+/// A §VIII-B sub-block as its permitted leader released it: committee
+/// `committee`'s part of B^r, in block order.
 struct SubBlock {
   std::uint32_t committee = 0;
   std::vector<ledger::Transaction> txs;
@@ -175,8 +176,8 @@ class Engine {
   /// may have replaced leaders mid-round; `assignment()` already points
   /// at the next round after run_round returns).
   const RoundAssignment& last_assignment() const { return last_assign_; }
-  /// The full block B^r of the last completed round (the chain itself
-  /// only retains headers).
+  /// The full block B^r of the last completed round: the body phase_block
+  /// assembled and C_R released (the chain itself only retains headers).
   const ledger::Block& last_block() const { return last_block_; }
   /// The semi-commitment `id` holds for committee `k` in the current or
   /// last completed round — accepted from SEMI_COM (a referee) or relayed
@@ -589,16 +590,6 @@ class Engine {
   bool referee_quorum(const std::set<net::NodeId>& acks) const {
     return acks.size() * 2 > assign_.referees.size();
   }
-  /// (origin committee, is a cross result, transactions).
-  using AckedResultVisitor = std::function<void(
-      std::uint32_t, bool, const std::vector<ledger::Transaction>&)>;
-  /// The referee-quorum rule for stored results: visit committee k's
-  /// results that a majority of referees acked, in block order — its
-  /// intra decision (origin k), then its cross results by origin. A
-  /// result stranded on a minority island of a partitioned C_R is
-  /// skipped.
-  void for_each_acked_result(std::uint32_t k,
-                             const AckedResultVisitor& visit) const;
   /// Recompute, for every committee, whether an active partition /
   /// blackout schedule severs it from quorum this round.
   void compute_severed();
@@ -736,6 +727,25 @@ class Engine {
   std::vector<ledger::UtxoStore> shard_state_;
   ledger::Chain chain_;
   ledger::Block last_block_;       // full body of the newest chain block
+  // B^r of the current round, assembled once by phase_block from the
+  // referee-quorum results in block order. The kBlock proposal, the
+  // §VIII-B sub-blocks and finalize_round all read it, so every member
+  // view that adopts it ends the round equal to the chain.
+  struct RoundBlock {
+    ledger::Block block;
+    /// Every acked result, empty ones too (produced_output and the leader
+    /// bonus read them), and the transactions it kept: txs[begin, end).
+    struct Result {
+      std::uint32_t committee = 0, origin = 0;  // table holder, producer
+      bool cross = false;
+      std::size_t begin = 0, end = 0;
+    };
+    std::vector<Result> results;
+    /// Every transaction of an acked result, kept or not.
+    std::unordered_set<ledger::TxId, ledger::TxIdHash> settled;
+    std::size_t rejected = 0;  ///< later spends of a spent outpoint
+  };
+  RoundBlock block_;
   RoundAssignment last_assign_;    // assignment the last round started with
   RoundFlow last_flow_;            // §IV-G conservation counters
   std::vector<SubBlock> released_subblocks_;  // §VIII-B, this round

@@ -6,7 +6,6 @@
 #include "protocol/engine.hpp"
 #include "protocol/payloads.hpp"
 #include "protocol/sn_layout.hpp"
-#include "crypto/merkle.hpp"
 #include "crypto/pow.hpp"
 #include "obs/observer.hpp"
 #include "support/parallel.hpp"
@@ -176,25 +175,50 @@ void Engine::phase_selection(net::Time at) {
 
 void Engine::phase_block(net::Time at) {
   enter_phase(net::Phase::kBlock, at);
-  // The designated referee proposes the block content; C_R agrees via
-  // Algorithm 3; on certification the block is released to everyone.
-  const net::NodeId proposer = designated_referee(seq::kBlock);
-  NodeState& referee = nodes_[proposer];
-  wire::BlockMsg block;
-  block.round = round_;
-  // Only results a majority of referees acked enter the proposal.
+  // B^r, assembled once: for k = 0..m-1, committee k's results that a
+  // majority of referees acked, in block order (intra decision, then
+  // cross results by origin); one stranded on a minority island of a
+  // partitioned C_R is skipped. A tx id counts once, and the first spend
+  // of an outpoint wins (§VIII-B: of two certified spends, "at least one
+  // of them will be regarded as illegal").
+  std::vector<ledger::Transaction> body;
+  std::unordered_set<ledger::OutPoint, ledger::OutPointHash> spent;
   for (std::uint32_t k = 0; k < params_.m; ++k) {
-    for_each_acked_result(k, [&](std::uint32_t, bool,
-                                 const std::vector<ledger::Transaction>& txs) {
-      block.txs.insert(block.txs.end(), txs.begin(), txs.end());
-    });
+    for (const auto& [key, result] : committees_[k].results) {
+      const auto [kind, origin] = key;
+      if (kind == ResultKind::kScore) break;  // not block content
+      if (!referee_quorum(result.acks)) continue;
+      const bool cross = kind == ResultKind::kCross;
+      const std::vector<ledger::Transaction> txs =
+          cross ? wire::CrossResultMsg::deserialize(result.payload).request.txs
+                : wire::IntraDecision::deserialize(result.payload).txdec_set;
+      const std::size_t begin = body.size();
+      for (const auto& tx : txs) {
+        const ledger::TxId id = tx.id();
+        if (!block_.settled.insert(id).second) continue;
+        if (std::any_of(tx.inputs.begin(), tx.inputs.end(),
+                        [&](const ledger::OutPoint& in) {
+                          return spent.contains(in);
+                        })) {
+          block_.rejected += 1;
+          arrival_times_.erase(id);  // will never commit (open loop only)
+          continue;
+        }
+        spent.insert(tx.inputs.begin(), tx.inputs.end());
+        body.push_back(tx);
+      }
+      block_.results.push_back({k, origin, cross, begin, body.size()});
+    }
   }
-  block.randomness = next_randomness_;
-  std::vector<Bytes> leaves;
-  leaves.reserve(block.txs.size());
-  for (const auto& tx : block.txs) leaves.push_back(tx.serialize());
-  block.body_root = crypto::MerkleTree(leaves).root();
-  leader_start_instance(referee, params_.m, seq::kBlock, block.serialize());
+  block_.block = ledger::Block::build(chain_.tip().round + 1,
+                                      chain_.tip().hash(), next_randomness_,
+                                      std::move(body));
+  // The designated referee proposes B^r; C_R agrees via Algorithm 3; on
+  // certification the block is released to everyone.
+  const wire::BlockMsg proposal{round_, block_.block.txs, next_randomness_,
+                                block_.block.header.body_root};
+  leader_start_instance(nodes_[designated_referee(seq::kBlock)], params_.m,
+                        seq::kBlock, proposal.serialize());
   // Committee leaders also certify their final UTXO list for hand-off to
   // the next round's partial sets (§IV-G).
   for (std::uint32_t k = 0; k < params_.m; ++k) {
@@ -309,18 +333,23 @@ void Engine::on_block_permit(NodeState& self, const net::Message& msg) {
   const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
   if (self.id != committees_[k].current_leader) return;
   if (released_subblock(self.id)) return;  // once per round
-  // The sub-block holds exactly the results B^r takes from committee k:
-  // those a majority of referees acked, in block order.
   wire::BlockMsg sub;
   sub.round = round_;
-  for_each_acked_result(k, [&](std::uint32_t, bool,
-                               const std::vector<ledger::Transaction>& txs) {
-    sub.txs.insert(sub.txs.end(), txs.begin(), txs.end());
-  });
+  const auto& txs = block_.block.txs;
+  for (const auto& result : block_.results) {
+    if (result.committee != k) continue;
+    sub.txs.insert(sub.txs.end(), txs.begin() + result.begin,
+                   txs.begin() + result.end);
+  }
   if (sub.txs.empty()) return;
   sub.randomness = next_randomness_;
   released_subblocks_.push_back({k, sub.txs, self.id});
-  send_to_all(self.id, net::Tag::kSubBlock, net::make_payload(sub.serialize()));
+  const net::Message release{self.id, self.id, net::Tag::kSubBlock,
+                             net::make_payload(sub.serialize())};
+  send_to_all(self.id, release.tag, release.body);
+  // send_to_all skips the sender: the leader adopts its own sub-block
+  // through the receivers' path, sharing their decode and successors.
+  on_block(self, release);
 }
 
 void Engine::on_block(NodeState& self, const net::Message& msg) {

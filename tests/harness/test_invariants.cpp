@@ -9,6 +9,7 @@
 #include "epoch/manager.hpp"
 #include "harness/invariants.hpp"
 #include "ledger/validator.hpp"
+#include "protocol/payloads.hpp"
 
 namespace cyc::harness {
 namespace {
@@ -144,6 +145,33 @@ TEST(InvariantChecker, FlagsChainThatDidNotAdvance) {
   // height the checker expects.
   checker.check_round(report);
   EXPECT_TRUE(has_invariant(checker.violations(), "chain-linkage"));
+}
+
+TEST(InvariantChecker, FlagsMemberThatAdoptsAnUnguardedBody) {
+  Engine engine(small_params(49), AdversaryConfig{});
+  InvariantChecker checker(engine);
+  const auto report = engine.run_round();
+  ASSERT_FALSE(engine.last_block().txs.empty());
+  // A second spend of a B^r transaction's input, paying the spender:
+  // what the block-level guard keeps out of B^r. A referee seat releases
+  // it to one member of the spender's committee, and the member adopts it.
+  const ledger::Transaction& kept = engine.last_block().txs.front();
+  ledger::Transaction second = kept;
+  second.outputs = {{kept.spender, 1}};
+  protocol::wire::BlockMsg unguarded;
+  unguarded.round = report.round;
+  unguarded.txs = {second};
+  const auto shard = ledger::input_shard(kept, *engine.shard_map());
+  const net::NodeId member =
+      engine.last_assignment().committees[shard].commons.front();
+  engine.net_mut().send(engine.assignment().referees.front(), member,
+                        net::Tag::kBlock, unguarded.serialize());
+  engine.net_mut().run(engine.net().now() + 10.0);
+
+  EXPECT_GT(checker.check_round(report), 0u);
+  for (const auto& v : checker.violations()) {
+    EXPECT_EQ(v.invariant, "member-view-digest") << v.detail;
+  }
 }
 
 TEST(InvariantChecker, StaticDigestCheckSeesDivergence) {
@@ -321,7 +349,8 @@ TEST(InvariantChecker, ParallelBlockRunKeepsSubBlocksInsideTheBlock) {
 TEST(InvariantChecker, FlagsSubBlockTxOutsideTheBlock) {
   ForgeFixture fx;
   const auto kept = make_spend(fx.owner, fx.funded, fx.receiver.pk, 90);
-  // The losing half of a double spend against a block transaction.
+  // The losing half of a double spend against a block transaction: a
+  // sub-block is a slice of the guarded B^r, so it never holds one.
   const auto conflicting = make_spend(fx.owner, fx.funded, fx.receiver.pk, 80);
   ledger::OutPoint other;
   other.tx = crypto::sha256(bytes_of("unacked-result"));
@@ -329,11 +358,14 @@ TEST(InvariantChecker, FlagsSubBlockTxOutsideTheBlock) {
   const auto block = ledger::Block::build(1, crypto::Digest{}, crypto::Digest{},
                                           {kept});
   std::vector<Violation> out;
-  InvariantChecker::check_subblocks({{0, {kept, conflicting}}}, block, 1, out);
+  InvariantChecker::check_subblocks({{0, {kept}}}, block, 1, out);
   EXPECT_TRUE(out.empty());
-  InvariantChecker::check_subblocks({{1, {stray}}}, block, 1, out);
+  InvariantChecker::check_subblocks({{0, {kept, conflicting}}}, block, 1, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].invariant, "subblock-in-block");
+  InvariantChecker::check_subblocks({{1, {stray}}}, block, 1, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].invariant, "subblock-in-block");
 }
 
 TEST(InvariantChecker, EpochBoundaryStaysGreenOnHonestRun) {

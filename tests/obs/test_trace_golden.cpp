@@ -24,7 +24,7 @@ namespace {
 constexpr const char* kHonestSmallDigest =
     "ff7ff49bb99646d78ce574a55e823a0726284b2d38c26486feae0b09a2715d82";
 constexpr const char* kLossyWanDigest =
-    "df2041041185454e68bec2f3a35da15f7b9e2b86109146a3917eccb0b5133daf";
+    "6cd72a9cebc62e637ac9059f490b1229b036bec4bdef70c70d709b8802883124";
 constexpr const char* kForcedCorruptLeadersDigest =
     "ef336cdaa6908f9177ff41763d30170c77c52816be0ba0608c43d128734acdeb";
 

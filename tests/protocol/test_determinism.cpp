@@ -252,12 +252,12 @@ std::string digest_of(const std::vector<Bytes>& streams) {
 // change updates them and says so in CHANGES.md.
 TEST(Determinism, ReportDigestPinned) {
   EXPECT_EQ(digest_of(run_fixture()),
-            "c9a86b9ea642ed39720542ab66f2e82d4e7155d723cfbb91dd54f45037d109c6");
+            "13e4e0690e208997cd57ba3cca92d47a2360e3b3f4d8f0b0e2e58a2d9e553dea");
   EXPECT_EQ(digest_of(run_adversarial_fixture()),
-            "81ca93f4e69d7bff13f4221ac2f4c7c6ca8820cbf21051863dd30b6c814f6282");
+            "c170375dd6044c05a77861b7d90221b02d15c4db4ef2dd500b761e3ef12a4175");
   std::vector<RoundReport> reports;
   EXPECT_EQ(digest_of(run_open_loop_fixture(&reports)),
-            "4c613c9b882b9555fdc2149e880cd588e7697dc3eecfd13219d19f21e9efa00f");
+            "55767aaef7b3e131a44c0501ec9844a12b36b0e446b8b1cdc2a406282079b737");
   // Non-vacuity: the open-loop fixture reaches what it is meant to pin.
   std::uint64_t lost = 0, mempool_dropped = 0, latencies = 0, adopted = 0;
   for (const RoundReport& r : reports) {

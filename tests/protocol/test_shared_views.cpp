@@ -1,6 +1,7 @@
 // Shared member views: the released block is decoded once per payload,
-// members of a committee share one immutable view, and a member that
-// misses the release keeps its round-start view.
+// members of a committee share one immutable view, a member that misses
+// the release keeps its round-start view, and every other member ends the
+// round on its shard's chain state.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -99,6 +100,35 @@ TEST(SharedViews, MemberThatMissesTheReleaseKeepsItsRoundStartView) {
   EXPECT_EQ(kept.outpoints(), round_start_state.outpoints());
   EXPECT_EQ(engine.member_view(peer).digest(), post_block);
   EXPECT_NE(&engine.member_view(victim), &engine.member_view(peer));
+}
+
+TEST(SharedViews, MemberViewsEqualTheChainWhenTheGuardFires) {
+  // Seed 1's first round certifies two spends of one outpoint, and B^r
+  // keeps only the first (§VIII-B). Members must adopt that B^r, whether
+  // C_R releases it whole or each leader releases its committee's part.
+  Params p = params_for(3, 1);
+  p.c = 9;
+  p.lambda = 3;
+  p.txs_per_committee = 8;
+  p.cross_shard_fraction = 0.3;
+  p.invalid_fraction = 0.15;
+  p.users = 60;
+  for (bool parallel_blocks : {false, true}) {
+    EngineOptions options;
+    options.extension_parallel_blocks = parallel_blocks;
+    Engine engine(p, AdversaryConfig{}, options);
+    const RoundReport report = engine.run_round();
+    // Rejections beyond the ground-truth drops are the guard's.
+    ASSERT_GT(report.invalid_rejected - engine.last_flow().dropped, 0u);
+    for (const auto& committee : engine.last_assignment().committees) {
+      for (net::NodeId id : committee.all_members()) {
+        EXPECT_EQ(engine.member_view(id).digest(),
+                  engine.shard_state()[committee.id].digest())
+            << "member " << id << " of committee " << committee.id
+            << (parallel_blocks ? ", sub-blocks" : ", one block");
+      }
+    }
+  }
 }
 
 }  // namespace
