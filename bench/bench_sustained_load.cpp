@@ -50,13 +50,6 @@ protocol::Params base_params() {
   return params;
 }
 
-double round_duration(const protocol::Params& p) {
-  return (p.config_duration + p.semicommit_duration + p.intra_duration +
-          p.inter_duration + p.reputation_duration + p.selection_duration +
-          p.block_duration) *
-         p.delays.delta;
-}
-
 struct Point {
   double load_factor = 0;
   double offered_rate = 0;       ///< arrivals per unit simulated time
@@ -82,7 +75,7 @@ Point measure(double load_factor) {
   protocol::Params params = base_params();
   const double capacity_rate =
       static_cast<double>(params.m * params.txs_per_committee) /
-      round_duration(params);
+      params.round_duration();
   params.arrival_rate = load_factor * capacity_rate;
 
   protocol::Engine engine(params, protocol::AdversaryConfig{});
@@ -91,7 +84,7 @@ Point measure(double load_factor) {
   Point p;
   p.load_factor = load_factor;
   p.offered_rate = params.arrival_rate;
-  p.offered_per_round = params.arrival_rate * round_duration(params);
+  p.offered_per_round = params.arrival_rate * params.round_duration();
 
   std::vector<double> latencies;
   for (const auto& r : report.rounds) {
@@ -148,7 +141,7 @@ protocol::Params skew_params() {
   params.mempool_cap = kSkewMempoolCap;
   const double capacity_rate =
       static_cast<double>(params.m * params.txs_per_committee) /
-      round_duration(params);
+      params.round_duration();
   params.arrival_rate = kSkewLoadFactor * capacity_rate;
   return params;
 }
@@ -234,7 +227,7 @@ int main(int argc, char** argv) {
   const protocol::Params base = base_params();
   std::printf("=== Sustained load: latency and goodput vs offered load ===\n");
   std::printf("capacity: %u tx/round over a %.0f-unit round\n",
-              base.m * base.txs_per_committee, round_duration(base));
+              base.m * base.txs_per_committee, base.round_duration());
   std::printf("%-6s %-12s %-12s %-6s %-9s %-9s %-9s %-8s %-8s\n", "load",
               "offered/rnd", "goodput/rnd", "util", "p50", "p99", "p999",
               "dropped", "backlog");
@@ -273,7 +266,7 @@ int main(int argc, char** argv) {
     json.field("users", base.users);
     json.field("zipf_s", base.zipf_s);
     json.field("mempool_cap", base.mempool_cap);
-    json.field("round_duration", round_duration(base));
+    json.field("round_duration", base.round_duration());
     json.field("capacity_per_round",
                static_cast<std::uint64_t>(base.m * base.txs_per_committee));
     json.field("seed", base.seed);

@@ -408,21 +408,6 @@ std::vector<ScenarioSpec> build_matrix(const MatrixAxes& axes) {
   if (capacities.empty()) {
     capacities.push_back({axes.base.capacity_min, axes.base.capacity_max});
   }
-  // The newer axes keep legacy scenario names stable: an empty axis
-  // contributes the base value and no name segment.
-  const bool shapes_swept = !axes.committee_shapes.empty();
-  auto shapes = axes.committee_shapes;
-  if (shapes.empty()) shapes.push_back({axes.base.m, axes.base.c});
-  const bool invalid_swept = !axes.invalid_fractions.empty();
-  auto invalids = axes.invalid_fractions;
-  if (invalids.empty()) invalids.push_back(axes.base.invalid_fraction);
-  const bool epochs_swept = !axes.epoch_points.empty();
-  auto epoch_points = axes.epoch_points;
-  if (epoch_points.empty()) epoch_points.push_back({1, 0.0});
-  const bool rebalance_swept = !axes.rebalance_modes.empty();
-  auto rebalances = axes.rebalance_modes;
-  if (rebalances.empty()) rebalances.push_back(axes.base.rebalance);
-
   const auto fmt = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%g", v);
@@ -434,46 +419,20 @@ std::vector<ScenarioSpec> build_matrix(const MatrixAxes& axes) {
     for (const auto& [delay_name, delay] : delays) {
       for (const double frac : cross) {
         for (const auto& [cap_min, cap_max] : capacities) {
-          for (const auto& [m, c] : shapes) {
-            for (const double invalid : invalids) {
-              for (const auto& [epochs, churn] : epoch_points) {
-                for (const bool rebalance : rebalances) {
-                  ScenarioSpec spec;
-                  spec.params = axes.base;
-                  spec.params.delays = delay;
-                  spec.params.cross_shard_fraction = frac;
-                  spec.params.capacity_min = cap_min;
-                  spec.params.capacity_max = cap_max;
-                  spec.params.m = m;
-                  spec.params.c = c;
-                  spec.params.invalid_fraction = invalid;
-                  spec.params.rebalance = rebalance;
-                  spec.adversary = adv;
-                  spec.options = axes.options;
-                  spec.rounds = axes.rounds;
-                  spec.epochs = epochs;
-                  spec.churn_rate = churn;
-                  spec.seeds = axes.seeds;
-                  spec.name = adv_name + "/" + delay_name + "/x" + fmt(frac) +
-                              "/cap" + std::to_string(cap_min) + "-" +
-                              std::to_string(cap_max);
-                  if (shapes_swept) {
-                    spec.name += "/m" + std::to_string(m) + "c" +
-                                 std::to_string(c);
-                  }
-                  if (invalid_swept) spec.name += "/inv" + fmt(invalid);
-                  if (epochs_swept) {
-                    spec.name += "/e" + std::to_string(epochs) + "ch" +
-                                 fmt(churn);
-                  }
-                  if (rebalance_swept) {
-                    spec.name += rebalance ? "/rebal" : "/static";
-                  }
-                  out.push_back(std::move(spec));
-                }
-              }
-            }
-          }
+          ScenarioSpec spec;
+          spec.params = axes.base;
+          spec.params.delays = delay;
+          spec.params.cross_shard_fraction = frac;
+          spec.params.capacity_min = cap_min;
+          spec.params.capacity_max = cap_max;
+          spec.adversary = adv;
+          spec.options = axes.options;
+          spec.rounds = axes.rounds;
+          spec.seeds = axes.seeds;
+          spec.name = adv_name + "/" + delay_name + "/x" + fmt(frac) +
+                      "/cap" + std::to_string(cap_min) + "-" +
+                      std::to_string(cap_max);
+          out.push_back(std::move(spec));
         }
       }
     }

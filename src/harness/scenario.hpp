@@ -108,7 +108,9 @@ struct ScenarioSpec {
 
 /// Scenario-matrix axes. build_matrix crosses every axis; empty axes
 /// contribute the base value. Scenario names encode the axis choices so
-/// artifacts stay self-describing.
+/// artifacts stay self-describing. Every other dimension (committee
+/// shape, invalid fraction, epochs, rebalance, events) comes from `base`
+/// or is set on a hand-built spec, as default_matrix does.
 struct MatrixAxes {
   protocol::Params base;
   protocol::EngineOptions options;
@@ -121,18 +123,6 @@ struct MatrixAxes {
   std::vector<double> cross_shard_fractions;
   /// (capacity_min, capacity_max) pairs — vote-capacity skew axis.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> capacities;
-  /// (m, c) pairs — committee count / size scaling inside one matrix.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> committee_shapes;
-  /// Ground-truth-invalid workload fractions (flow-conservation stress).
-  std::vector<double> invalid_fractions;
-  /// (epochs, churn_rate) pairs — the epoch lifecycle axis. Points with
-  /// epochs > 1 run under the EpochManager; `base.standby` sizes the
-  /// join pool.
-  std::vector<std::pair<std::size_t, double>> epoch_points;
-  /// Load-aware re-draw axis (Params::rebalance). Empty keeps the base
-  /// value and legacy scenario names; meaningful only on points with
-  /// epochs > 1 and an open-loop source.
-  std::vector<bool> rebalance_modes;
 };
 
 std::vector<ScenarioSpec> build_matrix(const MatrixAxes& axes);

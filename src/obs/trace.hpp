@@ -7,13 +7,10 @@
 // wall-clock args are excluded from determinism comparisons by
 // construction (the mode is never enabled on compared paths).
 //
-// Span model (see src/obs/README.md): every event lives on a *track*
-// (exported as a Chrome tid under one pid). Track 0 carries the
-// protocol's round → phase span stack plus instant protocol events;
-// tracks kTrackCommitteeBase + k mirror the phase schedule per
-// committee with that committee's traffic attached as args. B/E events
-// on one track nest by timestamp order, exactly like Chrome's own
-// duration events.
+// Every event lives on a *track* (exported as a Chrome tid under one
+// pid); B/E events on one track nest by timestamp order, exactly like
+// Chrome's own duration events. Which tracks an engine draws on is
+// obs/engine_trace.hpp's decision.
 //
 // The buffer is a bounded ring: when full, the *oldest* events are
 // dropped (and counted), keeping the tail of a long run — the part a

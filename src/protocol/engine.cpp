@@ -1,4 +1,4 @@
-// Engine part 1: construction, observability hooks, role assignment,
+// Engine part 1: construction, the observer seam, role assignment,
 // round scheduling, finalization and selection. Phase drivers and the
 // Alg. 2 / Alg. 3 handlers live in engine_msgs.cpp; leader duties,
 // semi-commitment, voting, cross-shard flows, crash catch-up, reputation
@@ -14,33 +14,10 @@
 #include "crypto/pow.hpp"
 #include "crypto/pvss.hpp"
 #include "crypto/schnorr.hpp"
-#include "obs/observer.hpp"
 #include "protocol/payloads.hpp"
 #include "support/serde.hpp"
 
 namespace cyc::protocol {
-
-/// Per-round observability state (live only while an Observer is
-/// attached). It holds no traffic: every net metric, span arg and counter
-/// track is derived from the SimNet's TrafficStats, which start_round_state
-/// resets. Phase spans carry the traffic sent inside them as the
-/// difference of the running totals at their two ends.
-struct Engine::ObsState {
-  net::Phase open_phase = net::Phase::kIdle;
-  double open_phase_at = 0.0;
-  net::Counter open_phase_mark;  // running totals at the open phase's begin
-  /// Closed phase windows of the current round, in schedule order; the
-  /// committee tracks replay them with per-committee traffic attached.
-  struct PhaseWindow {
-    net::Phase phase;
-    double begin;
-    double end;
-  };
-  std::vector<PhaseWindow> windows;
-  /// Thread-local verify-cache counters last flushed into the registry.
-  std::uint64_t vc_hits_mark = 0;
-  std::uint64_t vc_misses_mark = 0;
-};
 
 Engine::Engine(Params params, AdversaryConfig adversary, EngineOptions options)
     : params_(params),
@@ -106,203 +83,16 @@ Engine::Engine(Params params, AdversaryConfig adversary, EngineOptions options)
 Engine::~Engine() = default;
 
 void Engine::attach_observer(obs::Observer* observer) {
-  obs_ = observer;
   if (observer == nullptr) {
-    obs_state_.reset();
-    return;
-  }
-  obs_state_ = std::make_unique<ObsState>();
-  obs_state_->vc_hits_mark = crypto::verify_cache::hits();
-  obs_state_->vc_misses_mark = crypto::verify_cache::misses();
-
-  obs::Tracer& trace = observer->trace;
-  trace.set_track_name(obs::kTrackProtocol, "protocol");
-  trace.set_track_name(obs::kTrackNet, "net");
-  if (open_loop()) trace.set_track_name(obs::kTrackMempool, "mempool");
-  for (std::uint32_t k = 0; k < params_.m; ++k) {
-    trace.set_track_name(obs::kTrackCommitteeBase + k,
-                         "committee " + std::to_string(k));
-  }
-}
-
-void Engine::obs_round_begin() {
-  if (obs_ == nullptr) return;
-  ObsState& st = *obs_state_;
-  st.open_phase = net::Phase::kIdle;
-  st.open_phase_at = round_start_;
-  st.windows.clear();
-
-  obs::Tracer& trace = obs_->trace;
-  trace.begin(obs::kTrackProtocol, "round " + std::to_string(round_), "round",
-              round_start_);
-  for (std::uint32_t k = 0; k < params_.m; ++k) {
-    if (severed_.size() > k && severed_[k]) {
-      trace.instant(obs::kTrackCommitteeBase + k, "severed", "fault",
-                    round_start_, {{"committee", static_cast<double>(k)}});
-    }
-  }
-  // start_round_state clears the (per-round) catch-up log and then pushes
-  // only this boundary's *failed* records — successful adoptions get
-  // their instant at the adoption site mid-round.
-  for (const CatchUpRecord& rec : catchup_log_) {
-    if (!rec.success) {
-      trace.instant(obs::kTrackProtocol, "catchup-failed", "recovery",
-                    round_start_,
-                    {{"node", static_cast<double>(rec.node)},
-                     {"attempts", static_cast<double>(rec.attempt)}});
-      obs_->metrics.counter("engine.catchup.failed").add();
-    }
+    obs_.reset();
+  } else {
+    obs_.emplace(*observer, params_.m, open_loop());
   }
 }
 
 void Engine::enter_phase(net::Phase phase, net::Time at) {
   net_->set_phase(phase);
-  obs_phase(phase, at);
-}
-
-void Engine::obs_phase(net::Phase phase, net::Time at) {
-  if (obs_ == nullptr) return;
-  ObsState& st = *obs_state_;
-  obs::Tracer& trace = obs_->trace;
-  const net::Counter total = net_->stats().grand_total();
-  if (st.open_phase != net::Phase::kIdle) {
-    const net::Counter& mark = st.open_phase_mark;
-    const std::uint64_t msgs = total.msgs_sent - mark.msgs_sent;
-    const std::uint64_t bytes = total.bytes_sent - mark.bytes_sent;
-    const std::uint64_t recv = total.msgs_recv - mark.msgs_recv;
-    trace.end(obs::kTrackProtocol, at,
-              {{"msgs_sent", static_cast<double>(msgs)},
-               {"bytes_sent", static_cast<double>(bytes)},
-               {"msgs_recv", static_cast<double>(recv)}});
-    trace.counter(obs::kTrackNet, "net traffic", at,
-                  {{"msgs_sent", static_cast<double>(total.msgs_sent)},
-                   {"msgs_recv", static_cast<double>(total.msgs_recv)}});
-    obs_->metrics
-        .histogram("phase." + std::string(net::phase_name(st.open_phase)) +
-                   ".msgs_sent")
-        .record(static_cast<double>(msgs));
-    st.windows.push_back({st.open_phase, st.open_phase_at, at});
-  }
-  st.open_phase = phase;
-  st.open_phase_at = at;
-  st.open_phase_mark = total;
-  if (phase != net::Phase::kIdle) {
-    trace.begin(obs::kTrackProtocol, std::string(net::phase_name(phase)),
-                "phase", at);
-  }
-}
-
-void Engine::obs_round_end(const RoundReport& report, net::Time round_end) {
-  if (obs_ == nullptr) return;
-  obs_phase(net::Phase::kIdle, round_end);  // close the last phase span
-  ObsState& st = *obs_state_;
-  obs::Tracer& trace = obs_->trace;
-  const net::TrafficStats& stats = net_->stats();
-
-  // Committee tracks mirror the phase schedule with per-committee traffic
-  // (summed over the round's membership) attached to each phase span.
-  for (std::uint32_t k = 0; k < params_.m; ++k) {
-    const std::uint32_t track = obs::kTrackCommitteeBase + k;
-    const CommitteeRoundStats& cs = report.committees[k];
-    trace.begin(track, "round " + std::to_string(round_), "round",
-                round_start_);
-    for (const auto& w : st.windows) {
-      std::uint64_t msgs = 0;
-      std::uint64_t bytes = 0;
-      for (net::NodeId id : committee_members(k)) {
-        const net::Counter& c = stats.at(id, w.phase);
-        msgs += c.msgs_sent;
-        bytes += c.bytes_sent;
-      }
-      trace.begin(track, std::string(net::phase_name(w.phase)), "phase",
-                  w.begin);
-      trace.end(track, w.end,
-                {{"msgs_sent", static_cast<double>(msgs)},
-                 {"bytes_sent", static_cast<double>(bytes)}});
-    }
-    trace.end(track, round_end,
-              {{"txs_listed", static_cast<double>(cs.txs_listed)},
-               {"txs_committed", static_cast<double>(cs.txs_committed)},
-               {"recoveries", static_cast<double>(cs.recoveries)},
-               {"produced_output", cs.produced_output ? 1.0 : 0.0}});
-  }
-
-  if (open_loop()) {
-    trace.counter(obs::kTrackMempool, "mempool", round_end,
-                  {{"backlog", static_cast<double>(report.open_loop.backlog)},
-                   {"admitted", static_cast<double>(report.open_loop.admitted)},
-                   {"dropped",
-                    static_cast<double>(report.open_loop.mempool_dropped)}});
-  }
-  const net::Counter total = stats.grand_total();
-  trace.end(obs::kTrackProtocol, round_end,
-            {{"msgs_sent", static_cast<double>(total.msgs_sent)},
-             {"bytes_sent", static_cast<double>(total.bytes_sent)},
-             {"committed", static_cast<double>(report.txs_committed)},
-             {"recoveries", static_cast<double>(report.recoveries)}});
-
-  // ---- metrics registry flush ----
-  obs::Registry& m = obs_->metrics;
-  m.counter("engine.rounds").add();
-  m.counter("engine.txs_offered").add(report.txs_offered);
-  m.counter("engine.txs_committed").add(report.txs_committed);
-  m.counter("engine.cross_committed").add(report.cross_committed);
-  m.counter("engine.recoveries").add(report.recoveries);
-  if (report.block_void) m.counter("engine.blocks_void").add();
-  m.histogram("round.sim_duration").record(report.round_latency);
-
-  const std::uint64_t hits = crypto::verify_cache::hits();
-  const std::uint64_t misses = crypto::verify_cache::misses();
-  m.counter("crypto.verify_cache.hits").add(hits - st.vc_hits_mark);
-  m.counter("crypto.verify_cache.misses").add(misses - st.vc_misses_mark);
-  st.vc_hits_mark = hits;
-  st.vc_misses_mark = misses;
-
-  for (std::size_t p = 0; p < static_cast<std::size_t>(net::Phase::kCount);
-       ++p) {
-    const auto phase = static_cast<net::Phase>(p);
-    for (std::size_t t = 0; t < net::kTagCount; ++t) {
-      const auto tag = static_cast<net::Tag>(t);
-      const net::Counter& c = stats.at(phase, tag);
-      if (c.msgs_sent == 0 && c.msgs_recv == 0) continue;
-      const std::string cell = std::string(net::phase_name(phase)) + "." +
-                               std::string(net::tag_name(tag));
-      if (c.msgs_sent != 0) {
-        m.counter("net.sent." + cell + ".msgs").add(c.msgs_sent);
-        m.counter("net.sent." + cell + ".bytes").add(c.bytes_sent);
-      }
-      if (c.msgs_recv != 0) {
-        m.counter("net.recv." + cell + ".msgs").add(c.msgs_recv);
-        m.counter("net.recv." + cell + ".bytes").add(c.bytes_recv);
-      }
-    }
-  }
-  // Only non-zero fault counts create a key, so a fault-free run's
-  // registry has no net.fault.* entries.
-  const net::FaultStats& f = stats.faults();
-  for (const auto& [name, value] :
-       {std::pair{"partition_dropped", f.partition_dropped},
-        std::pair{"blackout_dropped", f.blackout_dropped},
-        std::pair{"lost", f.lost}, std::pair{"duplicated", f.duplicated},
-        std::pair{"reordered", f.reordered}}) {
-    if (value != 0) m.counter(std::string("net.fault.") + name).add(value);
-  }
-
-  if (open_loop()) {
-    m.counter("mempool.arrived").add(report.open_loop.arrived);
-    m.counter("mempool.admitted").add(report.open_loop.admitted);
-    m.counter("mempool.dropped").add(report.open_loop.mempool_dropped);
-    m.counter("mempool.drained").add(report.open_loop.drained);
-    m.gauge("mempool.backlog")
-        .set(static_cast<double>(report.open_loop.backlog));
-    for (std::size_t k = 0; k < report.open_loop.occupancy.size(); ++k) {
-      m.gauge("mempool.occupancy." + std::to_string(k))
-          .set(static_cast<double>(report.open_loop.occupancy[k]));
-    }
-    for (double latency : report.open_loop.latencies) {
-      m.histogram("mempool.commit_latency").record(latency);
-    }
-  }
+  if (obs_) obs_->phase(phase, at, net_->stats());
 }
 
 void Engine::build_nodes() {
@@ -678,13 +468,8 @@ void Engine::reconfigure(const Reconfiguration& reconfig) {
       participants, round_, randomness_,
       [this](net::NodeId id) { return nodes_[id].reputation; },
       uniform ? &*uniform : nullptr);
-  if (obs_ != nullptr) {
-    obs_->trace.instant(obs::kTrackProtocol, "epoch-handoff", "epoch",
-                        net_->now(),
-                        {{"epoch", static_cast<double>(reconfig.epoch)},
-                         {"members", static_cast<double>(unique.size())}});
-    obs_->metrics.counter("engine.epoch_handoffs").add();
-  }
+  emit(obs::Event::kEpochHandoff, net_->now(), obs::kNoCommittee,
+       reconfig.epoch, unique.size());
   // Ledger state (chain_, shard_state_, carryover_, workload_),
   // reputations and rewards deliberately survive untouched — that is the
   // contract the EpochHandoff audit checks.
@@ -797,14 +582,6 @@ void Engine::start_round_state() {
   compute_severed();
 }
 
-double Engine::nominal_round_duration() const {
-  return (params_.config_duration + params_.semicommit_duration +
-          params_.intra_duration + params_.inter_duration +
-          params_.reputation_duration + params_.selection_duration +
-          params_.block_duration) *
-         params_.delays.delta;
-}
-
 void Engine::openloop_ingest(std::vector<ledger::Transaction>& batch) {
   openloop_round_ = OpenLoopRoundStats{};
 
@@ -819,7 +596,7 @@ void Engine::openloop_ingest(std::vector<ledger::Transaction>& batch) {
   // Generate this round's arrival window and admit into the mempools.
   // A transaction rejected at admission returns its inputs to the
   // workload pool (mark_rejected no-ops for invalid injections).
-  const double window_end = openloop_clock_ + nominal_round_duration();
+  const double window_end = openloop_clock_ + params_.round_duration();
   for (auto& arrival : openloop_->arrivals_until(window_end)) {
     openloop_round_.arrived += 1;
     const std::uint32_t k = ledger::input_shard(arrival.tx, *shard_map_);
@@ -913,7 +690,7 @@ std::uint64_t Engine::apply_rebalance(
 RoundReport Engine::run_round() {
   start_round_state();
   round_start_ = net_->now();
-  obs_round_begin();
+  if (obs_) obs_->round_begin(round_, round_start_, severed_, catchup_log_);
   const double D = params_.delays.delta;
 
   net::Time t = round_start_;
@@ -937,7 +714,7 @@ RoundReport Engine::run_round() {
   RoundReport report;
   report.round = round_;
   finalize_round(report);
-  obs_round_end(report, net_->now());
+  if (obs_) obs_->round_end(report, assign_, net_->stats(), net_->now());
 
   last_assign_ = assign_;  // round-start roles (recovery edits committees_)
   round_ += 1;
@@ -1222,12 +999,8 @@ void Engine::compute_selection() {
   }
   next_assign_ = draw_assignment(participants, round_ + 1, next_randomness_,
                                  effective_rep, uniform ? &*uniform : nullptr);
-  if (obs_ != nullptr) {
-    obs_->trace.instant(
-        obs::kTrackProtocol, "leaders-selected", "selection", net_->now(),
-        {{"round", static_cast<double>(round_ + 1)},
-         {"participants", static_cast<double>(participants.size())}});
-  }
+  emit(obs::Event::kLeadersSelected, net_->now(), obs::kNoCommittee,
+       round_ + 1, participants.size());
 }
 
 template <typename RepFn>

@@ -30,6 +30,7 @@
 #include "ledger/validator.hpp"
 #include "ledger/workload.hpp"
 #include "net/simnet.hpp"
+#include "obs/engine_trace.hpp"
 #include "protocol/adversary.hpp"
 #include "protocol/params.hpp"
 #include "protocol/payloads.hpp"
@@ -39,10 +40,6 @@
 #include "protocol/semicommit.hpp"
 #include "protocol/sortition.hpp"
 #include "protocol/witness.hpp"
-
-namespace cyc::obs {
-struct Observer;
-}
 
 namespace cyc::protocol {
 
@@ -309,15 +306,15 @@ class Engine {
   /// committees, repeats ids, or names unknown nodes.
   void reconfigure(const Reconfiguration& reconfig);
 
-  /// Attach a tracing/metrics observer (src/obs/; nullptr detaches).
-  /// All instrumentation is keyed on simulated time and engine-local
-  /// state, so a traced run's artifact is a pure function of
-  /// (params, adversary, options) — and a detached engine takes no
-  /// observability branches beyond one null check per hook, keeping
-  /// every existing artifact byte-identical. The observer must outlive
-  /// the engine (or be detached first).
+  /// Attach a tracing/metrics observer (nullptr detaches). What it
+  /// records is decided in src/obs/engine_trace.*: the engine only marks
+  /// round and phase boundaries and emits typed obs::Events. Everything
+  /// is keyed on simulated time and engine-local state, so a traced
+  /// run's artifact is a pure function of (params, adversary, options),
+  /// and a detached engine pays one null check per hook, keeping every
+  /// artifact byte-identical. The observer must outlive the engine (or
+  /// be detached first).
   void attach_observer(obs::Observer* observer);
-  obs::Observer* observer() const { return obs_; }
 
  private:
   /// Per-committee slots indexed by committee id, for state that every
@@ -595,9 +592,6 @@ class Engine {
   void compute_severed();
   /// Any node currently inside a blackout window?
   bool has_active_blackout() const;
-  /// The scheduled length of one round in simulated time (the seven
-  /// phase durations, in units of Delta) — the open-loop arrival window.
-  double nominal_round_duration() const;
   /// Open-loop half of start_round_state: generate this round's arrival
   /// window, admit into the mempools, and drain each committee's list
   /// budget (txs_per_committee minus its §IV-G carryover share).
@@ -680,18 +674,14 @@ class Engine {
   /// subsequent traffic with `phase` (net_->phase() is the engine's
   /// current phase) and move the trace's phase span.
   void enter_phase(net::Phase phase, net::Time at);
-
-  // ---- observability hooks (src/obs/; all no-ops when obs_ == nullptr).
-  /// Reset per-round state, open the round span, note severed
-  /// committees and failed catch-ups.
-  void obs_round_begin();
-  /// Close the open phase span (attaching its traffic as args) and open
-  /// `phase`'s; kIdle just closes.
-  void obs_phase(net::Phase phase, net::Time at);
-  /// Close round + committee spans, emit counter samples, flush the
-  /// round's per-(phase, tag) traffic, fault counts and protocol counters
-  /// into the metrics registry.
-  void obs_round_end(const RoundReport& report, net::Time round_end);
+  /// Record `event` about `committee` (obs::kNoCommittee for none) with
+  /// its arg values, in obs::kEvents order; a null check when no
+  /// observer is attached.
+  template <typename... Args>
+  void emit(obs::Event event, net::Time at, std::uint32_t committee,
+            Args... args) {
+    if (obs_) obs_->emit(event, at, committee, {static_cast<double>(args)...});
+  }
 
   // ---- data ----
   Params params_;
@@ -800,10 +790,8 @@ class Engine {
   // Per-committee: severed from quorum by an active partition/blackout
   // this round (recomputed in start_round_state, reported per round).
   std::vector<bool> severed_;
-  // Observability (src/obs/): nullptr / empty unless attach_observer ran.
-  struct ObsState;
-  obs::Observer* obs_ = nullptr;
-  std::unique_ptr<ObsState> obs_state_;
+  // Observability: empty unless an observer is attached.
+  std::optional<obs::EngineTrace> obs_;
 };
 
 template <typename T, typename Decode>

@@ -7,7 +7,6 @@
 #include "protocol/payloads.hpp"
 #include "protocol/sn_layout.hpp"
 #include "crypto/pow.hpp"
-#include "obs/observer.hpp"
 #include "support/parallel.hpp"
 #include "support/serde.hpp"
 
@@ -606,17 +605,8 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
   // yields its certificate once; members bind each sn to one leader per
   // round, so each (scope, sn) forms one certificate per round.
   self.round.certs[sn] = cert;
-  if (obs_ != nullptr) {
-    const std::uint32_t track = scope < params_.m
-                                    ? obs::kTrackCommitteeBase + scope
-                                    : obs::kTrackProtocol;
-    obs_->trace.instant(track, "qc-formed", "consensus", net_->now(),
-                        {{"scope", static_cast<double>(scope)},
-                         {"sn", static_cast<double>(sn)},
-                         {"signers",
-                          static_cast<double>(cert.confirms.size())}});
-    obs_->metrics.counter("consensus.certs").add();
-  }
+  emit(obs::Event::kQcFormed, net_->now(), scope, scope, sn,
+       cert.confirms.size());
   // Every caller holds the instance it certified.
   const Bytes& message = self.round.lead.at(sn).message();
   if (scope == params_.m) {

@@ -6,7 +6,6 @@
 #include "protocol/engine.hpp"
 #include "protocol/payloads.hpp"
 #include "protocol/sn_layout.hpp"
-#include "obs/observer.hpp"
 #include "support/serde.hpp"
 
 namespace cyc::protocol {
@@ -388,9 +387,8 @@ void Engine::leader_flush_votes(VoteTally& tally) {
   // per-message verdicts land in the cache, so the valid() calls below
   // are hits.
   crypto::verify_batch(batch);
-  if (obs_ != nullptr) {
-    obs_->metrics.counter("engine.votes.flushed").add(batch.size());
-  }
+  emit(obs::Event::kVotesFlushed, net_->now(), obs::kNoCommittee,
+       batch.size());
   for (const auto& [voter, arrivals] : tally.pending) {
     // Last valid arrival wins — identical to the old scheme where each
     // arriving vote was verified immediately and valid ones overwrote.
@@ -598,13 +596,8 @@ void Engine::on_catchup_reply(NodeState& self, const net::Message& msg) {
   record.success = true;
   record.adopted_digest = self.adopted_digest;
   catchup_log_.push_back(record);
-  if (obs_ != nullptr) {
-    obs_->trace.instant(obs::kTrackProtocol, "catchup-adopted", "recovery",
-                        net_->now(),
-                        {{"node", static_cast<double>(self.id)},
-                         {"confirms", static_cast<double>(record.confirms)}});
-    obs_->metrics.counter("engine.catchup.adopted").add();
-  }
+  emit(obs::Event::kCatchupAdopted, net_->now(), obs::kNoCommittee, self.id,
+       record.confirms);
 }
 
 // ---------------------------------------------------------------------------
@@ -659,14 +652,8 @@ void Engine::begin_accusation(NodeState& accuser, std::uint32_t k,
   if (accuser.round.accused_this_round) return;
   if (committees_[k].attempt >= kMaxRecoveriesPerCommittee) return;
   accuser.round.accused_this_round = true;
-  if (obs_ != nullptr) {
-    obs_->trace.instant(obs::kTrackCommitteeBase + k, "accusation", "recovery",
-                        now,
-                        {{"accuser", static_cast<double>(accuser.id)},
-                         {"kind", static_cast<double>(
-                                      static_cast<std::uint8_t>(kind))}});
-    obs_->metrics.counter("engine.accusations").add();
-  }
+  emit(obs::Event::kAccusation, now, k, accuser.id,
+       static_cast<std::uint8_t>(kind));
 
   Accusation accusation;
   accusation.round = round_;
@@ -819,12 +806,7 @@ void Engine::referee_convict(NodeState& referee, const Accusation& accusation,
   if (committees_[k].leader_convicted) return;
   committees_[k].leader_convicted = true;
   convicted_leaders_.insert(committees_[k].current_leader);
-  if (obs_ != nullptr) {
-    obs_->trace.instant(
-        obs::kTrackCommitteeBase + k, "conviction", "recovery", now,
-        {{"leader", static_cast<double>(committees_[k].current_leader)}});
-    obs_->metrics.counter("engine.convictions").add();
-  }
+  emit(obs::Event::kConviction, now, k, committees_[k].current_leader);
 
   // Choose the replacement: the accusing partial-set member when
   // applicable, otherwise the first partial-set member that is not the
@@ -902,12 +884,7 @@ void Engine::install_new_leader(std::uint32_t k, net::NodeId new_leader,
   event.old_leader = old_leader;
   event.new_leader = new_leader;
   recovery_log_.push_back(event);
-  if (obs_ != nullptr) {
-    obs_->trace.instant(obs::kTrackCommitteeBase + k, "new-leader", "recovery",
-                        now,
-                        {{"old", static_cast<double>(old_leader)},
-                         {"new", static_cast<double>(new_leader)}});
-  }
+  emit(obs::Event::kNewLeader, now, k, old_leader, new_leader);
 
   nodes_[old_leader].role = Role::kCommon;  // evicted
   nodes_[new_leader].role = Role::kLeader;

@@ -80,6 +80,15 @@ struct Params {
 
   std::uint64_t seed = 1;
 
+  /// The scheduled length of one round in simulated time: the seven
+  /// phase durations, in units of Delta (the open-loop arrival window).
+  double round_duration() const {
+    return (config_duration + semicommit_duration + intra_duration +
+            inter_duration + reputation_duration + selection_duration +
+            block_duration) *
+           delays.delta;
+  }
+
   std::uint32_t total_nodes() const { return referee_size + m * c; }
   /// Active seats plus the standby pool (the full simulated universe).
   std::uint32_t universe() const { return total_nodes() + standby; }

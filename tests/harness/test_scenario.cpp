@@ -231,42 +231,11 @@ TEST(ScenarioMatrix, EmptyAxesFallBackToBase) {
   const auto matrix = build_matrix(axes);
   ASSERT_EQ(matrix.size(), 1u);
   EXPECT_DOUBLE_EQ(matrix[0].params.cross_shard_fraction, 0.33);
-  // New axes left empty contribute the base value and no name segment.
+  // The shape and epoch count come from the base, with no name segment.
   EXPECT_EQ(matrix[0].params.m, axes.base.m);
   EXPECT_EQ(matrix[0].epochs, 1u);
   EXPECT_EQ(matrix[0].name.find("/m"), std::string::npos);
   EXPECT_EQ(matrix[0].name.find("/e"), std::string::npos);
-}
-
-TEST(ScenarioMatrix, CrossesShapeInvalidAndEpochAxes) {
-  MatrixAxes axes;
-  axes.base.standby = 8;
-  axes.seeds = {1};
-  axes.committee_shapes = {{2, 8}, {4, 6}};
-  axes.invalid_fractions = {0.0, 0.3};
-  axes.epoch_points = {{1, 0.0}, {3, 0.2}};
-  const auto matrix = build_matrix(axes);
-  EXPECT_EQ(matrix.size(), 2u * 2u * 2u);
-  std::set<std::string> names;
-  bool saw_epoch_point = false;
-  for (const auto& spec : matrix) {
-    names.insert(spec.name);
-    EXPECT_NE(spec.name.find("/m"), std::string::npos) << spec.name;
-    EXPECT_NE(spec.name.find("/inv"), std::string::npos) << spec.name;
-    if (spec.epochs == 3) {
-      saw_epoch_point = true;
-      EXPECT_DOUBLE_EQ(spec.churn_rate, 0.2);
-      EXPECT_NE(spec.name.find("/e3ch0.2"), std::string::npos) << spec.name;
-    }
-  }
-  EXPECT_EQ(names.size(), matrix.size());
-  EXPECT_TRUE(saw_epoch_point);
-  // The shape axis actually lands in Params.
-  bool saw_m4 = false;
-  for (const auto& spec : matrix) {
-    saw_m4 |= spec.params.m == 4 && spec.params.c == 6;
-  }
-  EXPECT_TRUE(saw_m4);
 }
 
 TEST(ScenarioMatrix, DefaultMatrixShape) {
@@ -358,27 +327,6 @@ TEST(ScenarioSpec, RebalanceFieldsRoundTripAndStayGatedWhenOff) {
   ScenarioSpec off = spec;
   off.params.rebalance = false;
   EXPECT_EQ(off.to_json_text().find("rebalance"), std::string::npos);
-}
-
-TEST(ScenarioMatrix, SweepsRebalanceModes) {
-  MatrixAxes axes;
-  axes.base.arrival_rate = 0.2;
-  axes.base.mempool_cap = 8;
-  axes.seeds = {1};
-  axes.rebalance_modes = {false, true};
-  const auto matrix = build_matrix(axes);
-  ASSERT_EQ(matrix.size(), 2u);
-  EXPECT_FALSE(matrix[0].params.rebalance);
-  EXPECT_TRUE(matrix[1].params.rebalance);
-  EXPECT_NE(matrix[0].name.find("/static"), std::string::npos);
-  EXPECT_NE(matrix[1].name.find("/rebal"), std::string::npos);
-  // An empty axis keeps the base setting and adds no name segment.
-  axes.rebalance_modes.clear();
-  const auto flat = build_matrix(axes);
-  ASSERT_EQ(flat.size(), 1u);
-  EXPECT_FALSE(flat[0].params.rebalance);
-  EXPECT_EQ(flat[0].name.find("/rebal"), std::string::npos);
-  EXPECT_EQ(flat[0].name.find("/static"), std::string::npos);
 }
 
 TEST(BehaviorTokens, RoundTripAllBehaviors) {

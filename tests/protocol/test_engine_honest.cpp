@@ -328,9 +328,7 @@ TEST(EngineHonest, ForgedBlockPermitReleasesNothing) {
   const net::NodeId sender = assign.committees[1].commons.front();
   const Params& p = engine.params();
   const double block_phase =
-      (p.config_duration + p.semicommit_duration + p.intra_duration +
-       p.inter_duration + p.reputation_duration + p.selection_duration) *
-      p.delays.delta;
+      p.round_duration() - p.block_duration * p.delays.delta;
   constexpr int kForged = 5;
   engine.net_mut().schedule(block_phase + 1.0, [&](net::Time) {
     for (int i = 0; i < kForged; ++i) {

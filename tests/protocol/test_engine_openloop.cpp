@@ -23,20 +23,13 @@ Params small_params(std::uint64_t seed) {
   return p;
 }
 
-double round_duration(const Params& p) {
-  return (p.config_duration + p.semicommit_duration + p.intra_duration +
-          p.inter_duration + p.reputation_duration + p.selection_duration +
-          p.block_duration) *
-         p.delays.delta;
-}
-
 Params openloop_params(std::uint64_t seed, double load_factor) {
   Params p = small_params(seed);
   // arrival_rate as a fraction of nominal capacity (m * txs_per_committee
   // transactions per round).
   p.arrival_rate = load_factor *
                    static_cast<double>(p.m * p.txs_per_committee) /
-                   round_duration(p);
+                   p.round_duration();
   p.zipf_s = 1.1;
   p.mempool_cap = 32;
   p.users = 80;
@@ -113,12 +106,12 @@ TEST(OpenLoopEngine, LatencyStampsArePositiveAndBounded) {
       samples += 1;
       EXPECT_GT(latency, 0.0);
       // Nothing can wait longer than the whole run's simulated span.
-      EXPECT_LE(latency, round_duration(p) * static_cast<double>(rounds));
+      EXPECT_LE(latency, p.round_duration() * static_cast<double>(rounds));
     }
   }
   EXPECT_GT(samples, 0u);
   EXPECT_EQ(engine.open_loop_clock(),
-            round_duration(p) * static_cast<double>(rounds));
+            p.round_duration() * static_cast<double>(rounds));
 }
 
 TEST(OpenLoopEngine, TinyMempoolForcesDrops) {
