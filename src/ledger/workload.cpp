@@ -247,6 +247,10 @@ void WorkloadGenerator::mark_rejected(const Transaction& tx) {
   in_flight_.erase(it);
 }
 
+void WorkloadGenerator::mark_superseded(const Transaction& tx) {
+  in_flight_.erase(key_of(tx.id()));
+}
+
 bool WorkloadGenerator::is_ground_truth_valid(const TxId& id) const {
   return in_flight_.contains(key_of(id));
 }

@@ -115,14 +115,19 @@ class WorkloadGenerator {
   /// Report that `tx` was rejected: its inputs return to the pool.
   void mark_rejected(const Transaction& tx);
 
+  /// Report that a committed spend of `tx`'s input superseded it (the
+  /// §VIII-B block guard kept the other spend): it leaves the in-flight
+  /// table, and its input, now spent, does not return to the pool.
+  void mark_superseded(const Transaction& tx);
+
   std::size_t spendable_outputs() const;
   std::uint32_t shards() const { return config_.shards; }
   const WorkloadConfig& config() const { return config_; }
 
   /// Whether `id` is a valid spend this generator built that is still in
-  /// flight: neither committed nor rejected. Invalid injections never
-  /// enter the in-flight table, so for an offered transaction that has
-  /// not settled this is its ground truth.
+  /// flight: neither committed, rejected nor superseded. Invalid
+  /// injections never enter the in-flight table, so for an offered
+  /// transaction that has not settled this is its ground truth.
   bool is_ground_truth_valid(const TxId& id) const;
 
  private:

@@ -807,7 +807,7 @@ void Engine::finalize_round(RoundReport& report) {
       report.intra_committed += kept;
     }
   }
-  report.invalid_rejected = assembled.rejected;
+  report.invalid_rejected = assembled.superseded.size();
   report.txs_committed = committed.size();
   report.block_void = committed.empty();
 
@@ -839,6 +839,9 @@ void Engine::finalize_round(RoundReport& report) {
     total_fees += fees[i];
     workload_->mark_committed(committed[i]);
   }
+  // A guard loser settled but never commits: its input went to the spend
+  // B^r kept, so it leaves the in-flight table without a refund.
+  for (const auto& tx : assembled.superseded) workload_->mark_superseded(tx);
   report.total_fees = total_fees;
 
   // --- One pass over the offered lists: flow conservation (§IV-G). ---

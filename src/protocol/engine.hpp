@@ -733,7 +733,8 @@ class Engine {
     std::vector<Result> results;
     /// Every transaction of an acked result, kept or not.
     std::unordered_set<ledger::TxId, ledger::TxIdHash> settled;
-    std::size_t rejected = 0;  ///< later spends of a spent outpoint
+    /// Guard losers: later spends of an outpoint B^r already spends.
+    std::vector<ledger::Transaction> superseded;
   };
   RoundBlock block_;
   RoundAssignment last_assign_;    // assignment the last round started with

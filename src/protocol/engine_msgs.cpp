@@ -199,7 +199,7 @@ void Engine::phase_block(net::Time at) {
                         [&](const ledger::OutPoint& in) {
                           return spent.contains(in);
                         })) {
-          block_.rejected += 1;
+          block_.superseded.push_back(tx);
           arrival_times_.erase(id);  // will never commit (open loop only)
           continue;
         }

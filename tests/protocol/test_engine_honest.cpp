@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <unordered_set>
 
 #include "ledger/light_client.hpp"
 #include "protocol/engine.hpp"
@@ -430,6 +431,43 @@ TEST(EngineHonest, SameRoundDoubleSpendNeverCommits) {
   ledger::Amount total = 0;
   for (const auto& store : engine.shard_state()) total += store.total_value();
   EXPECT_GT(total, 0u);
+}
+
+TEST(EngineHonest, GuardLosersLeaveTheInFlightTable) {
+  // Seed 3 certifies, in round 1, a valid spend and an injected
+  // kDoubleSpendPair re-spend of its input, and B^r keeps the injection
+  // (§VIII-B: the first spend wins). The valid loser settled, so it is
+  // neither committed nor carried: it must leave the generator's
+  // in-flight table, and its spent input must not come back.
+  auto params = small_params(3);
+  params.invalid_fraction = 0.3;
+  Engine engine(params, AdversaryConfig{});
+  std::size_t losers = 0;
+  for (int r = 0; r < 3; ++r) {
+    // A copy of the generator draws the batch the round is about to draw.
+    ledger::WorkloadGenerator twin = engine.workload();
+    std::vector<ledger::Transaction> offered = engine.carryover();
+    const std::size_t want = params.txs_per_committee * params.m;
+    const std::size_t fresh = want > offered.size() ? want - offered.size() : 0;
+    for (auto& tx : twin.next_batch(fresh)) offered.push_back(std::move(tx));
+    (void)engine.run_round();
+
+    std::unordered_set<ledger::TxId, ledger::TxIdHash> ids, kept;
+    for (const auto& tx : offered) ids.insert(tx.id());
+    for (const auto& tx : engine.last_block().txs) {
+      ASSERT_TRUE(ids.contains(tx.id())) << "the twin drew another batch";
+      kept.insert(tx.id());
+    }
+    for (const auto& tx : engine.carryover()) kept.insert(tx.id());
+    for (const auto& tx : offered) {
+      const ledger::TxId id = tx.id();
+      if (!twin.is_ground_truth_valid(id) || kept.contains(id)) continue;
+      losers += 1;  // valid and settled, yet not in B^r: a guard loser
+      EXPECT_FALSE(engine.workload().is_ground_truth_valid(id))
+          << "round " << r + 1 << " guard loser still in flight";
+    }
+  }
+  EXPECT_GT(losers, 0u);
 }
 
 TEST(EngineHonest, BlockVoidOnlyWhenNothingCommits) {
