@@ -22,11 +22,15 @@ void run_instance(std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) {
     members.emplace_back(keys[i], i, id, keys[0].pk, size);
   }
-  const auto propose = leader.make_propose();
-  std::vector<consensus::EchoWire> echoes;
+  // One received object per PROPOSE and per ECHO, shared by every member,
+  // as the engine shares one per fan-out buffer.
+  const consensus::ReceivedPropose propose(leader.make_propose());
+  std::vector<consensus::ReceivedEcho> echoes;
   for (auto& m : members) {
     auto out = m.on_propose(propose);
-    if (out.echo_broadcast) echoes.push_back(*out.echo_broadcast);
+    if (out.echo_broadcast) {
+      echoes.emplace_back(std::move(*out.echo_broadcast));
+    }
   }
   bool done = false;
   for (auto& m : members) {

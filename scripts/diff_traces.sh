@@ -11,7 +11,9 @@
 # fuzz_runners over the fixed campaign of scripts/run_fuzz.sh (seed 1,
 # budget 200). Every matrix / spec / campaign artifact is compared with
 # `cmp` and every trace directory with `diff -r`; a corpus spec present
-# on one side only is reported as a difference.
+# on one side only is reported as a difference. For each trace file that
+# differs, it then prints the names of the metrics and event args whose
+# values differ.
 #
 # Usage: scripts/diff_traces.sh [rev]        (default: HEAD)
 #
@@ -88,6 +90,43 @@ echo "=== traced runs (default matrix + each side's corpus) + fuzz campaign ==="
 run_all "$WORK/rev-build" "$WORK/rev-src" "$WORK/rev-out"
 run_all "$WORK/tree-build" . "$WORK/tree-out"
 
+# explain_traces <rev-out> <tree-out>: for each trace file present on both
+# sides whose bytes differ, print the names of the metrics (counters,
+# gauges, histograms) and event args whose values differ; an event list
+# that differs in anything but args is reported as "events".
+explain_traces() {
+  python3 - "$1" "$2" <<'PY'
+import json, pathlib, sys
+
+rev, tree = map(pathlib.Path, sys.argv[1:3])
+
+def differing(a, b):
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+for path in sorted(rev.rglob("*.trace.json")):
+    other = tree / path.relative_to(rev)
+    if not other.exists() or path.read_bytes() == other.read_bytes():
+        continue
+    a, b = json.loads(path.read_text()), json.loads(other.read_text())
+    names = set()
+    for kind in ("counters", "gauges", "histograms"):
+        names.update(differing(a["metrics"].get(kind, {}),
+                               b["metrics"].get(kind, {})))
+    ea, eb = a["traceEvents"], b["traceEvents"]
+    strip = lambda e: {k: v for k, v in e.items() if k != "args"}
+    if len(ea) != len(eb) or any(strip(x) != strip(y) for x, y in zip(ea, eb)):
+        names.add("events")
+    else:
+        for x, y in zip(ea, eb):
+            label = x.get("name", "span end")
+            names.update(f"{label}:{k}"
+                         for k in differing(x.get("args", {}), y.get("args", {})))
+    if a.get("droppedEvents") != b.get("droppedEvents"):
+        names.add("droppedEvents")
+    print(f"diff_traces: {path.relative_to(rev)}: {' '.join(sorted(names))}")
+PY
+}
+
 status=0
 for name in $({ (cd "$WORK/rev-out" && ls -- *.json)
                 (cd "$WORK/tree-out" && ls -- *.json); } | sort -u); do
@@ -103,6 +142,7 @@ for name in $({ (cd "$WORK/rev-out" && ls -- *.json)
 done
 diff -r "$WORK/rev-out" "$WORK/tree-out" >/dev/null || {
   diff -rq "$WORK/rev-out" "$WORK/tree-out" || true
+  explain_traces "$WORK/rev-out" "$WORK/tree-out"
   status=1
 }
 traces="$(find "$WORK/rev-out" -name '*.trace.json' | wc -l)"

@@ -81,7 +81,10 @@ bool ReceivedPropose::digest_matches() const {
 }
 
 bool ReceivedEcho::signature_valid() const {
-  if (!signature_valid_) signature_valid_ = wire_.sig.valid();
+  if (!signature_valid_) {
+    signature_valid_ =
+        crypto::verify(wire_.sig.signer, wire_.sig.payload, wire_.sig.sig);
+  }
   return *signature_valid_;
 }
 
@@ -178,8 +181,12 @@ MemberOutput MemberInstance::on_echo(const ReceivedEcho& echo) {
 
   // The relayed PROPOSE lets us catch a leader who proposed different
   // messages to different members (the paper's "notices that the leader
-  // is malicious" condition).
-  if (echo.relay_valid() && wire.body.propose_sig.signer == leader_) {
+  // is malicious" condition). A relay of the PROPOSE we already hold can
+  // neither convict nor teach us anything, so it is not checked again.
+  const bool held = seen_propose_ && equal(seen_propose_->payload,
+                                           wire.body.propose_sig.payload);
+  if (!held && echo.relay_valid() &&
+      wire.body.propose_sig.signer == leader_) {
     out.witness = check_equivocation(wire.body.propose_sig);
     if (out.witness) return out;
     if (!seen_propose_) {

@@ -80,7 +80,8 @@ class ReceivedEcho {
   ReceivedEcho(EchoWire wire) : wire_(std::move(wire)) {}
 
   const EchoWire& wire() const { return wire_; }
-  /// The echoing member's signature verifies.
+  /// The echoing member's signature verifies (a full check that bypasses
+  /// the verdict cache: this object is the verdict's only holder).
   bool signature_valid() const;
   /// The signature covers exactly this body's ECHO header.
   bool signature_binds_body() const;

@@ -1,6 +1,6 @@
 #include "consensus/types.hpp"
 
-#include <set>
+#include <algorithm>
 
 #include "support/serde.hpp"
 
@@ -55,16 +55,16 @@ Bytes Confirm::signed_part() const {
 
 bool QuorumCert::verify(const std::vector<crypto::PublicKey>& committee,
                         std::size_t committee_size) const {
-  std::set<std::uint64_t> committee_keys;
-  for (const auto& pk : committee) committee_keys.insert(pk.y);
-
   // Structural pass: membership, payload binding and distinctness. The
-  // (expensive) signature checks run afterwards as one batch.
-  std::set<std::uint64_t> signers;
+  // (expensive) signature checks run afterwards as one batch. Committees
+  // are small, so both key checks are linear scans.
   std::vector<const crypto::SignedMessage*> to_verify;
   to_verify.reserve(confirms.size());
   for (const auto& sm : confirms) {
-    if (!committee_keys.contains(sm.signer.y)) return false;
+    if (std::find(committee.begin(), committee.end(), sm.signer) ==
+        committee.end()) {
+      return false;
+    }
     // The signed payload must be the CONFIRM body for our (id, digest).
     Reader rd(sm.payload);
     const std::string tag = rd.str();
@@ -74,10 +74,12 @@ bool QuorumCert::verify(const std::vector<crypto::PublicKey>& committee,
     if (!(got_id == id)) return false;
     const crypto::Digest got_digest = crypto::digest_from_bytes(rd.bytes());
     if (got_digest != digest) return false;
-    if (!signers.insert(sm.signer.y).second) return false;  // duplicate
+    for (const crypto::SignedMessage* seen : to_verify) {
+      if (seen->signer == sm.signer) return false;  // duplicate
+    }
     to_verify.push_back(&sm);
   }
-  if (signers.size() * 2 <= committee_size) return false;
+  if (to_verify.size() * 2 <= committee_size) return false;
   return crypto::verify_batch(to_verify);
 }
 

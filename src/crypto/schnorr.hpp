@@ -66,16 +66,17 @@ Signature sign(const SecretKey& sk, BytesView msg);
 bool verify(const PublicKey& pk, BytesView msg, const Signature& sig);
 
 /// Memoized verification for raw (pk, msg, sig) triples — the same
-/// verdict cache that backs SignedMessage::valid. Transaction signature
-/// checks go through here: every committee member judges the same
-/// transactions, so each distinct signature is verified once per thread.
+/// verdict cache that backs SignedMessage::valid. Transaction signatures
+/// and VRF sortition tickets go through here: every committee member
+/// judges the same transactions and every peer checks the same tickets,
+/// so each distinct signature is verified once per thread.
 bool verify_cached(const PublicKey& pk, BytesView msg, const Signature& sig);
 
 /// Thread-local memoization of verification verdicts, keyed on a digest
 /// of the full (signer, payload, signature) content. The same signed
 /// object is typically verified by every simulated node that receives it
-/// (relayed PROPOSEs inside echoes, confirm lists inside certificates,
-/// semi-commitments fanned out to referees and partial sets); the cache
+/// (confirm lists inside certificates, semi-commitments fanned out to
+/// referees and partial sets, sortition tickets, transactions); the cache
 /// collapses those repeats into one Schnorr verification per distinct
 /// content. Verdicts are pure functions of content, so caching cannot
 /// change any protocol outcome, and mutating a message changes its key,

@@ -515,17 +515,10 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
     }
     return;
   }
+  // Our own echo is already counted by the member instance that made it.
   if (out.echo_broadcast) {
     send_consensus(self.id, instance_peers(scope), net::Tag::kEcho, scope, sn,
                    out.echo_broadcast->serialize());
-    // Deliver our echo to our own member instance as well.
-    auto it = self.round.member.find(sn);
-    if (it != self.round.member.end()) {
-      auto echo_out = it->second.on_echo(std::move(*out.echo_broadcast));
-      if (echo_out.confirm_to_leader && !out.confirm_to_leader) {
-        out.confirm_to_leader = std::move(echo_out.confirm_to_leader);
-      }
-    }
   }
   if (out.confirm_to_leader) {
     const crypto::PublicKey leader_pk = expected_instance_leader(scope, sn);

@@ -256,6 +256,42 @@ TEST(Alg3, MemberLearnsFromRelayWithoutDirectPropose) {
   ASSERT_TRUE(out2.echo_broadcast.has_value());
 }
 
+TEST(Alg3, HeldRelayIsNotReverified) {
+  // Once a member holds the PROPOSE, an ECHO relaying the same payload
+  // needs no signature check beyond its own; one relaying a different
+  // leader-signed payload still convicts the leader.
+  Committee c(5);
+  LeaderInstance leader(c.leader_keys(), c.id, c.message, c.size());
+  const ProposeWire honest = leader.make_propose();
+  MemberInstance m1(c.keys[1], 1, c.id, c.leader_keys().pk, c.size());
+  ASSERT_TRUE(m1.on_propose(honest).echo_broadcast.has_value());
+
+  std::vector<ReceivedEcho> relays;
+  for (std::size_t i = 2; i < 4; ++i) {
+    MemberInstance peer(c.keys[i], i, c.id, c.leader_keys().pk, c.size());
+    auto out = peer.on_propose(honest);
+    ASSERT_TRUE(out.echo_broadcast.has_value());
+    relays.emplace_back(std::move(*out.echo_broadcast));
+    ASSERT_TRUE(relays.back().signature_valid());  // the echo's own check
+  }
+  crypto::verify_cache::clear();
+  for (const ReceivedEcho& relay : relays) {
+    EXPECT_FALSE(m1.on_echo(relay).witness.has_value());
+  }
+  EXPECT_EQ(crypto::verify_cache::hits() + crypto::verify_cache::misses(),
+            0u);
+  // Own echo plus two relays: 3 of 5 is a quorum.
+  EXPECT_TRUE(m1.has_confirmed());
+
+  MemberInstance m4(c.keys[4], 4, c.id, c.leader_keys().pk, c.size());
+  auto evil =
+      m4.on_propose(leader.make_equivocating_propose(bytes_of("other")));
+  ASSERT_TRUE(evil.echo_broadcast.has_value());
+  const auto out = m1.on_echo(std::move(*evil.echo_broadcast));
+  ASSERT_TRUE(out.witness.has_value());
+  EXPECT_TRUE(out.witness->valid(c.leader_keys().pk));
+}
+
 TEST(Alg3, TamperedEchoIgnored) {
   Committee c(3);
   LeaderInstance leader(c.leader_keys(), c.id, c.message, c.size());

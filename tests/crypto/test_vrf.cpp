@@ -74,6 +74,29 @@ TEST(Vrf, ForgedProofRejected) {
   EXPECT_FALSE(vrf_verify(kp.pk, input, out));
 }
 
+TEST(Vrf, CachedVerdictRejectsTamperedTicket) {
+  // The proof's verdict is cached by content, so a second check of the
+  // same ticket is a hit, and any altered ticket or input is a new key
+  // that is checked and rejected.
+  const KeyPair kp = KeyPair::from_seed(11);
+  const Bytes input = bytes_of("sortition input");
+  const VrfOutput out = vrf_prove(kp.sk, input);
+  verify_cache::clear();
+  EXPECT_TRUE(vrf_verify(kp.pk, input, out));
+  EXPECT_EQ(verify_cache::misses(), 1u);
+  EXPECT_TRUE(vrf_verify(kp.pk, input, out));
+  EXPECT_EQ(verify_cache::hits(), 1u);
+  EXPECT_EQ(verify_cache::misses(), 1u);
+
+  VrfOutput bad_s = out;
+  bad_s.proof.s = (bad_s.proof.s + 1) % kQ;
+  EXPECT_FALSE(vrf_verify(kp.pk, input, bad_s));
+  VrfOutput bad_hash = out;
+  bad_hash.hash[31] ^= 1;
+  EXPECT_FALSE(vrf_verify(kp.pk, input, bad_hash));
+  EXPECT_FALSE(vrf_verify(kp.pk, bytes_of("another input"), out));
+}
+
 TEST(Vrf, SerializationRoundTrip) {
   const KeyPair kp = KeyPair::from_seed(9);
   const VrfOutput out = vrf_prove(kp.sk, bytes_of("serialize me"));

@@ -27,11 +27,11 @@ namespace cyc {
 namespace {
 
 constexpr const char* kHonestSmallDigest =
-    "ff7ff49bb99646d78ce574a55e823a0726284b2d38c26486feae0b09a2715d82";
+    "560ea48864c7b1e4e2e9db44a55d4a5971c4a170a3e1f2824d4f7090c35c4c32";
 constexpr const char* kLossyWanDigest =
-    "6cd72a9cebc62e637ac9059f490b1229b036bec4bdef70c70d709b8802883124";
+    "d1d6a44694ccc99023d647664bd6aa77d92ff031088ed0c2540c5f2a5f8f3496";
 constexpr const char* kForcedCorruptLeadersDigest =
-    "ef336cdaa6908f9177ff41763d30170c77c52816be0ba0608c43d128734acdeb";
+    "1285a2f639d15cd567a6705eb1f413b33aeec01ad240b705458006beaf7410d6";
 
 std::string trace_digest(const std::string& doc) {
   const crypto::Digest d = crypto::sha256(BytesView(
