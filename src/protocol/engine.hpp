@@ -551,8 +551,8 @@ class Engine {
   void on_catchup_reply(NodeState& self, const net::Message& msg);
   /// kBlock from a referee seat / §VIII-B kSubBlock from a leader that
   /// released one this round: a member adopts its view's successor
-  /// under the released (sub-)block, decoding and routing each payload
-  /// once and deriving each distinct successor once.
+  /// under the released (sub-)block of the current round, decoding and
+  /// routing each payload once and deriving each distinct successor once.
   void on_block(NodeState& self, const net::Message& msg);
 
   // ---- helpers ----
@@ -769,6 +769,7 @@ class Engine {
   // The memo holds each base view it is keyed by, so that address also
   // stays unique.
   struct ReleasedBlock {
+    std::uint64_t round = 0;  // the round whose B^r this is (or is part of)
     ledger::RoutedBlock routed;
     struct Step {
       std::shared_ptr<const ledger::UtxoStore> base;

@@ -362,8 +362,12 @@ void Engine::on_block(NodeState& self, const net::Message& msg) {
       decode_once<ReleasedBlock>(msg, [this](BytesView payload) {
         auto block = wire::BlockMsg::deserialize(payload);
         return ReleasedBlock{
+            block.round,
             ledger::RoutedBlock(std::move(block.txs), *shard_map_), {}};
       });
+  // A (sub-)block of another round is stale: SimNet carries late
+  // deliveries across rounds, and a replay must not move a view.
+  if (released.round != round_) return;
   auto [step, fresh] = released.successors.try_emplace(self.utxo.get());
   if (fresh) {
     step->second.base = self.utxo;

@@ -159,7 +159,7 @@ TEST(InvariantChecker, FlagsMemberThatAdoptsAnUnguardedBody) {
   ledger::Transaction second = kept;
   second.outputs = {{kept.spender, 1}};
   protocol::wire::BlockMsg unguarded;
-  unguarded.round = report.round;
+  unguarded.round = engine.round();  // delivered after run_round returned
   unguarded.txs = {second};
   const auto shard = ledger::input_shard(kept, *engine.shard_map());
   const net::NodeId member =

@@ -311,6 +311,44 @@ TEST(EngineHonest, ForgedBlockIsIgnored) {
   EXPECT_EQ(report.recoveries, 0u);
 }
 
+TEST(EngineHonest, ReplayedOldBlockIsIgnored) {
+  // A released block binds to its round. After round 4's release, a
+  // round-4 referee seat re-sends round 1's block to every member: no
+  // member may apply it, so every view ends round 4 on its shard's store.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Engine engine(small_params(seed), AdversaryConfig{});
+    engine.run_round();
+    wire::BlockMsg old;
+    old.round = 1;
+    old.txs = engine.last_block().txs;
+    old.randomness = engine.randomness();
+    old.body_root = engine.last_block().header.body_root;
+    ASSERT_FALSE(old.txs.empty());
+    const auto payload = net::make_payload(old.serialize());
+    engine.run(2);
+
+    const RoundAssignment round4 = engine.assignment();
+    const net::Time release_done =
+        engine.net().now() + engine.params().round_duration();
+    engine.net_mut().schedule(release_done, [&](net::Time) {
+      for (const CommitteeInfo& committee : round4.committees) {
+        for (net::NodeId id : committee.all_members()) {
+          engine.net_mut().send_shared(round4.referees.front(), id,
+                                       net::Tag::kBlock, payload);
+        }
+      }
+    });
+    ASSERT_EQ(engine.run_round().round, 4u);
+    for (const CommitteeInfo& committee : round4.committees) {
+      for (net::NodeId id : committee.all_members()) {
+        EXPECT_EQ(engine.member_view(id).digest(),
+                  engine.shard_state()[committee.id].digest())
+            << "seed " << seed << ", member " << id;
+      }
+    }
+  }
+}
+
 TEST(EngineHonest, ForgedBlockPermitReleasesNothing) {
   // §VIII-B: only C_R permits a leader to release its sub-block, and a
   // leader releases once per round. Five permits forged by a committee-1
