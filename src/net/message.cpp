@@ -1,24 +1,34 @@
 #include "net/message.hpp"
 
+#include <array>
+
 namespace cyc::net {
 
 namespace {
 thread_local std::uint64_t t_payload_allocs = 0;
 thread_local std::uint64_t t_payload_bytes = 0;
+thread_local std::array<std::uint64_t, kTagCount> t_payload_decodes{};
 const Bytes kEmptyPayload;
 }  // namespace
 
 PayloadPtr make_payload(Bytes b) {
   ++t_payload_allocs;
   t_payload_bytes += b.size();
-  return std::make_shared<const Bytes>(std::move(b));
+  return std::make_shared<const Payload>(std::move(b));
 }
 
 std::uint64_t payload_allocations() { return t_payload_allocs; }
 std::uint64_t payload_bytes_allocated() { return t_payload_bytes; }
+std::uint64_t payload_decodes(Tag tag) {
+  return t_payload_decodes[static_cast<std::size_t>(tag)];
+}
+
+void detail::count_decode(Tag tag) {
+  ++t_payload_decodes[static_cast<std::size_t>(tag)];
+}
 
 const Bytes& Message::payload() const {
-  return body ? *body : kEmptyPayload;
+  return body ? body->bytes() : kEmptyPayload;
 }
 
 std::string_view tag_name(Tag tag) {

@@ -3,11 +3,15 @@
 // Tags cover every message class of §IV (Algorithms 2–6) plus block
 // propagation. Payloads are canonical serde encodings produced by the
 // protocol layer; the simulator treats them as opaque bytes and accounts
-// their size.
+// their size. Receivers decode a payload through Message::decoded, which
+// keeps the decoding in the buffer, so a buffer multicast to many
+// receivers is decoded once.
 #pragma once
 
+#include <any>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string_view>
 
 #include "support/bytes.hpp"
@@ -68,10 +72,32 @@ inline constexpr std::size_t kTagCount =
 
 std::string_view tag_name(Tag tag);
 
-/// Shared, immutable payload buffer. A logical broadcast materialises its
-/// payload once and every queued copy / delivered Message aliases the same
-/// buffer — the simulator and all receivers treat payloads as read-only.
-using PayloadPtr = std::shared_ptr<const Bytes>;
+/// One payload buffer: the immutable bytes plus one slot for their
+/// decoding. A logical broadcast materialises its payload once and every
+/// queued copy / delivered Message aliases the same buffer; the first
+/// receiver that decodes it fills the slot (Message::decoded), later
+/// receivers reuse that value, and it is freed with the buffer. Filling
+/// the slot does not change what the buffer says, hence `mutable`. The
+/// slot is not synchronised: every delivery of a buffer runs on the thread
+/// that runs its SimNet.
+class Payload {
+ public:
+  explicit Payload(Bytes bytes) : bytes_(std::move(bytes)) {}
+
+  const Bytes& bytes() const { return bytes_; }
+  friend bool operator==(const Payload& p, const Bytes& b) {
+    return p.bytes_ == b;
+  }
+
+ private:
+  friend struct Message;
+  Bytes bytes_;
+  mutable std::any decoded_;
+};
+
+/// Shared, immutable payload buffer; the simulator and all receivers
+/// treat its bytes as read-only.
+using PayloadPtr = std::shared_ptr<const Payload>;
 
 /// Wrap a byte string into a shared payload buffer. This is the single
 /// choke point where payload memory is allocated; the counters below make
@@ -84,6 +110,14 @@ PayloadPtr make_payload(Bytes b);
 std::uint64_t payload_allocations();
 /// Total payload bytes allocated on this thread since it started.
 std::uint64_t payload_bytes_allocated();
+/// Payload buffers whose decoding a delivery tagged `tag` stored on this
+/// thread since it started (Message::decoded): one per buffer however
+/// many receivers share it, so it makes the decode-once contract testable.
+std::uint64_t payload_decodes(Tag tag);
+
+namespace detail {
+void count_decode(Tag tag);
+}  // namespace detail
 
 struct Message {
   NodeId from = kNoNode;
@@ -96,6 +130,27 @@ struct Message {
 
   /// Wire size used for byte accounting: payload plus a fixed header.
   std::size_t wire_size() const { return payload().size() + 16; }
+
+  /// The payload decoded as a T: the value an earlier receiver of the same
+  /// buffer stored, or `decode(payload())` stored now. A decode that throws
+  /// stores nothing, so every receiver of a malformed buffer fails the same
+  /// way. A slot holding another type is replaced, so T must be a function
+  /// of the bytes alone; where the tag selects the codec, the decoded type
+  /// records what it was decoded as. Throws std::invalid_argument when the
+  /// message has no body.
+  template <typename T, typename Decode>
+  T& decoded(Decode&& decode) const {
+    if (!body) throw std::invalid_argument("Message::decoded: no payload");
+    if (T* held = std::any_cast<T>(&body->decoded_)) return *held;
+    T value = decode(BytesView(body->bytes_));
+    detail::count_decode(tag);
+    return body->decoded_.emplace<T>(std::move(value));
+  }
+  /// decoded<T> through the type's own codec, T::deserialize.
+  template <typename T>
+  T& decoded() const {
+    return decoded<T>([](BytesView b) { return T::deserialize(b); });
+  }
 };
 
 }  // namespace cyc::net

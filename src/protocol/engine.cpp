@@ -37,7 +37,7 @@ Engine::Engine(Params params, AdversaryConfig adversary, EngineOptions options)
   for (auto& n : nodes_) {
     const net::NodeId id = n.id;
     net_->set_handler(id, [this, id](const net::Message& msg, net::Time now) {
-      handle(id, msg, now);
+      dispatch(nodes_[id], msg, now);
     });
   }
 
@@ -535,7 +535,6 @@ void Engine::start_round_state() {
     n.utxo = n.committee >= 0 ? views[static_cast<std::size_t>(n.committee)]
                               : outside;
   }
-  fanout_.clear();
 
   committees_.assign(params_.m, CommitteeRound{});
   for (std::uint32_t k = 0; k < params_.m; ++k) {

@@ -19,7 +19,6 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
-#include <variant>
 #include <vector>
 
 #include "consensus/engine.hpp"
@@ -216,9 +215,6 @@ class Engine {
   const ledger::UtxoStore& member_view(net::NodeId id) const {
     return *nodes_[id].utxo;
   }
-  /// Entries in the decode-once fan-out cache: buffers with deliveries
-  /// still pending in the network.
-  std::size_t fanout_cache_size() const { return fanout_.size(); }
   /// Fault-injection hook for the scenario harness: mutable access to the
   /// authoritative per-shard UTXO views, so tests can corrupt a shard
   /// state and assert the invariant checker notices. Not used by the
@@ -505,6 +501,48 @@ class Engine {
     }
   };
 
+  // What receivers share of a buffer: the decoded types that are more
+  // than a wire struct, each stored in the buffer by its first receiver
+  // (net::Message::decoded).
+  //
+  // A PROPOSE, ECHO or CONFIRM: its (scope, sn) route and its wire, the
+  // one its tag names; PROPOSE and ECHO carry their lazy
+  // receiver-independent Alg. 3 verdicts.
+  struct ConsensusFanout {
+    std::uint32_t scope = 0;
+    std::uint64_t sn = 0;
+    std::optional<consensus::ReceivedPropose> propose;
+    std::optional<consensus::ReceivedEcho> echo;
+    std::optional<consensus::ConfirmWire> confirm;
+    /// `msg`'s buffer decoded as the wire its tag names (see
+    /// net::Message::decoded). Throws on a malformed envelope or wire.
+    static const ConsensusFanout& of(const net::Message& msg);
+  };
+  // A TX_LIST and the transactions its leader signed.
+  struct ReceivedTxList {
+    wire::TxListMsg list;
+    std::vector<ledger::Transaction> txs;
+  };
+  // An INTRA decision or SCORE_REPORT list certified by its committee,
+  // and the committee the result names.
+  struct ReceivedResult {
+    wire::CertifiedResult result;
+    bool scores = false;  // decoded as a score list
+    std::uint32_t committee = 0;
+  };
+  // A released block, routed once under the epoch's shard map, memoizing
+  // base view -> successor. The memo holds each base view it is keyed
+  // by, so that address stays unique.
+  struct ReleasedBlock {
+    std::uint64_t round = 0;  // the round whose B^r this is (or is part of)
+    ledger::RoutedBlock routed;
+    struct Step {
+      std::shared_ptr<const ledger::UtxoStore> base;
+      std::shared_ptr<const ledger::UtxoStore> next;
+    };
+    std::unordered_map<const ledger::UtxoStore*, Step> successors;
+  };
+
   // ---- setup ----
   void build_nodes();
   void assign_genesis_roles();
@@ -521,12 +559,11 @@ class Engine {
   void phase_block(net::Time at);
 
   // ---- message handling ----
-  void handle(net::NodeId id, const net::Message& msg, net::Time now);
   void dispatch(NodeState& self, const net::Message& msg, net::Time now);
   void on_config(NodeState& self, const net::Message& msg);
   void on_member_list(NodeState& self, const net::Message& msg);
   void on_member(NodeState& self, const net::Message& msg);
-  /// Multicast PROPOSE / ECHO, through the decode-once cache.
+  /// Multicast PROPOSE / ECHO.
   void on_consensus_msg(NodeState& self, const net::Message& msg,
                         net::Time now);
   void on_confirm(NodeState& self, const net::Message& msg);
@@ -645,7 +682,11 @@ class Engine {
   /// Multicast committee k's `kind` list, vote on it and schedule the
   /// tally; the §VIII-A pre-filter runs first for a cross list.
   void leader_start_list(std::uint32_t k, ListKind kind, net::Time now);
-  void leader_handle_cross_in(NodeState& leader, const Bytes& request);
+  /// A destination leader's handling of origin `req.origin`'s certified
+  /// cross list `req`, whose encoding is `request`.
+  void leader_handle_cross_in(NodeState& leader,
+                              const wire::CrossTxListMsg& req,
+                              const Bytes& request);
   void leader_send_scores(std::uint32_t k);
 
   /// Apply score reports that have gathered a referee-majority ack into
@@ -752,41 +793,6 @@ class Engine {
   std::set<net::NodeId> convicted_leaders_;
   // Registered participants for next round (PoW solutions received).
   std::set<net::NodeId> registered_;
-  // Decode-once cache for payload buffers fanned out to many receivers:
-  // consensus PROPOSE / ECHO, semi-commitment batches and released
-  // (sub-)blocks. Keyed by buffer address; each entry holds its payload,
-  // so the address cannot be freed and reused by another buffer while the
-  // key lives. handle() evicts an entry once the last pending delivery of
-  // its buffer has been handled; the cache is also cleared at round start,
-  // since routed blocks depend on the epoch's shard map.
-  struct ConsensusFanout {
-    wire::ConsensusEnvelope env;
-    // Decoded after scope routing, by the first receiver taking part.
-    std::optional<consensus::ReceivedPropose> propose;
-    std::optional<consensus::ReceivedEcho> echo;
-  };
-  // A released block, routed once, memoizing base view -> successor.
-  // The memo holds each base view it is keyed by, so that address also
-  // stays unique.
-  struct ReleasedBlock {
-    std::uint64_t round = 0;  // the round whose B^r this is (or is part of)
-    ledger::RoutedBlock routed;
-    struct Step {
-      std::shared_ptr<const ledger::UtxoStore> base;
-      std::shared_ptr<const ledger::UtxoStore> next;
-    };
-    std::unordered_map<const ledger::UtxoStore*, Step> successors;
-  };
-  struct Fanout {
-    net::PayloadPtr payload;
-    std::variant<ConsensusFanout, wire::SemiCommitBatch, ReleasedBlock> decoded;
-  };
-  std::unordered_map<const Bytes*, Fanout> fanout_;
-  /// The cached decoding of `msg`'s buffer, or `decode(payload)` cached
-  /// now. A decode that throws caches nothing, so every receiver of a
-  /// malformed buffer drops it.
-  template <typename T, typename Decode>
-  T& decode_once(const net::Message& msg, Decode&& decode);
   // Catch-up attempts resolved in the current round (cleared per round).
   std::vector<CatchUpRecord> catchup_log_;
   // Per-committee: severed from quorum by an active partition/blackout
@@ -795,15 +801,5 @@ class Engine {
   // Observability: empty unless an observer is attached.
   std::optional<obs::EngineTrace> obs_;
 };
-
-template <typename T, typename Decode>
-T& Engine::decode_once(const net::Message& msg, Decode&& decode) {
-  auto it = fanout_.find(msg.body.get());
-  if (it == fanout_.end()) {
-    it = fanout_.emplace(msg.body.get(), Fanout{msg.body, decode(msg.payload())})
-             .first;
-  }
-  return std::get<T>(it->second.decoded);
-}
 
 }  // namespace cyc::protocol

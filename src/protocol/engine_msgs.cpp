@@ -236,23 +236,6 @@ void Engine::phase_block(net::Time at) {
 // Dispatcher
 // ---------------------------------------------------------------------------
 
-void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
-  dispatch(nodes_[id], msg, now);
-  // Once no other delivery of a cached buffer is pending, its fan-out
-  // entry and this delivery hold the buffer's last two references.
-  switch (msg.tag) {
-    case net::Tag::kPropose:
-    case net::Tag::kEcho:
-    case net::Tag::kSemiCommitAck:
-    case net::Tag::kBlock:
-    case net::Tag::kSubBlock:
-      if (msg.body.use_count() <= 2) fanout_.erase(msg.body.get());
-      break;
-    default:
-      break;
-  }
-}
-
 void Engine::dispatch(NodeState& self, const net::Message& msg,
                       net::Time now) {
   try {
@@ -294,7 +277,7 @@ void Engine::dispatch(NodeState& self, const net::Message& msg,
       case net::Tag::kNewLeader: on_new_leader(self, msg); break;
       case net::Tag::kPowSolution: {
         if (self.role != Role::kReferee) break;
-        const auto pow = wire::PowMsg::deserialize(msg.payload());
+        const auto& pow = msg.decoded<wire::PowMsg>();
         // Referees only register the current membership; a standby or
         // retired identity must re-enter through the epoch join puzzle.
         if (pow.node >= nodes_.size() || !nodes_[pow.node].enrolled) break;
@@ -359,7 +342,7 @@ void Engine::on_block(NodeState& self, const net::Message& msg) {
     return;
   }
   ReleasedBlock& released =
-      decode_once<ReleasedBlock>(msg, [this](BytesView payload) {
+      msg.decoded<ReleasedBlock>([this](BytesView payload) {
         auto block = wire::BlockMsg::deserialize(payload);
         return ReleasedBlock{
             block.round,
@@ -388,7 +371,7 @@ void Engine::on_block(NodeState& self, const net::Message& msg) {
 
 void Engine::on_config(NodeState& self, const net::Message& msg) {
   if (self.role != Role::kLeader && self.role != Role::kPartial) return;
-  const auto intro = wire::Intro::deserialize(msg.payload());
+  const auto& intro = msg.decoded<wire::Intro>();
   // The reply goes to the sender itself, never to an address it names.
   if (intro.node != msg.from) return;
   if (intro.ticket.committee != static_cast<std::uint32_t>(self.committee)) {
@@ -425,7 +408,7 @@ void Engine::on_member_list(NodeState& self, const net::Message& msg) {
                 msg.from) == committee.partial.end()) {
     return;
   }
-  const auto list = wire::MemberListMsg::deserialize(msg.payload());
+  const auto& list = msg.decoded<wire::MemberListMsg>();
   std::vector<net::NodeId> fresh;
   for (std::size_t i = 0; i < list.pks.size(); ++i) {
     if (self.round.known_pks.insert(list.pks[i].y).second) {
@@ -439,7 +422,7 @@ void Engine::on_member_list(NodeState& self, const net::Message& msg) {
 }
 
 void Engine::on_member(NodeState& self, const net::Message& msg) {
-  const auto intro = wire::Intro::deserialize(msg.payload());
+  const auto& intro = msg.decoded<wire::Intro>();
   if (intro.ticket.committee != static_cast<std::uint32_t>(self.committee)) {
     return;
   }
@@ -542,15 +525,34 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
   }
 }
 
+const Engine::ConsensusFanout& Engine::ConsensusFanout::of(
+    const net::Message& msg) {
+  return msg.decoded<ConsensusFanout>([&msg](BytesView payload) {
+    const auto env = wire::ConsensusEnvelope::deserialize(payload);
+    ConsensusFanout fan{env.scope, env.sn, {}, {}, {}};
+    switch (msg.tag) {
+      case net::Tag::kPropose:
+        fan.propose.emplace(consensus::ProposeWire::deserialize(env.wire));
+        break;
+      case net::Tag::kEcho:
+        fan.echo.emplace(consensus::EchoWire::deserialize(env.wire));
+        break;
+      default:
+        fan.confirm.emplace(consensus::ConfirmWire::deserialize(env.wire));
+        break;
+    }
+    return fan;
+  });
+}
+
 void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
                               net::Time now) {
-  ConsensusFanout& fan =
-      decode_once<ConsensusFanout>(msg, [](BytesView payload) {
-        return ConsensusFanout{wire::ConsensusEnvelope::deserialize(payload),
-                               {}, {}};
-      });
-  const std::uint32_t scope = fan.env.scope;
-  const std::uint64_t sn = fan.env.sn;
+  const bool propose = msg.tag == net::Tag::kPropose;
+  const ConsensusFanout& fan = ConsensusFanout::of(msg);
+  // One buffer is one message: re-sent under another Alg. 3 tag, dropped.
+  if (propose ? !fan.propose : !fan.echo) return;
+  const std::uint32_t scope = fan.scope;
+  const std::uint64_t sn = fan.sn;
   if (!in_scope(self, scope)) return;
 
   auto it = self.round.member.find(sn);
@@ -563,32 +565,25 @@ void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
              .first;
   }
   consensus::MemberOutput out;
-  if (msg.tag == net::Tag::kPropose) {
+  if (propose) {
     // Track leader engagement for the 2*Gamma concealment rule.
     if (scope < params_.m && seq::is_cross_in(sn)) {
       self.round.cross_seen_propose.insert(seq::cross_in_origin(sn));
     }
-    if (!fan.propose) {
-      fan.propose.emplace(consensus::ProposeWire::deserialize(fan.env.wire));
-    }
     out = it->second.on_propose(*fan.propose);
   } else {
-    if (!fan.echo) {
-      fan.echo.emplace(consensus::EchoWire::deserialize(fan.env.wire));
-    }
     out = it->second.on_echo(*fan.echo);
   }
   process_member_output(self, scope, sn, std::move(out), now);
 }
 
 void Engine::on_confirm(NodeState& self, const net::Message& msg) {
-  const auto env = wire::ConsensusEnvelope::deserialize(msg.payload());
-  if (!in_scope(self, env.scope)) return;
-  auto it = self.round.lead.find(env.sn);
+  const ConsensusFanout& fan = ConsensusFanout::of(msg);
+  if (!fan.confirm || !in_scope(self, fan.scope)) return;
+  auto it = self.round.lead.find(fan.sn);
   if (it == self.round.lead.end()) return;
-  if (auto cert =
-          it->second.on_confirm(consensus::ConfirmWire::deserialize(env.wire))) {
-    on_cert(self, env.scope, env.sn, *cert);
+  if (auto cert = it->second.on_confirm(*fan.confirm)) {
+    on_cert(self, fan.scope, fan.sn, *cert);
   }
 }
 

@@ -65,7 +65,7 @@ void Engine::leader_send_semicommit(NodeState& leader, std::uint32_t k) {
 
 void Engine::on_semicommit(NodeState& self, const net::Message& msg,
                            net::Time now) {
-  const auto sc = wire::SemiCommitMsg::deserialize(msg.payload());
+  const auto& sc = msg.decoded<wire::SemiCommitMsg>();
   const std::uint32_t k = sc.committee;
   if (k >= params_.m) return;
   const crypto::PublicKey leader_pk = nodes_[committees_[k].current_leader].keys.pk;
@@ -157,8 +157,7 @@ void Engine::relay_semicommits(net::NodeId referee,
 void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg) {
   // Only current referee seats relay semi-commitments.
   if (!referee_seat(msg.from)) return;
-  const auto& batch = decode_once<wire::SemiCommitBatch>(
-      msg, &wire::SemiCommitBatch::deserialize);
+  const auto& batch = msg.decoded<wire::SemiCommitBatch>();
   for (const wire::SemiCommitAck& ack : batch.entries) {
     if (ack.committee < params_.m) {
       self.round.commitments.set(ack.committee, ack.commitment);
@@ -340,7 +339,12 @@ void Engine::leader_start_list(std::uint32_t k, ListKind kind, net::Time now) {
 
 
 void Engine::on_txlist(NodeState& self, const net::Message& msg) {
-  const auto list = wire::TxListMsg::deserialize(msg.payload());
+  const auto& [list, txs] =
+      msg.decoded<ReceivedTxList>([](BytesView payload) {
+        auto list = wire::TxListMsg::deserialize(payload);
+        auto txs = wire::decode_tx_vec(list.signed_list.payload);
+        return ReceivedTxList{std::move(list), std::move(txs)};
+      });
   if (self.committee != static_cast<std::int64_t>(list.committee)) return;
   const crypto::PublicKey leader_pk =
       nodes_[committees_[list.committee].current_leader].keys.pk;
@@ -350,7 +354,6 @@ void Engine::on_txlist(NodeState& self, const net::Message& msg) {
   self.round.leader_sent_txlist = true;
   if (self.id == committees_[list.committee].current_leader) return;
 
-  const auto txs = wire::decode_tx_vec(list.signed_list.payload);
   wire::VoteMsg reply;
   reply.committee = list.committee;
   reply.attempt = list.attempt;
@@ -362,7 +365,7 @@ void Engine::on_txlist(NodeState& self, const net::Message& msg) {
 }
 
 void Engine::on_vote(NodeState& self, const net::Message& msg) {
-  auto vote = wire::VoteMsg::deserialize(msg.payload());
+  const auto& vote = msg.decoded<wire::VoteMsg>();
   if (vote.committee >= params_.m) return;
   CommitteeRound& committee = committees_[vote.committee];
   if (self.id != committee.current_leader) return;
@@ -374,7 +377,7 @@ void Engine::on_vote(NodeState& self, const net::Message& msg) {
   // (leader_flush_votes) instead of one Schnorr check per arrival.
   committee.tally(vote.cross ? ListKind::kCross : ListKind::kIntra)
       .pending[voter]
-      .push_back(std::move(vote.signed_vote));
+      .push_back(vote.signed_vote);
 }
 
 void Engine::leader_flush_votes(VoteTally& tally) {
@@ -403,8 +406,9 @@ void Engine::leader_flush_votes(VoteTally& tally) {
 // Inter-committee consensus (§IV-D)
 // ---------------------------------------------------------------------------
 
-void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request) {
-  const auto req = wire::CrossTxListMsg::deserialize(request);
+void Engine::leader_handle_cross_in(NodeState& leader,
+                                    const wire::CrossTxListMsg& req,
+                                    const Bytes& request) {
   const std::uint32_t k = static_cast<std::uint32_t>(leader.committee);
   if (req.dest != k) return;
   auto& duties = committees_[k].duties;
@@ -443,7 +447,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg) {
     // running committee consensus. The forged certificate cannot carry
     // >C/2 member signatures, so origin leader and referees reject it;
     // the partial set's 2*Gamma rule then evicts the imitator.
-    const auto req = wire::CrossTxListMsg::deserialize(msg.payload());
+    const auto& req = msg.decoded<wire::CrossTxListMsg>();
     if (req.origin >= params_.m) return;
     wire::CrossResultMsg forged;
     forged.request = req;
@@ -460,13 +464,14 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg) {
     send_to_referees(self.id, net::Tag::kCrossResult, payload);
     return;
   }
-  leader_handle_cross_in(self, msg.payload());
+  leader_handle_cross_in(self, msg.decoded<wire::CrossTxListMsg>(),
+                         msg.payload());
 }
 
 void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
                            net::Time now) {
   if (self.role != Role::kPartial || self.committee < 0) return;
-  const auto req = wire::CrossTxListMsg::deserialize(msg.payload());
+  const auto& req = msg.decoded<wire::CrossTxListMsg>();
   const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
   if (req.dest != k) return;
   if (self.round.cross_hints.contains(req.origin)) return;
@@ -504,7 +509,7 @@ void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
 void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
   // Referees record the doubly-certified cross list for the block.
   if (self.role != Role::kReferee) return;
-  const auto result = wire::CrossResultMsg::deserialize(msg.payload());
+  const auto& result = msg.decoded<wire::CrossResultMsg>();
   const std::uint32_t dest = result.request.dest;
   const std::uint32_t origin = result.request.origin;
   if (dest >= params_.m || origin >= params_.m) return;
@@ -538,12 +543,16 @@ void Engine::on_committee_result(NodeState& self, const net::Message& msg) {
   // double-ack (acks are keyed by referee id), and a partitioned minority
   // of C_R can never push a result into the block alone.
   if (self.role != Role::kReferee) return;
-  const auto result = wire::CertifiedResult::deserialize(msg.payload());
   const bool scores = msg.tag == net::Tag::kScoreReport;
-  const std::uint32_t k =
-      scores ? wire::ScoreListMsg::deserialize(result.payload).committee
-             : wire::IntraDecision::deserialize(result.payload).committee;
-  if (k >= params_.m) return;
+  const auto& [result, decoded_scores, k] =
+      msg.decoded<ReceivedResult>([scores](BytesView payload) {
+        auto result = wire::CertifiedResult::deserialize(payload);
+        const std::uint32_t k =
+            scores ? wire::ScoreListMsg::deserialize(result.payload).committee
+                   : wire::IntraDecision::deserialize(result.payload).committee;
+        return ReceivedResult{std::move(result), scores, k};
+      });
+  if (decoded_scores != scores || k >= params_.m) return;
   const ResultKey key{scores ? ResultKind::kScore : ResultKind::kIntra, k};
   if (committees_[k].acked_by(key, self.id)) return;
   const auto* members = self.round.lists.find(k);
@@ -673,7 +682,7 @@ void Engine::begin_accusation(NodeState& accuser, std::uint32_t k,
 }
 
 void Engine::on_accuse(NodeState& self, const net::Message& msg) {
-  const auto accusation = Accusation::deserialize(msg.payload());
+  const auto& accusation = msg.decoded<Accusation>();
   if (self.committee != static_cast<std::int64_t>(accusation.committee)) return;
   const net::NodeId accuser_id = node_of_pk(accusation.accuser);
   if (accuser_id == net::kNoNode || accuser_id == self.id) return;
@@ -723,7 +732,7 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg) {
 
 void Engine::on_impeach_vote(NodeState& self, const net::Message& msg) {
   if (!self.round.pending_accusation || self.round.sent_prosecution) return;
-  const auto approval = crypto::SignedMessage::deserialize(msg.payload());
+  const auto& approval = msg.decoded<crypto::SignedMessage>();
   const Bytes expected =
       ImpeachmentCert::approval_payload(*self.round.pending_accusation);
   if (!equal(approval.payload, expected) || !approval.valid()) return;
@@ -772,7 +781,7 @@ bool Engine::referee_corroborates_timeout(const NodeState& referee,
 void Engine::on_prosecute(NodeState& self, const net::Message& msg,
                           net::Time now) {
   if (self.role != Role::kReferee) return;
-  const auto cert = ImpeachmentCert::deserialize(msg.payload());
+  const auto& cert = msg.decoded<ImpeachmentCert>();
   const auto& accusation = cert.accusation;
   if (accusation.committee >= params_.m) return;
   if (committees_[accusation.committee].leader_convicted) return;
@@ -869,7 +878,7 @@ void Engine::on_new_leader(NodeState& self, const net::Message& msg) {
   // install_new_leader when C_R certified the re-selection, so only a
   // referee seat announces one.
   if (!referee_seat(msg.from)) return;
-  const auto announcement = wire::NewLeaderMsg::deserialize(msg.payload());
+  const auto& announcement = msg.decoded<wire::NewLeaderMsg>();
   if (self.committee == static_cast<std::int64_t>(announcement.committee)) {
     self.round.leader_sent_txlist = false;
   }
@@ -913,7 +922,8 @@ void Engine::redo_leader_duties(std::uint32_t k, net::Time now) {
       leader_start_list(k, ListKind::kCross, now);
       // Process any cross lists the partial member already holds.
       for (const auto& [origin, hint] : leader.round.cross_hints) {
-        leader_handle_cross_in(leader, hint);
+        leader_handle_cross_in(leader, wire::CrossTxListMsg::deserialize(hint),
+                               hint);
       }
       break;
     case net::Phase::kReputation:

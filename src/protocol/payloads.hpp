@@ -49,9 +49,10 @@ struct ConsensusEnvelope {
 
   template <class IO, class Self>
   static void fields(IO& io, Self& s) { io(s.scope, s.sn, s.wire); }
-  /// Both count themselves; see consensus_encodes() / consensus_decodes().
-  Bytes serialize() const;
-  static ConsensusEnvelope deserialize(BytesView b);
+  Bytes serialize() const { return encode(*this); }
+  static ConsensusEnvelope deserialize(BytesView b) {
+    return decode<ConsensusEnvelope>(b);
+  }
 };
 
 /// SEMI_COM bundle the leader distributes: signed commitment plus signed
@@ -287,22 +288,7 @@ struct BlockMsg {
     io(s.round, nested(s.txs), s.randomness, s.body_root);
   }
   Bytes serialize() const { return encode(*this); }
-  /// Counts itself; see block_decodes().
-  static BlockMsg deserialize(BytesView b);
+  static BlockMsg deserialize(BytesView b) { return decode<BlockMsg>(b); }
 };
-
-/// BlockMsg payloads decoded on this thread since start. Thread-local in
-/// the style of net::payload_allocations(): it makes the engine's
-/// decode-once-per-released-block contract testable.
-std::uint64_t block_decodes();
-
-/// ConsensusEnvelope payloads encoded on this thread since start: one
-/// per PROPOSE / ECHO multicast buffer and one per CONFIRM send.
-std::uint64_t consensus_encodes();
-
-/// ConsensusEnvelope payloads decoded on this thread since start: the
-/// same contract for multicast PROPOSE / ECHO buffers (decoded once per
-/// buffer) plus one decode per delivered CONFIRM.
-std::uint64_t consensus_decodes();
 
 }  // namespace cyc::protocol::wire

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "protocol/engine.hpp"
-#include "protocol/payloads.hpp"
 
 namespace cyc::protocol {
 namespace {
@@ -35,12 +34,13 @@ TEST(SharedViews, OneDecodePerReleasedBlockAndAtMostOneViewPerShard) {
   constexpr std::uint32_t kM = 8;
   Engine engine(params_for(kM, 1), AdversaryConfig{});
   for (int r = 0; r < 3; ++r) {
-    const std::uint64_t decodes = wire::block_decodes();
+    const std::uint64_t decodes = net::payload_decodes(net::Tag::kBlock);
     const RoundReport report = engine.run_round();
     ASSERT_GT(report.txs_committed, 0u);
     // One released block payload this round, decoded exactly once for
     // all of its receivers.
-    EXPECT_EQ(wire::block_decodes() - decodes, 1u) << "round " << report.round;
+    EXPECT_EQ(net::payload_decodes(net::Tag::kBlock) - decodes, 1u)
+        << "round " << report.round;
 
     std::set<const ledger::UtxoStore*> views;
     std::size_t members = 0;
@@ -67,10 +67,10 @@ TEST(SharedViews, SubBlocksAreDecodedOncePerLeaderPayload) {
   EngineOptions options;
   options.extension_parallel_blocks = true;
   Engine engine(params_for(kM, 2), AdversaryConfig{}, options);
-  const std::uint64_t decodes = wire::block_decodes();
+  const std::uint64_t decodes = net::payload_decodes(net::Tag::kSubBlock);
   const RoundReport report = engine.run_round();
   ASSERT_GT(report.txs_committed, 0u);
-  EXPECT_EQ(wire::block_decodes() - decodes, kM);
+  EXPECT_EQ(net::payload_decodes(net::Tag::kSubBlock) - decodes, kM);
 }
 
 TEST(SharedViews, MemberThatMissesTheReleaseKeepsItsRoundStartView) {
