@@ -12,18 +12,20 @@ namespace {
 /// One full Alg. 3 instance, all messages shuttled in memory.
 void run_instance(std::size_t size) {
   std::vector<crypto::KeyPair> keys;
+  std::vector<crypto::PublicKey> roster;
   for (std::size_t i = 0; i < size; ++i) {
     keys.push_back(crypto::KeyPair::from_seed(7000 + i));
+    roster.push_back(keys.back().pk);
   }
   const consensus::InstanceId id{1, 1};
   const Bytes message = bytes_of("benchmark decision payload");
-  consensus::LeaderInstance leader(keys[0], id, message, size);
+  consensus::LeaderInstance leader(keys[0], id, message, roster);
   std::vector<consensus::MemberInstance> members;
   for (std::size_t i = 0; i < size; ++i) {
-    members.emplace_back(keys[i], i, id, keys[0].pk, size);
+    members.emplace_back(keys[i], i, id, keys[0].pk, roster);
   }
   // One received object per PROPOSE and per ECHO, shared by every member,
-  // as the engine shares one per fan-out buffer.
+  // as the engine shares one decoded value per payload buffer.
   const consensus::ReceivedPropose propose(leader.make_propose());
   std::vector<consensus::ReceivedEcho> echoes;
   for (auto& m : members) {

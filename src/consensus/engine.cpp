@@ -1,16 +1,26 @@
 #include "consensus/engine.hpp"
 
+#include <algorithm>
+
 namespace cyc::consensus {
+
+namespace {
+bool on_roster(const std::vector<crypto::PublicKey>& roster,
+               const crypto::PublicKey& pk) {
+  return std::find(roster.begin(), roster.end(), pk) != roster.end();
+}
+}  // namespace
 
 // --- LeaderInstance -----------------------------------------------------------
 
 LeaderInstance::LeaderInstance(crypto::KeyPair keys, InstanceId id,
-                               Bytes message, std::size_t committee_size)
+                               Bytes message,
+                               const std::vector<crypto::PublicKey>& roster)
     : keys_(keys),
       id_(id),
       message_(std::move(message)),
       digest_(crypto::sha256(message_)),
-      committee_size_(committee_size) {}
+      roster_(&roster) {}
 
 ProposeWire LeaderInstance::make_propose() const {
   Propose p;
@@ -47,9 +57,10 @@ std::optional<QuorumCert> LeaderInstance::on_confirm(const ConfirmWire& wire) {
   expected.digest = wire.body.digest;
   expected.member = wire.body.member;
   if (!equal(wire.sig.payload, expected.signed_part())) return std::nullopt;
+  if (!on_roster(*roster_, wire.sig.signer)) return std::nullopt;
 
   confirms_[wire.sig.signer.y] = wire.sig;
-  if (confirms_.size() * 2 > committee_size_) {
+  if (confirms_.size() * 2 > roster_->size()) {
     done_ = true;
     QuorumCert cert;
     cert.id = id_;
@@ -112,12 +123,12 @@ const std::optional<ProposeHeader>& ReceivedEcho::relay_header() const {
 MemberInstance::MemberInstance(crypto::KeyPair keys,
                                std::uint64_t member_index, InstanceId id,
                                crypto::PublicKey leader,
-                               std::size_t committee_size)
+                               const std::vector<crypto::PublicKey>& roster)
     : keys_(keys),
       index_(member_index),
       id_(id),
       leader_(leader),
-      committee_size_(committee_size) {}
+      roster_(&roster) {}
 
 std::optional<EquivocationWitness> MemberInstance::check_equivocation(
     const crypto::SignedMessage& propose_sig) {
@@ -201,7 +212,8 @@ MemberOutput MemberInstance::on_echo(const ReceivedEcho& echo) {
   }
 
   // Echoes only feed our own CONFIRM, so stop collecting once it is sent.
-  if (!confirmed_ && digest_ && wire.body.digest == *digest_) {
+  if (!confirmed_ && digest_ && wire.body.digest == *digest_ &&
+      on_roster(*roster_, wire.sig.signer)) {
     echoes_[wire.sig.signer.y] = wire.sig;
   }
 
@@ -215,7 +227,7 @@ MemberOutput MemberInstance::on_echo(const ReceivedEcho& echo) {
 MemberOutput MemberInstance::maybe_confirm() {
   MemberOutput out;
   if (confirmed_ || !seen_propose_ || !digest_) return out;
-  if (echoes_.size() * 2 <= committee_size_) return out;
+  if (echoes_.size() * 2 <= roster_->size()) return out;
 
   confirmed_ = true;
   Confirm c;

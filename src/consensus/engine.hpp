@@ -3,7 +3,9 @@
 // One LeaderInstance / MemberInstance pair per (round, sn). The engine
 // has no networking: methods consume decoded wire objects and return the
 // payloads to transport, so the protocol layer (and the tests) decide how
-// bytes move. Quorum rule is the paper's: strictly more than C/2.
+// bytes move. Quorum rule is the paper's: strictly more than C/2 of the
+// instance's roster, counting only ECHOs and CONFIRMs its members signed.
+// An instance keeps a reference to its roster, which must outlive it.
 #pragma once
 
 #include <cstdint>
@@ -102,7 +104,9 @@ class ReceivedEcho {
 class LeaderInstance {
  public:
   LeaderInstance(crypto::KeyPair keys, InstanceId id, Bytes message,
-                 std::size_t committee_size);
+                 const std::vector<crypto::PublicKey>& roster);
+  LeaderInstance(crypto::KeyPair, InstanceId, Bytes,
+                 std::vector<crypto::PublicKey>&&) = delete;
 
   /// The PROPOSE to multicast to the committee.
   ProposeWire make_propose() const;
@@ -113,7 +117,8 @@ class LeaderInstance {
   ProposeWire make_equivocating_propose(BytesView other_message) const;
 
   /// Feed a CONFIRM. Returns the SigList (quorum certificate) once
-  /// strictly more than C/2 distinct valid confirms arrive.
+  /// strictly more than C/2 distinct roster members' valid confirms
+  /// arrive.
   std::optional<QuorumCert> on_confirm(const ConfirmWire& wire);
 
   const InstanceId& id() const { return id_; }
@@ -127,7 +132,7 @@ class LeaderInstance {
   InstanceId id_;
   Bytes message_;
   crypto::Digest digest_;
-  std::size_t committee_size_;
+  const std::vector<crypto::PublicKey>* roster_;
   std::map<std::uint64_t, crypto::SignedMessage> confirms_;  // by signer
   bool done_ = false;
 };
@@ -144,12 +149,15 @@ class MemberInstance {
  public:
   MemberInstance(crypto::KeyPair keys, std::uint64_t member_index,
                  InstanceId id, crypto::PublicKey leader,
-                 std::size_t committee_size);
+                 const std::vector<crypto::PublicKey>& roster);
+  MemberInstance(crypto::KeyPair, std::uint64_t, InstanceId,
+                 crypto::PublicKey, std::vector<crypto::PublicKey>&&) = delete;
 
   /// Consume the leader's PROPOSE.
   MemberOutput on_propose(const ReceivedPropose& propose);
 
-  /// Consume a peer's ECHO (which relays the signed PROPOSE header).
+  /// Consume a peer's ECHO (which relays the signed PROPOSE header). Only
+  /// a roster member's ECHO counts toward the quorum.
   MemberOutput on_echo(const ReceivedEcho& echo);
 
   bool has_confirmed() const { return confirmed_; }
@@ -166,7 +174,7 @@ class MemberInstance {
   std::uint64_t index_;
   InstanceId id_;
   crypto::PublicKey leader_;
-  std::size_t committee_size_;
+  const std::vector<crypto::PublicKey>* roster_;
 
   std::optional<crypto::SignedMessage> seen_propose_;
   std::optional<crypto::Digest> digest_;

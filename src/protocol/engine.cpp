@@ -208,12 +208,6 @@ std::vector<net::NodeId> Engine::committee_members(std::uint32_t k) const {
   return assign_.committees[k].all_members();
 }
 
-std::vector<crypto::PublicKey> Engine::committee_pks(std::uint32_t k) const {
-  std::vector<crypto::PublicKey> pks;
-  for (net::NodeId id : committee_members(k)) pks.push_back(nodes_[id].keys.pk);
-  return pks;
-}
-
 net::NodeId Engine::node_of_pk(const crypto::PublicKey& pk) const {
   auto it = pk_index_.find(pk.y);
   return it == pk_index_.end() ? net::kNoNode : it->second;
@@ -352,11 +346,6 @@ crypto::PublicKey Engine::expected_instance_leader(std::uint32_t scope,
 std::vector<net::NodeId> Engine::instance_peers(std::uint32_t scope) const {
   if (scope == params_.m) return assign_.referees;
   return committee_members(scope);
-}
-
-std::size_t Engine::instance_size(std::uint32_t scope) const {
-  if (scope == params_.m) return assign_.referees.size();
-  return assign_.committees[scope].size();
 }
 
 void Engine::corrupt(net::NodeId id, Behavior behavior) {
@@ -537,8 +526,15 @@ void Engine::start_round_state() {
   }
 
   committees_.assign(params_.m, CommitteeRound{});
+  rosters_.assign(params_.m + 1, {});
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     committees_[k].current_leader = assign_.committees[k].leader;
+    for (net::NodeId id : committee_members(k)) {
+      rosters_[k].push_back(nodes_[id].keys.pk);
+    }
+  }
+  for (net::NodeId id : assign_.referees) {
+    rosters_[params_.m].push_back(nodes_[id].keys.pk);
   }
 
   // Draw this round's workload and split per committee; the previous

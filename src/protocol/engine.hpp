@@ -595,7 +595,6 @@ class Engine {
   // ---- helpers ----
   NodeState& node(net::NodeId id) { return nodes_[id]; }
   std::vector<net::NodeId> committee_members(std::uint32_t k) const;
-  std::vector<crypto::PublicKey> committee_pks(std::uint32_t k) const;
   net::NodeId node_of_pk(const crypto::PublicKey& pk) const;
   net::NodeId designated_referee(std::uint64_t sn) const;
   /// Whether `id` holds a referee seat this round.
@@ -636,7 +635,12 @@ class Engine {
   crypto::PublicKey expected_instance_leader(std::uint32_t scope,
                                              std::uint64_t sn) const;
   std::vector<net::NodeId> instance_peers(std::uint32_t scope) const;
-  std::size_t instance_size(std::uint32_t scope) const;
+  /// The member keys of scope `scope` this round: committee k's for
+  /// k < m, C_R's for m. Every Alg. 3 instance of the scope counts its
+  /// quorum over this one roster (built by start_round_state).
+  const std::vector<crypto::PublicKey>& roster(std::uint32_t scope) const {
+    return rosters_[scope];
+  }
 
   /// Consensus plumbing: wrap + send wires for instance (scope, sn).
   void send_consensus(net::NodeId from, const std::vector<net::NodeId>& to,
@@ -785,6 +789,7 @@ class Engine {
   // this round are carried into the next round's lists.
   std::vector<ledger::Transaction> carryover_;
   std::vector<CommitteeRound> committees_;
+  std::vector<std::vector<crypto::PublicKey>> rosters_;  // see roster()
   std::uint64_t round_ = 1;
   net::Time round_start_ = 0.0;
   std::vector<RecoveryEvent> recovery_log_;

@@ -452,7 +452,7 @@ void Engine::leader_start_instance(NodeState& self, std::uint32_t scope,
   consensus::InstanceId iid{round_, sn};
   auto [it, inserted] = self.round.lead.try_emplace(
       sn, consensus::LeaderInstance(self.keys, iid, std::move(message),
-                                    instance_size(scope)));
+                                    roster(scope)));
   if (!inserted) return;
   const auto peers = instance_peers(scope);
 
@@ -480,7 +480,7 @@ void Engine::leader_start_instance(NodeState& self, std::uint32_t scope,
   // The leader processes its own proposal as a member too (it counts
   // toward the >C/2 quorum).
   auto [mit, minserted] = self.round.member.try_emplace(
-      sn, self.keys, self.id, iid, self.keys.pk, instance_size(scope));
+      sn, self.keys, self.id, iid, self.keys.pk, roster(scope));
   if (minserted) {
     auto out = mit->second.on_propose(
         consensus::ProposeWire::deserialize(wire));
@@ -561,7 +561,7 @@ void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
              .try_emplace(sn, self.keys, self.id,
                           consensus::InstanceId{round_, sn},
                           expected_instance_leader(scope, sn),
-                          instance_size(scope))
+                          roster(scope))
              .first;
   }
   consensus::MemberOutput out;
@@ -681,7 +681,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
     wire::CrossResultMsg result;
     result.request = wire::CrossTxListMsg::deserialize(rit->second);
     result.dest_cert = cert.serialize();
-    result.dest_members = committee_pks(k);
+    result.dest_members = roster(k);
     const auto payload = net::make_payload(result.serialize());
     net_->send_shared(self.id, committees_[origin].current_leader,
                       net::Tag::kCrossResult, payload);

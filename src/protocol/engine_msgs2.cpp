@@ -457,7 +457,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg) {
     fake.confirms.push_back(
         crypto::make_signed(self.keys, bytes_of("not-a-confirm")));
     forged.dest_cert = fake.serialize();
-    forged.dest_members = committee_pks(k);
+    forged.dest_members = roster(k);
     const auto payload = net::make_payload(forged.serialize());
     net_->send_shared(self.id, committees_[req.origin].current_leader,
                       net::Tag::kCrossResult, payload);
@@ -791,7 +791,7 @@ void Engine::on_prosecute(NodeState& self, const net::Message& msg,
   if (!(accusation.accused == current)) return;
 
   // Verify the impeachment vote (>C/2 of the committee).
-  const auto pks = committee_pks(accusation.committee);
+  const auto& pks = roster(accusation.committee);
   if (!cert.verify(pks, pks.size())) return;
 
   // Verify the witness: either cryptographically transferable, or a
