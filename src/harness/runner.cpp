@@ -1,6 +1,5 @@
 #include "harness/runner.hpp"
 
-#include "crypto/schnorr.hpp"
 #include "epoch/manager.hpp"
 #include "support/parallel.hpp"
 
@@ -101,13 +100,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, std::uint64_t seed,
                              obs::Observer* observer) {
   protocol::Params params = spec.params;
   params.seed = seed;
-
-  if (observer != nullptr) {
-    // The verify cache is thread-local and shared by every job a worker
-    // runs; clearing it here pins the per-run hit/miss deltas to the run
-    // itself, independent of job-to-thread placement.
-    crypto::verify_cache::clear();
-  }
 
   ScenarioOutcome outcome;
   outcome.scenario = spec.name;

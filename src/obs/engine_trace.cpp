@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "crypto/schnorr.hpp"
 #include "obs/observer.hpp"
 #include "protocol/report.hpp"
 #include "protocol/roles.hpp"
@@ -13,9 +12,7 @@ namespace cyc::obs {
 EngineTrace::EngineTrace(Observer& observer, std::uint32_t m, bool open_loop)
     : observer_(observer),
       m_(m),
-      open_loop_(open_loop),
-      vc_hits_mark_(crypto::verify_cache::hits()),
-      vc_misses_mark_(crypto::verify_cache::misses()) {
+      open_loop_(open_loop) {
   Tracer& trace = observer_.trace;
   trace.set_track_name(kTrackProtocol, "protocol");
   trace.set_track_name(kTrackNet, "net");
@@ -156,13 +153,6 @@ void EngineTrace::round_end(const protocol::RoundReport& report,
   m.counter("engine.recoveries").add(report.recoveries);
   if (report.block_void) m.counter("engine.blocks_void").add();
   m.histogram("round.sim_duration").record(report.round_latency);
-
-  const std::uint64_t hits = crypto::verify_cache::hits();
-  const std::uint64_t misses = crypto::verify_cache::misses();
-  m.counter("crypto.verify_cache.hits").add(hits - vc_hits_mark_);
-  m.counter("crypto.verify_cache.misses").add(misses - vc_misses_mark_);
-  vc_hits_mark_ = hits;
-  vc_misses_mark_ = misses;
 
   for (std::size_t p = 0; p < static_cast<std::size_t>(net::Phase::kCount);
        ++p) {

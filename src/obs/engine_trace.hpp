@@ -103,8 +103,6 @@ class EngineTrace {
   net::Time open_phase_at_ = 0.0;
   net::Counter open_phase_mark_;  // running totals at the open phase's begin
   std::vector<PhaseWindow> windows_;  // closed phases of the round, in order
-  std::uint64_t vc_hits_mark_;        // verify-cache counters last flushed
-  std::uint64_t vc_misses_mark_;
 };
 
 }  // namespace cyc::obs

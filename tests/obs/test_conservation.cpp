@@ -146,20 +146,12 @@ TEST(MetricsConservation, MempoolCountersMatchOpenLoopStats) {
                    static_cast<double>(last_backlog));
 }
 
-TEST(MetricsConservation, VerifyCacheDeltasRecorded) {
+TEST(MetricsConservation, CertsRecorded) {
   protocol::Engine engine(small_params(), AdversaryConfig{});
   obs::Observer observer;
   engine.attach_observer(&observer);
   (void)engine.run_round();
   const obs::Registry& reg = observer.metrics;
-  ASSERT_NE(reg.find_counter("crypto.verify_cache.misses"), nullptr);
-  ASSERT_NE(reg.find_counter("crypto.verify_cache.hits"), nullptr);
-  // Earlier engines in this process may have warmed the thread-local
-  // cache (verdicts are deterministic per seed), so only the combined
-  // verify volume is guaranteed non-zero.
-  EXPECT_GT(reg.find_counter("crypto.verify_cache.hits")->value() +
-                reg.find_counter("crypto.verify_cache.misses")->value(),
-            0u);
   ASSERT_NE(reg.find_counter("consensus.certs"), nullptr);
   EXPECT_GT(reg.find_counter("consensus.certs")->value(), 0u);
 }

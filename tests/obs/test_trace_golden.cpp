@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
@@ -27,11 +26,11 @@ namespace cyc {
 namespace {
 
 constexpr const char* kHonestSmallDigest =
-    "560ea48864c7b1e4e2e9db44a55d4a5971c4a170a3e1f2824d4f7090c35c4c32";
+    "2c2f07a5ee0e2f43ea6f90841e7169635951e8d736458d264462766d069b0d52";
 constexpr const char* kLossyWanDigest =
-    "d1d6a44694ccc99023d647664bd6aa77d92ff031088ed0c2540c5f2a5f8f3496";
+    "1675f5f501ec117fc0c2475bc1f23cc2e9fa701918f84021ab4ea8c778e4f9a8";
 constexpr const char* kForcedCorruptLeadersDigest =
-    "1285a2f639d15cd567a6705eb1f413b33aeec01ad240b705458006beaf7410d6";
+    "e5d8b1d91beff00d8b118b1211500c7c2b92a8a4b52c06ff93db648ee1a18645";
 
 std::string trace_digest(const std::string& doc) {
   const crypto::Digest d = crypto::sha256(BytesView(
@@ -51,9 +50,6 @@ std::string honest_small_trace() {
   params.users = 60;
   params.seed = 7;
 
-  // The verify cache is thread-local: start cold so the hit / miss
-  // counters in the trace do not depend on earlier tests.
-  crypto::verify_cache::clear();
   protocol::Engine engine(params, protocol::AdversaryConfig{});
   obs::Observer observer;
   engine.attach_observer(&observer);
@@ -97,7 +93,6 @@ std::string forced_corrupt_leaders_trace() {
   protocol::AdversaryConfig adversary;
   adversary.forced_corrupt_leader_fraction = 1.0;
 
-  crypto::verify_cache::clear();
   protocol::Engine engine(params, adversary);
   obs::Observer observer;
   engine.attach_observer(&observer);
