@@ -4,13 +4,6 @@
 
 namespace cyc::consensus {
 
-namespace {
-bool on_roster(const std::vector<crypto::PublicKey>& roster,
-               const crypto::PublicKey& pk) {
-  return std::find(roster.begin(), roster.end(), pk) != roster.end();
-}
-}  // namespace
-
 // --- LeaderInstance -----------------------------------------------------------
 
 LeaderInstance::LeaderInstance(crypto::KeyPair keys, InstanceId id,
@@ -57,7 +50,10 @@ std::optional<QuorumCert> LeaderInstance::on_confirm(const ConfirmWire& wire) {
   expected.digest = wire.body.digest;
   expected.member = wire.body.member;
   if (!equal(wire.sig.payload, expected.signed_part())) return std::nullopt;
-  if (!on_roster(*roster_, wire.sig.signer)) return std::nullopt;
+  if (std::find(roster_->begin(), roster_->end(), wire.sig.signer) ==
+      roster_->end()) {
+    return std::nullopt;
+  }
 
   confirms_[wire.sig.signer.y] = wire.sig;
   if (confirms_.size() * 2 > roster_->size()) {
@@ -213,7 +209,8 @@ MemberOutput MemberInstance::on_echo(const ReceivedEcho& echo) {
 
   // Echoes only feed our own CONFIRM, so stop collecting once it is sent.
   if (!confirmed_ && digest_ && wire.body.digest == *digest_ &&
-      on_roster(*roster_, wire.sig.signer)) {
+      std::find(roster_->begin(), roster_->end(), wire.sig.signer) !=
+          roster_->end()) {
     echoes_[wire.sig.signer.y] = wire.sig;
   }
 

@@ -105,8 +105,6 @@ class LeaderInstance {
  public:
   LeaderInstance(crypto::KeyPair keys, InstanceId id, Bytes message,
                  const std::vector<crypto::PublicKey>& roster);
-  LeaderInstance(crypto::KeyPair, InstanceId, Bytes,
-                 std::vector<crypto::PublicKey>&&) = delete;
 
   /// The PROPOSE to multicast to the committee.
   ProposeWire make_propose() const;
@@ -150,8 +148,6 @@ class MemberInstance {
   MemberInstance(crypto::KeyPair keys, std::uint64_t member_index,
                  InstanceId id, crypto::PublicKey leader,
                  const std::vector<crypto::PublicKey>& roster);
-  MemberInstance(crypto::KeyPair, std::uint64_t, InstanceId,
-                 crypto::PublicKey, std::vector<crypto::PublicKey>&&) = delete;
 
   /// Consume the leader's PROPOSE.
   MemberOutput on_propose(const ReceivedPropose& propose);

@@ -1,13 +1,11 @@
 #include "net/message.hpp"
 
-#include <array>
-
 namespace cyc::net {
 
 namespace {
 thread_local std::uint64_t t_payload_allocs = 0;
 thread_local std::uint64_t t_payload_bytes = 0;
-thread_local std::array<std::uint64_t, kTagCount> t_payload_decodes{};
+thread_local std::uint64_t t_payload_decodes[kTagCount] = {};
 const Bytes kEmptyPayload;
 }  // namespace
 
@@ -23,8 +21,10 @@ std::uint64_t payload_decodes(Tag tag) {
   return t_payload_decodes[static_cast<std::size_t>(tag)];
 }
 
-void detail::count_decode(Tag tag) {
+std::any& Message::store() const {
+  if (!body) throw std::invalid_argument("Message::decoded: no payload");
   ++t_payload_decodes[static_cast<std::size_t>(tag)];
+  return body->decoded_;
 }
 
 const Bytes& Message::payload() const {

@@ -3,9 +3,7 @@
 // Tags cover every message class of §IV (Algorithms 2–6) plus block
 // propagation. Payloads are canonical serde encodings produced by the
 // protocol layer; the simulator treats them as opaque bytes and accounts
-// their size. Receivers decode a payload through Message::decoded, which
-// keeps the decoding in the buffer, so a buffer multicast to many
-// receivers is decoded once.
+// their size.
 #pragma once
 
 #include <any>
@@ -72,13 +70,10 @@ inline constexpr std::size_t kTagCount =
 
 std::string_view tag_name(Tag tag);
 
-/// One payload buffer: the immutable bytes plus one slot for their
-/// decoding. A logical broadcast materialises its payload once and every
-/// queued copy / delivered Message aliases the same buffer; the first
-/// receiver that decodes it fills the slot (Message::decoded), later
-/// receivers reuse that value, and it is freed with the buffer. Filling
-/// the slot does not change what the buffer says, hence `mutable`. The
-/// slot is not synchronised: every delivery of a buffer runs on the thread
+/// One payload buffer: immutable bytes plus a slot for their decoding
+/// (Message::decoded). A logical broadcast materialises its payload once
+/// and every queued copy / delivered Message aliases the same buffer.
+/// The slot is not synchronised: a buffer's deliveries run on the thread
 /// that runs its SimNet.
 class Payload {
  public:
@@ -95,8 +90,7 @@ class Payload {
   mutable std::any decoded_;
 };
 
-/// Shared, immutable payload buffer; the simulator and all receivers
-/// treat its bytes as read-only.
+/// Shared payload buffer; the simulator and all receivers read only.
 using PayloadPtr = std::shared_ptr<const Payload>;
 
 /// Wrap a byte string into a shared payload buffer. This is the single
@@ -110,14 +104,9 @@ PayloadPtr make_payload(Bytes b);
 std::uint64_t payload_allocations();
 /// Total payload bytes allocated on this thread since it started.
 std::uint64_t payload_bytes_allocated();
-/// Payload buffers whose decoding a delivery tagged `tag` stored on this
-/// thread since it started (Message::decoded): one per buffer however
-/// many receivers share it, so it makes the decode-once contract testable.
+/// Decodings stored on this thread since it started by deliveries tagged
+/// `tag` (Message::decoded): one per buffer, however many receivers.
 std::uint64_t payload_decodes(Tag tag);
-
-namespace detail {
-void count_decode(Tag tag);
-}  // namespace detail
 
 struct Message {
   NodeId from = kNoNode;
@@ -132,25 +121,27 @@ struct Message {
   std::size_t wire_size() const { return payload().size() + 16; }
 
   /// The payload decoded as a T: the value an earlier receiver of the same
-  /// buffer stored, or `decode(payload())` stored now. A decode that throws
-  /// stores nothing, so every receiver of a malformed buffer fails the same
-  /// way. A slot holding another type is replaced, so T must be a function
-  /// of the bytes alone; where the tag selects the codec, the decoded type
-  /// records what it was decoded as. Throws std::invalid_argument when the
-  /// message has no body.
+  /// buffer stored, or `decode(payload())` stored now and freed with the
+  /// buffer. A decode that throws stores nothing, so every receiver of a
+  /// malformed buffer drops it. A slot holding another type is replaced:
+  /// T must be a function of the bytes (and of the tag only if T records
+  /// it). Throws std::invalid_argument when the message has no body.
   template <typename T, typename Decode>
   T& decoded(Decode&& decode) const {
-    if (!body) throw std::invalid_argument("Message::decoded: no payload");
-    if (T* held = std::any_cast<T>(&body->decoded_)) return *held;
-    T value = decode(BytesView(body->bytes_));
-    detail::count_decode(tag);
-    return body->decoded_.emplace<T>(std::move(value));
+    T* held = body ? std::any_cast<T>(&body->decoded_) : nullptr;
+    if (held) return *held;
+    T value = decode(BytesView(payload()));
+    return store().emplace<T>(std::move(value));
   }
   /// decoded<T> through the type's own codec, T::deserialize.
   template <typename T>
   T& decoded() const {
     return decoded<T>([](BytesView b) { return T::deserialize(b); });
   }
+
+ private:
+  /// The slot a fresh decoding goes to, counted in payload_decodes(tag).
+  std::any& store() const;
 };
 
 }  // namespace cyc::net

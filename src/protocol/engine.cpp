@@ -526,15 +526,14 @@ void Engine::start_round_state() {
   }
 
   committees_.assign(params_.m, CommitteeRound{});
-  rosters_.assign(params_.m + 1, {});
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     committees_[k].current_leader = assign_.committees[k].leader;
-    for (net::NodeId id : committee_members(k)) {
-      rosters_[k].push_back(nodes_[id].keys.pk);
-    }
   }
-  for (net::NodeId id : assign_.referees) {
-    rosters_[params_.m].push_back(nodes_[id].keys.pk);
+  rosters_.assign(params_.m + 1, {});
+  for (std::uint32_t scope = 0; scope <= params_.m; ++scope) {
+    for (net::NodeId id : instance_peers(scope)) {
+      rosters_[scope].push_back(nodes_[id].keys.pk);
+    }
   }
 
   // Draw this round's workload and split per committee; the previous

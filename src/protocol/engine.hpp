@@ -501,22 +501,14 @@ class Engine {
     }
   };
 
-  // What receivers share of a buffer: the decoded types that are more
-  // than a wire struct, each stored in the buffer by its first receiver
-  // (net::Message::decoded).
-  //
-  // A PROPOSE, ECHO or CONFIRM: its (scope, sn) route and its wire, the
-  // one its tag names; PROPOSE and ECHO carry their lazy
-  // receiver-independent Alg. 3 verdicts.
+  // Decoded payloads beyond the wire structs (net::Message::decoded).
+  // A PROPOSE or ECHO: its (scope, sn) route and the wire its tag names,
+  // with the lazy receiver-independent Alg. 3 verdicts.
   struct ConsensusFanout {
     std::uint32_t scope = 0;
     std::uint64_t sn = 0;
     std::optional<consensus::ReceivedPropose> propose;
     std::optional<consensus::ReceivedEcho> echo;
-    std::optional<consensus::ConfirmWire> confirm;
-    /// `msg`'s buffer decoded as the wire its tag names (see
-    /// net::Message::decoded). Throws on a malformed envelope or wire.
-    static const ConsensusFanout& of(const net::Message& msg);
   };
   // A TX_LIST and the transactions its leader signed.
   struct ReceivedTxList {
@@ -635,9 +627,8 @@ class Engine {
   crypto::PublicKey expected_instance_leader(std::uint32_t scope,
                                              std::uint64_t sn) const;
   std::vector<net::NodeId> instance_peers(std::uint32_t scope) const;
-  /// The member keys of scope `scope` this round: committee k's for
-  /// k < m, C_R's for m. Every Alg. 3 instance of the scope counts its
-  /// quorum over this one roster (built by start_round_state).
+  /// Scope `scope`'s member keys this round (committee k's, or C_R's for
+  /// m): the one roster every Alg. 3 instance of the scope counts over.
   const std::vector<crypto::PublicKey>& roster(std::uint32_t scope) const {
     return rosters_[scope];
   }
@@ -686,8 +677,7 @@ class Engine {
   /// Multicast committee k's `kind` list, vote on it and schedule the
   /// tally; the §VIII-A pre-filter runs first for a cross list.
   void leader_start_list(std::uint32_t k, ListKind kind, net::Time now);
-  /// A destination leader's handling of origin `req.origin`'s certified
-  /// cross list `req`, whose encoding is `request`.
+  /// Certified cross list `req` (encoded as `request`) at its destination.
   void leader_handle_cross_in(NodeState& leader,
                               const wire::CrossTxListMsg& req,
                               const Bytes& request);

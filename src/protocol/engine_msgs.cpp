@@ -525,31 +525,21 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
   }
 }
 
-const Engine::ConsensusFanout& Engine::ConsensusFanout::of(
-    const net::Message& msg) {
-  return msg.decoded<ConsensusFanout>([&msg](BytesView payload) {
-    const auto env = wire::ConsensusEnvelope::deserialize(payload);
-    ConsensusFanout fan{env.scope, env.sn, {}, {}, {}};
-    switch (msg.tag) {
-      case net::Tag::kPropose:
-        fan.propose.emplace(consensus::ProposeWire::deserialize(env.wire));
-        break;
-      case net::Tag::kEcho:
-        fan.echo.emplace(consensus::EchoWire::deserialize(env.wire));
-        break;
-      default:
-        fan.confirm.emplace(consensus::ConfirmWire::deserialize(env.wire));
-        break;
-    }
-    return fan;
-  });
-}
-
 void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
                               net::Time now) {
   const bool propose = msg.tag == net::Tag::kPropose;
-  const ConsensusFanout& fan = ConsensusFanout::of(msg);
-  // One buffer is one message: re-sent under another Alg. 3 tag, dropped.
+  const ConsensusFanout& fan =
+      msg.decoded<ConsensusFanout>([propose](BytesView payload) {
+        const auto env = wire::ConsensusEnvelope::deserialize(payload);
+        ConsensusFanout fan{env.scope, env.sn, {}, {}};
+        if (propose) {
+          fan.propose.emplace(consensus::ProposeWire::deserialize(env.wire));
+        } else {
+          fan.echo.emplace(consensus::EchoWire::deserialize(env.wire));
+        }
+        return fan;
+      });
+  // One buffer is one message: re-sent under the other tag, dropped.
   if (propose ? !fan.propose : !fan.echo) return;
   const std::uint32_t scope = fan.scope;
   const std::uint64_t sn = fan.sn;
@@ -578,12 +568,14 @@ void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
 }
 
 void Engine::on_confirm(NodeState& self, const net::Message& msg) {
-  const ConsensusFanout& fan = ConsensusFanout::of(msg);
-  if (!fan.confirm || !in_scope(self, fan.scope)) return;
-  auto it = self.round.lead.find(fan.sn);
+  // Unicast to one leader: the wire is decoded where an instance awaits it.
+  const auto& env = msg.decoded<wire::ConsensusEnvelope>();
+  if (!in_scope(self, env.scope)) return;
+  auto it = self.round.lead.find(env.sn);
   if (it == self.round.lead.end()) return;
-  if (auto cert = it->second.on_confirm(*fan.confirm)) {
-    on_cert(self, fan.scope, fan.sn, *cert);
+  if (auto cert =
+          it->second.on_confirm(consensus::ConfirmWire::deserialize(env.wire))) {
+    on_cert(self, env.scope, env.sn, *cert);
   }
 }
 
