@@ -12,9 +12,11 @@
 #   - a ThreadSanitizer build (separate dir, -DCYC_SANITIZE=thread)
 #     running the parallel-equivalence gate and a matrix sweep at
 #     --engine-threads 4.
-# Finishes with the Release scenario-fuzz gate (scripts/run_fuzz.sh:
-# fixed seed, 200-spec budget, shrink-on-failure, double-run
-# byte-compare).
+# Then the Release scenario-fuzz gate (scripts/run_fuzz.sh: fixed seed,
+# 200-spec budget, shrink-on-failure, double-run byte-compare). Finishes
+# with a 1 s perfbench run of every BENCHMARK.json workload plus one
+# traced paper64-closed run: perfbench compiles against src/, so this
+# catches a broken benchmark build or a failed benchmark gate.
 #
 # Usage: scripts/run_checks.sh [build-dir] [tsan-build-dir] [release-dir]
 #        (defaults: build-asan, build-tsan, build-bench — the Release
@@ -22,7 +24,8 @@
 #
 # Exits non-zero on any compiler warning in the Release build, build
 # failure, test failure, sanitizer report, invariant violation in the
-# scenario matrix, or surviving fuzz failure.
+# scenario matrix, surviving fuzz failure, or perfbench run that fails
+# or reports failed operations.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -135,6 +138,28 @@ echo "tsan job: no data races reported"
 echo
 echo "=== scenario fuzz (Release, fixed seed) ==="
 scripts/run_fuzz.sh "$RELEASE_DIR"
+
+echo
+echo "=== perfbench gates (Release, 1 s per workload) ==="
+# run.py exits non-zero when the build or a benchmark gate fails; a
+# result line with failed > 0 fails here.
+perfbench_gate() {  # perfbench_gate <workload> <trace 0|1>
+  local result
+  result="$(CARGO_TARGET_DIR="$RELEASE_DIR/perfbench-target" \
+    python3 perfbench/run.py --workload "$1" --seconds 1 --trace "$2" |
+    tail -n 1)"
+  if ! python3 -c 'import json, sys
+sys.exit(json.loads(sys.argv[1])["failed"] != 0)' "$result"; then
+    echo "error: perfbench $1 (--trace $2) reported failed operations" >&2
+    exit 1
+  fi
+  echo "perfbench $1 --trace $2: ok"
+}
+for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  perfbench_gate "$workload" 0
+done
+perfbench_gate paper64-closed 1
 
 echo
 echo "sanitizer gate: ALL GREEN"
