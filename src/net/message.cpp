@@ -1,5 +1,7 @@
 #include "net/message.hpp"
 
+#include <stdexcept>
+
 namespace cyc::net {
 
 namespace {

@@ -9,7 +9,6 @@
 #include <any>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string_view>
 
 #include "support/bytes.hpp"
